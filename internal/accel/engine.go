@@ -2,6 +2,7 @@ package accel
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/graph"
@@ -75,7 +76,7 @@ type Engine struct {
 	// frontier), and the cached all-vertices apply list.
 	pes        []peState
 	ringBuf    []uint64
-	heap       []int32
+	heap       []uint64
 	streamBuf  []stream
 	scatterBuf []scatterStream
 	applyBuf   []applyStream
@@ -463,56 +464,27 @@ type peState struct {
 	ring    []uint64 // completion times of the last MLP accesses
 	ringIdx int
 	pending access
-	ready   uint64 // max(clock, ring[ringIdx]) — the heap key
 }
 
-// peLess orders the scheduler heap by (ready-time, PE index). The index
-// tie-break reproduces the lowest-index-wins rule of the linear scan this
-// heap replaced, so issue order — and every downstream counter and cycle
-// count — is bit-identical.
-func (e *Engine) peLess(a, b int32) bool {
-	pa, pb := &e.pes[a], &e.pes[b]
-	return pa.ready < pb.ready || (pa.ready == pb.ready && a < b)
-}
-
-func (e *Engine) heapPush(i int32) {
-	e.heap = append(e.heap, i)
-	j := len(e.heap) - 1
-	for j > 0 {
-		parent := (j - 1) / 2
-		if !e.peLess(e.heap[j], e.heap[parent]) {
-			break
-		}
-		e.heap[j], e.heap[parent] = e.heap[parent], e.heap[j]
-		j = parent
-	}
-}
-
-func (e *Engine) heapSiftDown(j int) {
-	n := len(e.heap)
+// siftDown restores the min-heap property of h after its root's key
+// grew (or the root was replaced by the last key).
+func siftDown(h []uint64) {
+	n := len(h)
+	j := 0
 	for {
 		l := 2*j + 1
 		if l >= n {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && e.peLess(e.heap[r], e.heap[l]) {
+		if r := l + 1; r < n && h[r] < h[l] {
 			m = r
 		}
-		if !e.peLess(e.heap[m], e.heap[j]) {
+		if h[m] >= h[j] {
 			return
 		}
-		e.heap[j], e.heap[m] = e.heap[m], e.heap[j]
+		h[j], h[m] = h[m], h[j]
 		j = m
-	}
-}
-
-func (e *Engine) heapPopRoot() {
-	n := len(e.heap) - 1
-	e.heap[0] = e.heap[n]
-	e.heap = e.heap[:n]
-	if n > 0 {
-		e.heapSiftDown(0)
 	}
 }
 
@@ -520,13 +492,15 @@ func (e *Engine) heapPopRoot() {
 // system, merged in global time order so channel contention is causal. Each
 // PE issues at most one access per cycle and keeps at most MLP outstanding.
 //
-// A PE's ready time depends only on its own clock and MLP ring, both of
-// which change only when it issues, so heap keys are stable while a PE
-// waits and an indexed min-heap replaces the old O(PEs) scan without
-// reordering anything. next() has side effects on shared engine state, so
-// its global call order is part of the modeled behaviour: the initial fill
-// polls PEs in index order and each subsequent poll refills only the PE
-// that just issued — exactly the order the scan produced.
+// The next PE to issue is the one with the earliest ready time
+// max(clock, oldest MLP slot), the lowest index winning ties. A min-heap
+// holds one packed key ready<<peBits | pe per PE with a pending access,
+// so a single integer compare gives that (ready, PE) order. A PE's ready
+// time changes only when it issues, so only the root's key ever moves,
+// and only upward. next() has side effects on shared engine state, so
+// its global call order is part of the modeled behaviour: the initial
+// fill polls PEs in index order and each subsequent poll refills only
+// the PE that just issued.
 func (e *Engine) runStreams(streams []stream) {
 	n := len(streams)
 	mlp := e.cfg.MLP
@@ -536,90 +510,38 @@ func (e *Engine) runStreams(streams []stream) {
 	}
 	e.pes = e.pes[:n]
 	pes := e.pes
+	peBits := uint(bits.Len(uint(n)))
+	peMask := uint64(1)<<peBits - 1
+	// Every PE starts ready at e.now, so keys appended in index order
+	// already form a valid heap.
+	h := e.heap[:0]
 	for i := range pes {
 		ring := e.ringBuf[i*mlp : (i+1)*mlp]
 		for j := range ring {
 			ring[j] = e.now
 		}
 		pes[i] = peState{s: streams[i], clock: e.now, ring: ring}
-	}
-	e.heap = e.heap[:0]
-	for i := range pes {
-		p := &pes[i]
-		a, ok := p.s.next()
-		if !ok {
-			continue
+		if a, ok := pes[i].s.next(); ok {
+			pes[i].pending = a
+			h = append(h, e.now<<peBits|uint64(i))
 		}
-		p.pending = a
-		p.ready = p.clock
-		if slot := p.ring[p.ringIdx]; slot > p.ready {
-			p.ready = slot
-		}
-		e.heapPush(int32(i))
 	}
 	endTime := e.now
-	for len(e.heap) > 0 {
-		if len(e.heap) == 1 {
-			// Single-ready fast path: streams only leave the heap within
-			// a phase, so once one PE remains it stays alone — drain it
-			// without the push/pop/sift pair per access. The loop body is
-			// the general case minus heap maintenance, so the issue
-			// schedule (and every counter) is bit-identical; pinned by
-			// BenchmarkSingleReadyDrain.
-			best := e.heap[0]
-			p := &pes[best]
-			for {
-				bestT := p.ready
-				occ := uint64(0)
-				for _, c := range p.ring {
-					if c > bestT {
-						occ++
-					}
-				}
-				e.mlpHist.Observe(occ)
-				if e.observer != nil {
-					e.observer.Record(TraceRecord{PE: uint8(best), Kind: p.pending.kind, VA: p.pending.va})
-				}
-				completion := e.priceAccess(p.pending, bestT)
-				p.ring[p.ringIdx] = completion
-				p.ringIdx++
-				if p.ringIdx == mlp {
-					p.ringIdx = 0
-				}
-				p.clock = bestT + 1
-				if completion > endTime {
-					endTime = completion
-				}
-				a, ok := p.s.next()
-				if !ok {
-					e.heap = e.heap[:0]
-					break
-				}
-				p.pending = a
-				t := p.clock
-				if slot := p.ring[p.ringIdx]; slot > t {
-					t = slot
-				}
-				p.ready = t
-			}
-			break
-		}
-		best := e.heap[0]
-		p := &pes[best]
-		bestT := p.ready
+	for len(h) > 0 {
+		pe := int(h[0] & peMask)
+		bestT := h[0] >> peBits
+		p := &pes[pe]
 		// MLP ring occupancy at issue: how many of this PE's slots are
-		// still outstanding at the issue cycle. Pure simulated-time
-		// arithmetic (at most MLP compares), so the distribution is
-		// deterministic and the loop stays allocation-free.
+		// still outstanding at the issue cycle. The key-range check
+		// below keeps every time under 2^63, so the sign bit of
+		// bestT-c is exactly c > bestT.
 		occ := uint64(0)
 		for _, c := range p.ring {
-			if c > bestT {
-				occ++
-			}
+			occ += (bestT - c) >> 63
 		}
 		e.mlpHist.Observe(occ)
 		if e.observer != nil {
-			e.observer.Record(TraceRecord{PE: uint8(best), Kind: p.pending.kind, VA: p.pending.va})
+			e.observer.Record(TraceRecord{PE: uint8(pe), Kind: p.pending.kind, VA: p.pending.va})
 		}
 		completion := e.priceAccess(p.pending, bestT)
 		p.ring[p.ringIdx] = completion
@@ -631,19 +553,23 @@ func (e *Engine) runStreams(streams []stream) {
 		if completion > endTime {
 			endTime = completion
 		}
-		a, ok := p.s.next()
-		if !ok {
-			e.heapPopRoot()
-			continue
+		if a, ok := p.s.next(); ok {
+			p.pending = a
+			h[0] = max(p.clock, p.ring[p.ringIdx])<<peBits | uint64(pe)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
-		p.pending = a
-		t := p.clock
-		if slot := p.ring[p.ringIdx]; slot > t {
-			t = slot
-		}
-		p.ready = t
-		e.heapSiftDown(0) // the issued PE's key only ever increases
+		siftDown(h)
 	}
+	// Accesses complete no earlier than they issue, so every ready time
+	// the phase packed is at most endTime+1 (an MLP slot, or one past an
+	// issue cycle): checking that bound once covers every key.
+	if (endTime+1)>>(64-peBits) != 0 {
+		panic(fmt.Sprintf("accel: phase end time %d overflows the scheduler key (%d PEs leave %d bits for time)",
+			endTime, n, 64-peBits))
+	}
+	e.heap = h
 	e.now = endTime
 	// Drop stream references so pooled state never pins a finished
 	// phase's streams.

@@ -442,9 +442,10 @@ func TestSharedReplaySubscribeLate(t *testing.T) {
 	}
 }
 
-// BenchmarkSingleReadyDrain pins the single-ready fast path in
-// runStreams: with one PE, every access goes through the heap-free drain
-// loop.
+// BenchmarkSingleReadyDrain runs a whole PageRank on one PE, where the
+// scheduler heap holds a single key: it prices runStreams' issue loop
+// when there is no ordering work at all (BenchmarkRunStreams has eight
+// PEs contending).
 func BenchmarkSingleReadyDrain(b *testing.B) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT(11, 3))
 	if err != nil {

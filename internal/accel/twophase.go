@@ -316,9 +316,7 @@ func (e *Engine) startProducer(s *traceStream, gen traceGen, label string) strea
 	}
 	*s = traceStream{e: e, ch: ch, free: free}
 	go func() {
-		defer e.workers.Release(1)
 		sp := e.spans.Begin(label)
-		defer sp.End()
 		for {
 			buf := <-free
 			n, done := gen.fill(buf[:cap(buf)])
@@ -329,6 +327,11 @@ func (e *Engine) startProducer(s *traceStream, gen traceGen, label string) strea
 				if n == 0 {
 					free <- buf
 				}
+				sp.End()
+				// The token goes back before close(ch) ends the stream,
+				// so a run that has drained every stream has its whole
+				// budget back.
+				e.workers.Release(1)
 				close(ch)
 				return
 			}

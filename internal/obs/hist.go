@@ -15,16 +15,29 @@ import (
 // plain struct field and observe on every translation, preserving the
 // zero-alloc contract BenchmarkTranslateInto pins.
 //
+// Values below denseLimit — every MLP occupancy and walk-memref count,
+// and most memory latencies — are kept as exact per-value counts, so
+// observing one is a single increment; Count and Snapshot fold them
+// into the buckets, count, sum and max. The folding is exact, so a
+// snapshot is identical to one taken of a buckets-only histogram fed
+// the same values.
+//
 // Like the counter registry, a Histogram belongs to one
 // single-goroutine simulation run; merging across runs happens on
 // HistSnapshot values, whose bucket-wise sum is commutative — merged
 // sweep histograms are byte-identical at any -j.
 type Histogram struct {
+	// dense[v] counts observations of v < denseLimit; they are not
+	// reflected in buckets, count, sum or max until folded.
+	dense   [denseLimit]uint64
 	buckets [64]uint64
 	count   uint64
 	sum     uint64
 	max     uint64
 }
+
+// denseLimit bounds the values a Histogram counts exactly.
+const denseLimit = 256
 
 // bucketOf returns the bucket index of v: 0 for 0, otherwise the bit
 // length of v, clamped to 63.
@@ -50,6 +63,10 @@ func bucketUpper(i int) uint64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
+	if v < denseLimit {
+		h.dense[v]++
+		return
+	}
 	h.buckets[bucketOf(v)]++
 	h.count++
 	h.sum += v
@@ -59,7 +76,13 @@ func (h *Histogram) Observe(v uint64) {
 }
 
 // Count returns how many values were observed.
-func (h *Histogram) Count() uint64 { return h.count }
+func (h *Histogram) Count() uint64 {
+	n := h.count
+	for _, c := range h.dense {
+		n += c
+	}
+	return n
+}
 
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }
@@ -68,6 +91,17 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 // derived percentiles filled in.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{Buckets: h.buckets, Count: h.count, Sum: h.sum, Max: h.max}
+	for v, n := range h.dense {
+		if n == 0 {
+			continue
+		}
+		s.Buckets[bucketOf(uint64(v))] += n
+		s.Count += n
+		s.Sum += uint64(v) * n
+		if uint64(v) > s.Max {
+			s.Max = uint64(v)
+		}
+	}
 	s.finalize()
 	return s
 }

@@ -188,3 +188,102 @@ func TestRegistryHistogramSnapshot(t *testing.T) {
 		t.Errorf("collector merge = %+v, want count 8 sum 44 max 9", m)
 	}
 }
+
+// refHist is the buckets-only histogram the dense fast path must be
+// indistinguishable from: every value updates its bucket, count, sum
+// and max directly.
+type refHist struct {
+	buckets         [64]uint64
+	count, sum, max uint64
+}
+
+func (r *refHist) observe(v uint64) {
+	r.buckets[bucketOf(v)]++
+	r.count++
+	r.sum += v
+	if v > r.max {
+		r.max = v
+	}
+}
+
+func (r *refHist) snapshot() HistSnapshot {
+	s := HistSnapshot{Buckets: r.buckets, Count: r.count, Sum: r.sum, Max: r.max}
+	s.finalize()
+	return s
+}
+
+// TestHistogramMatchesBucketsOnly drives Histogram and the buckets-only
+// reference through the same random Observe/Reset/Count/Snapshot
+// sequences, with values drawn around the dense limit and the top
+// bucket, and requires identical counts, snapshots and merges.
+func TestHistogramMatchesBucketsOnly(t *testing.T) {
+	edges := []uint64{0, 1, denseLimit - 1, denseLimit, denseLimit + 1, 1 << 62, 1<<62 - 1, math.MaxUint64}
+	draw := func(rng *rand.Rand) uint64 {
+		switch rng.Intn(4) {
+		case 0:
+			return edges[rng.Intn(len(edges))]
+		case 1:
+			return uint64(rng.Intn(denseLimit))
+		case 2:
+			return uint64(rng.Intn(4 * denseLimit))
+		default:
+			return rng.Uint64() >> uint(rng.Intn(64))
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var h Histogram
+		var r refHist
+		var got, want []HistSnapshot
+		for op := 0; op < 2000; op++ {
+			switch k := rng.Intn(100); {
+			case k == 0:
+				h.Reset()
+				r = refHist{}
+			case k < 5:
+				if h.Count() != r.count {
+					t.Logf("seed %d op %d: Count %d, want %d", seed, op, h.Count(), r.count)
+					return false
+				}
+			case k < 10:
+				g, w := h.Snapshot(), r.snapshot()
+				if g != w {
+					t.Logf("seed %d op %d: snapshot\n%+v\nwant\n%+v", seed, op, g, w)
+					return false
+				}
+				got, want = append(got, g), append(want, w)
+			default:
+				v := draw(rng)
+				h.Observe(v)
+				r.observe(v)
+			}
+		}
+		if g, w := MergeHists(got...), MergeHists(want...); g != w {
+			t.Logf("seed %d: merged\n%+v\nwant\n%+v", seed, g, w)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkHistogramObserve measures one hot-path observation: a value
+// under denseLimit (an exact count) and one above it (a bucket).
+func BenchmarkHistogramObserve(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		base uint64
+	}{{"dense", 0}, {"bucket", denseLimit}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var h Histogram
+			for i := 0; i < b.N; i++ {
+				h.Observe(bc.base + uint64(i&127))
+			}
+			histSink = h.Count()
+		})
+	}
+}
+
+var histSink uint64

@@ -417,27 +417,25 @@ func (s *Scheduler) interrupted(r *jobRun, ctx context.Context, err error) {
 		if serr := r.ck.Sync(); serr != nil {
 			s.logf("job %s: drain checkpoint sync: %v", r.job.ID, serr)
 		}
-		r.setState(StateQueued)
-		if perr := r.persist(s.store); perr != nil {
+		if perr := s.settle(r, func(j *Job) { j.State = StateQueued }); perr != nil {
 			s.logf("job %s: drain persist: %v", r.job.ID, perr)
 		}
 		s.logf("job %s: drained with %d/%d cells durable; will resume on restart",
 			r.job.ID, r.ck.Len(), r.job.TotalCells)
-		s.unregister(r.job.ID)
 	}
 }
 
 // finish drives a job to a terminal state and persists it.
 func (s *Scheduler) finish(r *jobRun, st State, artifact string, err error) {
-	r.mu.Lock()
-	r.job.State = st
-	r.job.FinishedUnix = time.Now().Unix()
-	r.job.Artifact = artifact
-	if err != nil {
-		r.job.Error = err.Error()
-	}
-	r.mu.Unlock()
-	if perr := r.persist(s.store); perr != nil {
+	perr := s.settle(r, func(j *Job) {
+		j.State = st
+		j.FinishedUnix = time.Now().Unix()
+		j.Artifact = artifact
+		if err != nil {
+			j.Error = err.Error()
+		}
+	})
+	if perr != nil {
 		s.logf("job %s: persisting %s: %v", r.job.ID, st, perr)
 	}
 	switch st {
@@ -451,15 +449,27 @@ func (s *Scheduler) finish(r *jobRun, st State, artifact string, err error) {
 		s.cfg.Metrics.Inc("serve.jobs.cancelled", 1)
 		s.logf("job %s: cancelled", r.job.ID)
 	}
-	s.unregister(r.job.ID)
 }
 
-// unregister drops a run from the live table (its durable record
-// remains the source of truth).
-func (s *Scheduler) unregister(id string) {
+// settle ends a run's life in the live table: it writes the record
+// that update produces, and only then publishes it and unregisters the
+// run, both under s.mu. So Status never reports a state ahead of disk,
+// and once it reports the final state, Cancel no longer finds a live
+// run and answers from the durable record.
+func (s *Scheduler) settle(r *jobRun, update func(*Job)) error {
+	r.mu.Lock()
+	j := *r.job
+	r.mu.Unlock()
+	j.CellsDone = r.ck.Len()
+	update(&j)
+	err := s.store.Put(&j)
 	s.mu.Lock()
-	delete(s.jobs, id)
+	r.mu.Lock()
+	*r.job = j
+	r.mu.Unlock()
+	delete(s.jobs, j.ID)
 	s.mu.Unlock()
+	return err
 }
 
 // Cancel aborts a queued or running job (DELETE /jobs/{id}). Terminal
@@ -477,8 +487,12 @@ func (s *Scheduler) Cancel(id string) error {
 		return fmt.Errorf("serve: job %s already %s", id, j.State)
 	}
 	r.mu.Lock()
+	again := r.cancelled
 	r.cancelled = true
 	r.mu.Unlock()
+	if again {
+		return fmt.Errorf("serve: job %s already cancelled", id)
+	}
 	r.cancel()
 	return nil
 }

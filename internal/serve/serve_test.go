@@ -308,6 +308,68 @@ func TestServeCancel(t *testing.T) {
 	}
 }
 
+// TestServeCancelDurableBeforeVisible holds the cancelled record's
+// write between "decided" and "on disk": during that window Status must
+// still report the live state and the durable record must not be
+// terminal, and from the first Cancel on every further Cancel must say
+// "already cancelled" — before, during and after the write.
+func TestServeCancelDurableBeforeVisible(t *testing.T) {
+	store, sched := newTestScheduler(t, t.TempDir(), Config{Jobs: 2})
+	defer sched.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	store.putFn = func(path string, data []byte) error {
+		if bytes.Contains(data, []byte(`"state": "cancelled"`)) {
+			close(entered)
+			<-release
+		}
+		return atomicWrite(path, data)
+	}
+	var cells atomic.Int32
+	sched.testCellSink = func(_ string, ctx context.Context) {
+		if cells.Add(1) > 1 {
+			<-ctx.Done()
+		}
+	}
+	j, err := sched.Submit(JobSpec{Profile: "tiny", Artifacts: []string{"fig2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cells.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	againCancel := func(when string) {
+		t.Helper()
+		if err := sched.Cancel(j.ID); err == nil || !strings.Contains(err.Error(), "already cancelled") {
+			t.Errorf("cancel %s: %v, want 'already cancelled'", when, err)
+		}
+	}
+	if err := sched.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	againCancel("while the run unwinds")
+	<-entered
+	st, err := sched.Status(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State.terminal() {
+		t.Errorf("Status reports %s while the record is still being written", st.State)
+	}
+	jobs, _, err := store.Scan()
+	if err != nil || len(jobs) != 1 || jobs[0].State.terminal() {
+		t.Fatalf("durable record before the write completed: %+v, err %v", jobs, err)
+	}
+	againCancel("during the write")
+	close(release)
+	waitState(t, sched, j.ID, StateCancelled)
+	jobs, _, err = store.Scan()
+	if err != nil || len(jobs) != 1 || jobs[0].State != StateCancelled {
+		t.Fatalf("durable record after Status reported cancelled: %+v, err %v", jobs, err)
+	}
+	againCancel("after the write")
+}
+
 // TestServeDeadline fails a job that exceeds its wall-clock budget,
 // without retrying the timeout.
 func TestServeDeadline(t *testing.T) {

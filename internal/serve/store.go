@@ -31,6 +31,10 @@ type Store struct {
 	dir string
 	mu  sync.Mutex
 	seq int
+	// putFn writes a job record. It defaults to atomicWrite and exists
+	// as a seam so durability tests can hold a transition exactly
+	// between "in memory" and "on disk".
+	putFn func(path string, data []byte) error
 }
 
 // NewStore opens (creating if needed) the job directory.
@@ -38,7 +42,7 @@ func NewStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("serve: job dir: %w", err)
 	}
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, putFn: atomicWrite}
 	jobs, _, err := s.Scan()
 	if err != nil {
 		return nil, err
@@ -98,7 +102,7 @@ func (s *Store) Put(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(dir, "job.json"), append(b, '\n'))
+	return s.putFn(filepath.Join(dir, "job.json"), append(b, '\n'))
 }
 
 // WriteResult persists the job's final outputs (tables and metrics)
