@@ -424,30 +424,6 @@ func microBenches(prof core.Profile) []microBench {
 			p99: func() uint64 { return p99WalkMemRefs(last) },
 		}
 	}
-	// multiMode times a whole Figure 8 mode sweep on one prepared
-	// workload — the replay-group layer's unit of work. The shared and
-	// independent variants produce byte-identical results (enforced by
-	// TestSharedSweepMatchesIndependent); their ns/op ratio is the
-	// measured value of trace sharing at this profile. Sequential
-	// (nil Workers → phase lockstep), so the ratio is the single-core
-	// generation dedup, comparable across machines.
-	multiMode := func(name string, share core.ShareMode) microBench {
-		return microBench{
-			name: name,
-			fn: func(b *testing.B) {
-				p := prepare(b)
-				c := cfg
-				c.ShareTraces = share
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.RunModesShared(context.Background(), core.AllModes, c, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		}
-	}
 	return []microBench{
 		perMode("run/conv4k", core.ModeConv4K),
 		perMode("run/dvm-bm", core.ModeDVMBM),
@@ -456,8 +432,19 @@ func microBenches(prof core.Profile) []microBench {
 		perMode("run/ideal", core.ModeIdeal),
 		perMode("run/sparta", core.ModeSPARTA),
 		perMode("run/vbi", core.ModeVBI),
-		multiMode("fig8/shared", core.ShareAuto),
-		multiMode("fig8/independent", core.ShareOff),
+		// fig8/sweep times a whole Figure 8 mode sweep on one prepared
+		// workload, sequentially (nil Workers, one worker), so it is
+		// comparable across machines.
+		{name: "fig8/sweep", fn: func(b *testing.B) {
+			p := prepare(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.RunModesCtx(context.Background(), core.AllModes, cfg, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 		{name: "prepare", fn: func(b *testing.B) {
 			d, err := graph.DatasetByName("Wiki")
 			if err != nil {

@@ -46,7 +46,7 @@
 // snapshots merge by commutative sum); -trace writes a JSONL event trace
 // bounded by -trace-cap, filtered to the -trace-mask components; -spans
 // writes the sweep's phase spans (prepare, page-table builds, cells,
-// trace generation, timing replay) as Chrome trace-event JSON loadable
+// timing replay) as Chrome trace-event JSON loadable
 // in ui.perfetto.dev; -http serves the live surface — net/http/pprof
 // under /debug/pprof/, the merged metrics in Prometheus text exposition
 // format at /metrics, and the sweep progress as JSON at /progress
@@ -93,7 +93,6 @@ func main() {
 	resume := flag.Bool("resume", false, "with -checkpoint: skip cells a previous interrupted run completed")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (fixed seed = deterministic fault schedule)")
-	shareName := flag.String("share-traces", "auto", "trace sharing across a workload's mode cells: auto (one functional trace per replay group) or off (every cell regenerates; A/B verification) — outputs are byte-identical either way")
 	shardSpec := flag.String("shard", "", "run only cells i with i%n == k, given as k/n (requires -checkpoint; tables are suppressed — merge and render with -merge-shards then -resume)")
 	mergeOut := flag.String("merge-shards", "", "merge the shard checkpoint files given as arguments into this plain checkpoint, then exit")
 	graphCache := flag.String("graph-cache", "", "directory for the on-disk CSR graph cache: each (dataset, scale, seed) graph is built once and mmap'd read-only thereafter")
@@ -208,24 +207,13 @@ func main() {
 	default:
 		lg.Exitf(2, "unknown -modes %q (paper|extended)", *modesName)
 	}
-	switch *shareName {
-	case "auto":
-		// opts.Share zero value: replay groups on, no checkpoint suffix
-		// (the shared and unshared cells are byte-identical, but auto is
-		// the canonical namespace).
-	case "off":
-		opts.Share = core.ShareOff
-		ckProfile += "+share(off)"
-	default:
-		lg.Exitf(2, "unknown -share-traces %q (auto|off)", *shareName)
-	}
 	if *chaosRate > 0 {
 		opts.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
 		ckProfile = fmt.Sprintf("%s+chaos(seed=%d,rate=%g)", ckProfile, *chaosSeed, *chaosRate)
 		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", *chaosSeed, *chaosRate)
 	}
 	// The shard suffix goes last so MergeCheckpoints can strip exactly it
-	// and recover the full base namespace (modes/share/chaos included).
+	// and recover the full base namespace (modes/chaos included).
 	if shard.Count > 0 {
 		ckProfile = core.ShardProfile(ckProfile, shard.Index, shard.Count)
 	}

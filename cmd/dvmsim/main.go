@@ -57,7 +57,6 @@ func main() {
 	spansPath := flag.String("spans", "", "write phase spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (fixed seed = deterministic fault schedule)")
-	shareName := flag.String("share-traces", "auto", "trace sharing across mode cells: auto (one functional trace for the sweep) or off (every mode regenerates; A/B verification) — the table and -metrics are byte-identical either way")
 	flag.Parse()
 
 	lg := obs.NewLogger(os.Stderr, "dvmsim", *quiet)
@@ -105,18 +104,6 @@ func main() {
 
 	cfg := prof.SystemConfig()
 	cfg.Workers = workers
-	// Share accounting (accel.trace.*) is scheduling-dependent, so it goes
-	// to the volatile side of the collector: visible on /metrics, excluded
-	// from the deterministic -metrics export.
-	cfg.Volatile = coll
-	switch *shareName {
-	case "auto":
-		// cfg.ShareTraces zero value: replay groups on.
-	case "off":
-		cfg.ShareTraces = core.ShareOff
-	default:
-		lg.Exitf(2, "unknown -share-traces %q (auto|off)", *shareName)
-	}
 	if *chaosRate > 0 {
 		cfg.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
 		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", *chaosSeed, *chaosRate)
@@ -141,12 +128,10 @@ func main() {
 	defer stop()
 	progress := runner.NewProgress(len(modes), runner.Logf(lg.Statusf))
 	board.Set(progress)
-	// RunModesShared groups the sweep into replay groups (one functional
-	// trace feeding every mode) unless -share-traces=off or chaos forces
-	// independent runs; results are byte-identical either way and at any
-	// -j. The per-mode bookkeeping runs after the sweep in mode order so
-	// the merged metrics snapshot is deterministic.
-	byMode, err := p.RunModesShared(ctx, modes, cfg, *jobs)
+	// Results are byte-identical at any -j. The per-mode bookkeeping runs
+	// after the sweep in mode order so the merged metrics snapshot is
+	// deterministic.
+	byMode, err := p.RunModesCtx(ctx, modes, cfg, *jobs)
 	if err == nil {
 		for _, m := range modes {
 			r := byMode[m]

@@ -20,11 +20,9 @@ import (
 //
 // The tiny golden covers every artifact; this one exists so the *small*
 // profile — the first profile whose graphs are big enough to cross the
-// two-phase engine's async threshold and the parallel CSR build's edge
-// minimum — has a cheap byte-identity referee too. It runs the sweep
-// twice: sequentially, and with a worker budget (Jobs 8) that engages
-// parallel trace generation and parallel Prepare wherever thresholds
-// allow. Both must reproduce the committed file exactly.
+// parallel CSR build's edge minimum — has a cheap byte-identity referee
+// too. It runs the sweep twice: sequentially, and with a worker budget
+// (Jobs 8) that engages parallel Prepare wherever thresholds allow. Both must reproduce the committed file exactly.
 //
 // Refresh (only when an intentional modeling change lands):
 //

@@ -5,7 +5,7 @@ package accel
 // per-engine frontier bookkeeping footprint is V/8 bytes. Only
 // membership moves to the bitset — the touched *list* stays an ordered
 // []int32, because its order is the canonical activation order the
-// timing replay (and the share groups' divergence check) depend on.
+// timing replay depends on.
 type bitset []uint64
 
 // newBitset returns a cleared bitset able to hold n bits, drawn from

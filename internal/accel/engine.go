@@ -9,7 +9,6 @@ import (
 	"github.com/dvm-sim/dvm/internal/memsys"
 	"github.com/dvm-sim/dvm/internal/mmu"
 	"github.com/dvm-sim/dvm/internal/obs"
-	"github.com/dvm-sim/dvm/internal/runner"
 )
 
 // Config shapes the accelerator hardware (paper Table 2).
@@ -84,35 +83,12 @@ type Engine struct {
 	nextBuf    []int32
 	allVerts   []int32
 
-	// Two-phase mode (see twophase.go): the shared worker budget, the
-	// per-PE trace streams and generators, and the pooled chunk buffers.
-	// All nil/empty until SetWorkers grants a budget — engines without
-	// one run every PE through the direct streams above.
-	workers       *runner.Budget
-	tstreams      []traceStream
-	genScatterBuf []scatterGen
-	genApplyBuf   []applyGen
-	chunkFree     [][]traceEntry
-
-	// gen is the generators' view of the engine's functional state. Its
-	// props/temps slices alias the engine's own arrays (sized once, never
-	// reallocated); the frontier slice is refreshed at each scatter phase
-	// because the frontier buffer ping-pongs.
-	gen genState
-
 	// Phase-stepped run state (see Step): the iteration counter, which
 	// half of the iteration runs next (0 = scatter, 1 = apply), and
 	// whether the run has completed.
 	iter    int
 	half    int
 	runDone bool
-
-	// share, when non-nil, is this engine's cursor into a ShareGroup: the
-	// phase streams come from the group's canonical trace instead of the
-	// direct generators, until the replay's own issue order diverges from
-	// the canonical one and the engine detaches (sharedtrace.go).
-	share    *ShareCursor
-	shareErr error
 
 	stats RunStats
 	plan  mmu.Plan
@@ -126,13 +102,9 @@ type Engine struct {
 	// observer receives every priced access during RunRecorded.
 	observer *TraceWriter
 
-	// spans, when non-nil, records replay/trace-generation phase spans
-	// (wall time, a debugging artifact; never part of results).
+	// spans, when non-nil, records replay phase spans (wall time, a
+	// debugging artifact; never part of results).
 	spans *obs.SpanRecorder
-	// genLabels are the precomputed per-PE trace-generation span names,
-	// built when the two-phase streams are allocated so producers never
-	// format strings on the fly.
-	genLabels []string
 }
 
 // NewEngine assembles an engine. The layout must have been built with the
@@ -160,32 +132,15 @@ func NewEngine(cfg Config, g *graph.Graph, prog Program, lay Layout, iommu *mmu.
 		e.temps[v] = prog.ReduceIdentity
 	}
 	e.frontier = prog.InitialFrontier(g)
-	e.gen = genState{g: g, prog: prog, lay: lay, props: e.props, temps: e.temps}
 	return e, nil
 }
 
 // Props returns the vertex properties (the functional result).
 func (e *Engine) Props() []float64 { return e.props }
 
-// SetWorkers hands the engine a shared extra-worker budget. When set,
-// each phase borrows up to PEs tokens to generate per-PE traces ahead of
-// the timing replay (twophase.go); with a nil budget — or an exhausted
-// one — every PE runs its direct stream inline. Either way the output is
-// byte-identical; the budget only changes wall-clock time.
-func (e *Engine) SetWorkers(b *runner.Budget) { e.workers = b }
-
 // SetSpans attaches a phase-span recorder; nil (the default) disables
 // span recording at the cost of one nil check per phase.
 func (e *Engine) SetSpans(sp *obs.SpanRecorder) { e.spans = sp }
-
-// SetShare attaches a replay-group cursor obtained from
-// ShareGroup.Subscribe. Must be called before the first Step/Run. While
-// attached, the engine's phase streams come from the group's canonical
-// trace (with the in-trace effects applied to this engine's private
-// state at fetch); the engine detaches permanently the moment its own
-// issue order diverges from the canonical one, so results are
-// byte-identical to an unshared run either way.
-func (e *Engine) SetShare(c *ShareCursor) { e.share = c }
 
 // Stats returns the statistics accumulated so far.
 func (e *Engine) Stats() RunStats { return e.stats }
@@ -222,25 +177,19 @@ type stream interface {
 func (e *Engine) Run() (RunStats, error) {
 	for e.Step() {
 	}
-	if e.shareErr != nil {
-		return e.stats, e.shareErr
-	}
 	return e.stats, nil
 }
 
 // Step advances the run by exactly one phase — a scatter or an apply —
 // and reports whether more phases remain. Run is `for e.Step() {}`; the
-// stepped form exists so a replay group's inline driver can interleave
-// the phases of several engines (one per mode) over one goroutine while
-// they consume the same canonical trace (sharedtrace.go). The loop
-// conditions are evaluated exactly where the monolithic loop evaluated
-// them, so the stepped and monolithic runs are bit-identical.
+// stepped form lets tests observe one phase at a time (the zero-alloc
+// pins step a steady-state iteration).
 func (e *Engine) Step() bool {
 	if e.runDone {
 		return false
 	}
 	if e.half == 0 {
-		if e.shareErr != nil || len(e.frontier) == 0 || (e.prog.MaxIters > 0 && e.iter >= e.prog.MaxIters) {
+		if len(e.frontier) == 0 || (e.prog.MaxIters > 0 && e.iter >= e.prog.MaxIters) {
 			e.finishRun()
 			return false
 		}
@@ -254,20 +203,15 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// finishRun seals the statistics, releases any replay-group
-// subscription (a finished consumer must stop pinning chunks), and
-// returns the engine's V-proportional run scratch to the buffer pools —
-// props (the functional result) stay.
+// finishRun seals the statistics and returns the engine's
+// V-proportional run scratch to the buffer pools — props (the
+// functional result) stay.
 func (e *Engine) finishRun() {
 	e.stats.Iterations = e.iter
 	e.stats.Cycles = e.now
 	e.runDone = true
-	if e.share != nil {
-		e.share.unsubscribe()
-		e.share = nil
-	}
 	poolF64.put(e.temps)
-	e.temps, e.gen.temps = nil, nil
+	e.temps = nil
 	e.touchedMark.release()
 	e.touchedMark = nil
 	poolI32.put(e.allVerts)
@@ -295,57 +239,15 @@ func (e *Engine) stepScatter() {
 	streams := e.phasePools()
 	e.touched = e.touched[:0]
 
-	if e.share != nil {
-		// Shared scatter: the chunks were generated once for the whole
-		// group from the canonical frontier, which — while attached —
-		// is this engine's frontier. Reduce effects travel in the trace
-		// and are applied to this engine's private temps/touched at
-		// fetch, in this engine's own issue order.
-		ok := e.share.beginScatter(e, streams)
-		if !ok {
-			e.shareFail()
-			return
-		}
-		scatterSpan := e.spans.Begin("replay:scatter")
-		e.runStreams(streams)
-		scatterSpan.End()
-		if err := e.share.err(); err != nil {
-			e.shareFail()
-			return
-		}
-		// Divergence check: the apply phase's canonical chunks are only
-		// valid if this replay touched destinations in the canonical
-		// order (the apply list and activation addresses depend on it).
-		// PageRank applies over all vertices and never detaches; the
-		// frontier-driven programs detach the first time MLP saturation
-		// reorders a first touch.
-		if !e.share.scatterMatches(e.touched) {
-			e.share.detach()
-			e.share = nil
-		}
-		return
-	}
-
-	// Direct scatter: the frontier is interleaved across PEs,
-	// Graphicionado's vertex-id-interleaved partitioning. PEs that win a
-	// worker token generate their trace concurrently (twophase.go); the
-	// rest run the direct stream inline — any mix is byte-identical.
-	e.gen.frontier = e.frontier
-	async := e.asyncWorkers(e.scatterEstimate())
+	// The frontier is interleaved across PEs, Graphicionado's
+	// vertex-id-interleaved partitioning.
 	scatter := e.scatterBuf[:npe]
 	for pe := 0; pe < npe; pe++ {
-		if pe < async {
-			g := &e.genScatterBuf[pe]
-			*g = scatterGen{e: &e.gen, stride: npe, vi: pe}
-			streams[pe] = e.startProducer(&e.tstreams[pe], g, e.genLabels[pe])
-		} else {
-			scatter[pe] = scatterStream{e: e, pe: pe, stride: npe, vi: pe}
-			streams[pe] = &scatter[pe]
-		}
+		scatter[pe] = scatterStream{e: e, pe: pe, stride: npe, vi: pe}
+		streams[pe] = &scatter[pe]
 	}
 	scatterSpan := e.spans.Begin("replay:scatter")
 	e.runStreams(streams)
-	e.reclaimChunks(async)
 	scatterSpan.End()
 }
 
@@ -355,31 +257,6 @@ func (e *Engine) stepApply() {
 	npe := e.cfg.PEs
 	streams := e.phasePools()
 	results := e.results[:npe]
-
-	if e.share != nil {
-		// Shared apply: scatterMatches established that the canonical
-		// apply list is this engine's apply list. The entries carry the
-		// Apply results; props writes, applied counts and activation
-		// appends happen at fetch, per PE, in trace order — the same
-		// points the direct applyStream would.
-		for pe := 0; pe < npe; pe++ {
-			results[pe] = results[pe][:0]
-		}
-		ok := e.share.beginApply(e, streams, results)
-		if !ok {
-			e.shareFail()
-			return
-		}
-		applySpan := e.spans.Begin("replay:apply")
-		e.runStreams(streams)
-		applySpan.End()
-		if err := e.share.err(); err != nil {
-			e.shareFail()
-			return
-		}
-		e.finishApply(results)
-		return
-	}
 
 	// Apply: over all vertices (AllActive programs that request it via
 	// ApplyAll semantics — PageRank) or over the touched destinations.
@@ -395,7 +272,6 @@ func (e *Engine) stepApply() {
 	} else {
 		applyList = e.touched
 	}
-	async := e.asyncWorkers(2 * len(applyList))
 	apply := e.applyBuf[:npe]
 	chunk := (len(applyList) + npe - 1) / npe
 	for pe := 0; pe < npe; pe++ {
@@ -408,25 +284,15 @@ func (e *Engine) stepApply() {
 			hi = len(applyList)
 		}
 		results[pe] = results[pe][:0]
-		if pe < async {
-			g := &e.genApplyBuf[pe]
-			*g = applyGen{e: &e.gen, verts: applyList[lo:hi], collect: !e.prog.AllActive, activated: &results[pe]}
-			streams[pe] = e.startProducer(&e.tstreams[pe], g, e.genLabels[pe])
-		} else {
-			apply[pe] = applyStream{e: e, verts: applyList[lo:hi], collect: !e.prog.AllActive, activated: &results[pe]}
-			streams[pe] = &apply[pe]
-		}
+		apply[pe] = applyStream{e: e, verts: applyList[lo:hi], collect: !e.prog.AllActive, activated: &results[pe]}
+		streams[pe] = &apply[pe]
 	}
 	applySpan := e.spans.Begin("replay:apply")
 	e.runStreams(streams)
-	e.reclaimChunks(async)
 	applySpan.End()
-	e.finishApply(results)
-}
 
-// finishApply is the tail of an iteration: reset temporaries of touched
-// vertices, clear marks, and build the next frontier.
-func (e *Engine) finishApply(results [][]int32) {
+	// Reset temporaries of touched vertices, clear marks, and build the
+	// next frontier.
 	for _, v := range e.touched {
 		e.temps[v] = e.prog.ReduceIdentity
 		e.touchedMark.clear(v)
@@ -443,18 +309,6 @@ func (e *Engine) finishApply(results [][]int32) {
 	// iteration's scratch buffer.
 	e.nextBuf = e.frontier[:0]
 	e.frontier = next
-}
-
-// shareFail records the replay group's failure and aborts the run: the
-// partially priced state is meaningless, and Run surfaces the error.
-func (e *Engine) shareFail() {
-	e.shareErr = e.share.err()
-	if e.shareErr == nil {
-		e.shareErr = errShareCancelled
-	}
-	e.share.detach()
-	e.share = nil
-	e.finishRun()
 }
 
 // peState is one PE's scheduler state within a phase.

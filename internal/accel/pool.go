@@ -9,7 +9,7 @@ import (
 // and discards many engines over the same graph (15 cells × up to 9
 // modes), and each engine used to allocate fresh temps / touched-mark /
 // apply-list arrays — garbage proportional to V per engine. The pools
-// below recycle those arrays across engines (and share-group hubs) in
+// below recycle those arrays across engines in
 // power-of-two size classes, so steady-state sweep footprint is one
 // engine-set of scratch per live engine instead of per engine ever
 // created. Contents are undefined at get: every consumer fully

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/graph"
 	"github.com/dvm-sim/dvm/internal/memsys"
 	"github.com/dvm-sim/dvm/internal/mmu"
 )
@@ -230,4 +231,24 @@ func BenchmarkRunStreams(b *testing.B) {
 		e.runStreams(streams)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*npe*perPE), "ns/access")
+}
+
+// BenchmarkSingleReadyDrain runs a whole PageRank on one PE, where the
+// scheduler heap holds a single key: it prices runStreams' issue loop
+// when there is no ordering work at all (BenchmarkRunStreams has eight
+// PEs contending).
+func BenchmarkSingleReadyDrain(b *testing.B) {
+	g, err := graph.GenerateRMAT(graph.DefaultRMAT(11, 3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := buildEngineCfg(b, mmu.ModeIdeal, g, PageRank(3), 128, Config{PEs: 1})
+		b.StartTimer()
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -81,17 +81,15 @@ type SystemConfig struct {
 	// the run. Tracing only records; results are unchanged.
 	Tracer *obs.Tracer
 	// Spans, when non-nil, records wall-clock phase spans (cell
-	// execution, page-table builds, trace generation, timing replay)
-	// for Perfetto export. Spans are a debugging artifact: wall time is
-	// nondeterministic, so they never feed results or metrics.
+	// execution, page-table builds, timing replay) for Perfetto export.
+	// Spans are a debugging artifact: wall time is nondeterministic, so
+	// they never feed results or metrics.
 	Spans *obs.SpanRecorder
-	// Workers is the shared extra-worker pool intra-run parallelism
-	// draws on: the engine's trace generators (accel two-phase mode)
-	// and concurrent page-table builds borrow tokens from it. It is
-	// the same pool the cell-level -j workers hold tokens from, so one
-	// -j value bounds a whole invocation's concurrency. Nil runs every
-	// cell strictly sequentially; either way results are byte-identical
-	// (DESIGN.md §9).
+	// Workers is the shared extra-worker pool RunModesCtx's cell-level
+	// -j workers hold tokens from — the same pool PrepareB lends to
+	// parallel CSR builds — so one -j value bounds a whole invocation's
+	// concurrency. Nil runs every cell strictly sequentially; either
+	// way results are byte-identical (DESIGN.md §9).
 	Workers *runner.Budget
 	// Chaos, when enabled, threads a deterministic fault injector
 	// through the run: allocation failures in the OS model, simulated
@@ -103,32 +101,7 @@ type SystemConfig struct {
 	// concurrent clean run — and publish chaos.* counters into the
 	// run's metrics snapshot. Nil or rate-0 is exactly the clean path.
 	Chaos *chaos.Config
-	// ShareTraces selects trace sharing for whole-matrix sweeps
-	// (RunModesShared): ShareAuto (the zero value) lets same-workload
-	// mode cells consume one canonical functional trace; ShareOff runs
-	// every cell independently. Results are byte-identical either way —
-	// the setting only changes wall-clock time and memory.
-	ShareTraces ShareMode
-	// Volatile, when non-nil, receives scheduling-dependent accounting
-	// (replay-group sizes, shared/regenerated entry counts) on the
-	// collector's volatile side. Never part of deterministic snapshots:
-	// group composition depends on -j and token availability.
-	Volatile *obs.Collector
 }
-
-// ShareMode selects the trace-sharing policy for mode sweeps.
-type ShareMode int
-
-const (
-	// ShareAuto (default): share the functional trace across a
-	// workload's mode cells whenever the sweep allows it (no chaos, at
-	// least two modes). Degrades cell-by-cell: a mode whose issue order
-	// diverges detaches and finishes on its own generated trace.
-	ShareAuto ShareMode = iota
-	// ShareOff disables replay groups; every cell generates its own
-	// trace (the pre-sharing behaviour, kept for A/B verification).
-	ShareOff
-)
 
 func (c SystemConfig) withDefaults() SystemConfig {
 	if c.MemBytes == 0 {
@@ -433,52 +406,10 @@ type RunResult struct {
 // Run executes the prepared workload under one mode.
 func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 	cfg = cfg.withDefaults()
-	c, err := p.assemble(mode, cfg)
-	if err != nil {
-		return RunResult{Mode: mode}, err
-	}
-	stats, err := c.eng.Run()
-	if err != nil {
-		c.abort()
-		return c.res, err
-	}
-	res := c.finish(stats)
-	// Out-of-core discipline: evict the mapped CSR's resident pages so
-	// peak RSS tracks the active dataset, not every dataset ever run.
-	// Concurrent cells on the same graph just soft-fault pages back in
-	// from the page cache. No-op for in-memory graphs.
-	p.G.DropResident()
-	return res, nil
-}
-
-// cellRun is one (workload, mode) cell assembled and ready to execute:
-// the engine plus everything finish() needs to seal the RunResult. The
-// assemble/run/finish split exists so RunModesShared can build a whole
-// replay group's cells before any of them runs (ShareGroup cursors must
-// all subscribe before the first chunk is generated) and drive their
-// engines on whatever schedule the token budget allows.
-type cellRun struct {
-	res   RunResult
-	eng   *accel.Engine
-	iommu *mmu.IOMMU
-	mem   *memsys.Controller
-	reg   *obs.Registry
-	start time.Time
-	span  *obs.ActiveSpan
-}
-
-// assemble builds the full stack for one cell without running it. cfg
-// must already have defaults applied. Callers must complete the cell
-// with finish (or abort on error) so the cell span closes.
-func (p *Prepared) assemble(mode Mode, cfg SystemConfig) (*cellRun, error) {
-	c := &cellRun{res: RunResult{Mode: mode}, start: time.Now()}
-	c.span = cfg.Spans.Begin("cell:" + p.Workload.Algorithm + "/" + p.G.Name + "/" + mode.String())
-	ok := false
-	defer func() {
-		if !ok {
-			c.abort()
-		}
-	}()
+	start := time.Now()
+	span := cfg.Spans.Begin("cell:" + p.Workload.Algorithm + "/" + p.G.Name + "/" + mode.String())
+	defer span.End()
+	res := RunResult{Mode: mode}
 
 	// Derive the run's fault injector (nil when chaos is off). The
 	// labels make each cell's fault stream independent of execution
@@ -501,21 +432,21 @@ func (p *Prepared) assemble(mode Mode, cfg SystemConfig) (*cellRun, error) {
 		st, err = p.machine(cfg)
 	}
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	lay := st.lay
-	c.res.HeapBytes = lay.HeapBytes
-	c.res.IdentityMapped = lay.IdentityMapped
+	res.HeapBytes = lay.HeapBytes
+	res.IdentityMapped = lay.IdentityMapped
 
 	state, err := p.stateFor(st, mode, cfg.PEFields, cfg.Spans)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	if state.Table != nil {
-		c.res.PageTableBytes = state.Table.SizeStats().Bytes
+		res.PageTableBytes = state.Table.SizeStats().Bytes
 	}
 
-	c.iommu, err = mmu.NewState(mmu.Config{
+	iommu, err := mmu.NewState(mmu.Config{
 		Mode:       mode,
 		TLBEntries: cfg.TLBEntries,
 		AVC:        cfg.AVC,
@@ -523,57 +454,42 @@ func (p *Prepared) assemble(mode Mode, cfg SystemConfig) (*cellRun, error) {
 		Chaos:      inj,
 	}, state)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	c.mem, err = memsys.NewController(cfg.Memory)
+	mem, err := memsys.NewController(cfg.Memory)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	c.mem.SetChaos(inj)
-	c.eng, err = accel.NewEngine(accel.Config{PEs: cfg.PEs, MLP: cfg.MLP}, p.G, p.Prog, lay, c.iommu, c.mem)
+	mem.SetChaos(inj)
+	eng, err := accel.NewEngine(accel.Config{PEs: cfg.PEs, MLP: cfg.MLP}, p.G, p.Prog, lay, iommu, mem)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	// Two-phase mode: the engine borrows trace-generation workers from
-	// the shared pool when tokens are free (byte-identical either way).
-	c.eng.SetWorkers(cfg.Workers)
-	c.eng.SetSpans(cfg.Spans)
+	eng.SetSpans(cfg.Spans)
 	// Every run reports through its own registry; the components keep
 	// incrementing the same fields they always have (pointer-based
 	// registration), so the hot path is unchanged and the snapshot
 	// below is free until the run ends.
-	c.reg = obs.NewRegistry()
-	c.iommu.RegisterMetrics(c.reg)
-	c.mem.RegisterMetrics(c.reg, "memsys")
-	c.eng.RegisterMetrics(c.reg, "accel")
-	inj.Register(c.reg)
+	reg := obs.NewRegistry()
+	iommu.RegisterMetrics(reg)
+	mem.RegisterMetrics(reg, "memsys")
+	eng.RegisterMetrics(reg, "accel")
+	inj.Register(reg)
 	if cfg.Tracer != nil {
-		c.iommu.SetTracer(cfg.Tracer)
+		iommu.SetTracer(cfg.Tracer)
 	}
-	ok = true
-	return c, nil
-}
 
-// abort closes an assembled cell that will not finish (assembly or run
-// error).
-func (c *cellRun) abort() {
-	if c.span != nil {
-		c.span.End()
-		c.span = nil
+	res.Stats, err = eng.Run()
+	if err != nil {
+		return res, err
 	}
-}
-
-// finish seals a completed cell into its RunResult.
-func (c *cellRun) finish(stats accel.RunStats) RunResult {
-	res := &c.res
-	res.Stats = stats
-	res.IOMMU = c.iommu.Counters()
-	res.DRAM = c.mem.Snapshot()
+	res.IOMMU = iommu.Counters()
+	res.DRAM = mem.Snapshot()
 
 	// The backend reports its own headline statistics with the same
 	// formulas the pre-registry accessor code used, so rendered tables
 	// are byte-identical across the refactor.
-	bs := c.iommu.Stats()
+	bs := iommu.Stats()
 	res.TLBMissRate = bs.TLBMissRate
 	res.TLBLookups = bs.TLBLookups
 	res.StructHitRate = bs.StructHitRate
@@ -582,13 +498,14 @@ func (c *cellRun) finish(stats accel.RunStats) RunResult {
 	res.EnergyEvents.WalkMemRefs = res.IOMMU.WalkMemRefs
 	res.EnergyEvents.SquashedPreloads = res.IOMMU.SquashedPreloads
 	res.Energy = energy.Compute(energy.DefaultParams(), res.EnergyEvents)
-	res.Metrics = c.reg.Snapshot()
-	res.Wall = time.Since(c.start)
-	if c.span != nil {
-		c.span.End()
-		c.span = nil
-	}
-	return *res
+	res.Metrics = reg.Snapshot()
+	res.Wall = time.Since(start)
+	// Out-of-core discipline: evict the mapped CSR's resident pages so
+	// peak RSS tracks the active dataset, not every dataset ever run.
+	// Concurrent cells on the same graph just soft-fault pages back in
+	// from the page cache. No-op for in-memory graphs.
+	p.G.DropResident()
+	return res, nil
 }
 
 // chaosMachine builds a fresh, private machine for a fault-injected
@@ -740,194 +657,4 @@ func (p *Prepared) RunModesCtx(ctx context.Context, modes []Mode, cfg SystemConf
 		out[m] = results[i]
 	}
 	return out, nil
-}
-
-// shareWindow is the in-memory chunk window replay groups run with:
-// 0 lets the hub size it from the graph so whole phases stay resident
-// (spilling a phase that fits in memory costs ~20% of a medium sweep in
-// pwrite/pread round trips). A variable so the core-level equivalence
-// tests can force constant spilling.
-var shareWindow = 0
-
-// outOfCoreShareWindow replaces the auto-sized window when the graph is
-// mmap-backed: an out-of-core run has asked for bounded residency, and
-// at the scales where that matters phases overflow MaxShareWindow and
-// spill regardless — so pinning the full 2048-chunk (~768 MiB) window
-// buys little locality while dominating peak RSS. 512 chunks (~192 MiB)
-// keeps the hot tail of each phase resident; the window is pure memory
-// management, so results stay byte-identical at any size (pinned by the
-// share-vs-independent equivalence tests, which force constant
-// spilling).
-const outOfCoreShareWindow = 512
-
-// shareDetachFallback routes frontier-driven programs straight to the
-// independent path (see RunModesShared); a variable so the equivalence
-// tests can force such programs through the hub and cover the detach
-// machinery against every registered backend.
-var shareDetachFallback = true
-
-// RunModesShared runs the workload's mode cells as replay groups: one
-// canonical functional trace per group, consumed by every mode's timing
-// replay (accel.ShareGroup). Results are byte-identical to RunModesCtx
-// at any -j — sharing only removes redundant trace generation. The
-// mode list is partitioned into waves by token availability: a wave of
-// k+1 modes runs the caller plus k borrowed workers concurrently; with
-// no tokens at all (-j 1, or a drained pool) every remaining mode joins
-// one wave stepped phase-lockstep on the calling goroutine, which still
-// generates each phase once. Cells opt out back to RunModesCtx when
-// sharing is off, chaos is enabled (injected machines are private by
-// design), the sweep has fewer than two modes, or the program is
-// frontier-driven: its apply addresses derive from the replay's own
-// touched order, which never matches the hub's chunk-granular canonical
-// order once a phase spans several chunks, so every mode would pay the
-// hub's chunk materialization only to detach at its first compared
-// phase (measured: all seven modes detach at the same phase for
-// BFS/SSSP/CF in every profile). Only the all-active, non-bipartite
-// class (PageRank) replays shared chunks end to end.
-func (p *Prepared) RunModesShared(ctx context.Context, modes []Mode, cfg SystemConfig, jobs int) (map[Mode]RunResult, error) {
-	cfg = cfg.withDefaults()
-	alwaysDetaches := !(p.Prog.AllActive && !p.G.Bipartite) && shareDetachFallback
-	if cfg.ShareTraces == ShareOff || cfg.Chaos.Enabled() || len(modes) < 2 || alwaysDetaches {
-		return p.RunModesCtx(ctx, modes, cfg, jobs)
-	}
-	out := make(map[Mode]RunResult, len(modes))
-	remaining := modes
-	for len(remaining) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := cfg.Workers.TryAcquire(len(remaining) - 1)
-		wave := remaining
-		if k > 0 && k+1 < len(remaining) {
-			wave = remaining[:k+1]
-		}
-		remaining = remaining[len(wave):]
-		results, err := p.runShareWave(ctx, wave, cfg, k)
-		cfg.Workers.Release(k)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s/%s shared sweep: %w", p.Workload.Algorithm, p.G.Name, err)
-		}
-		for i, m := range wave {
-			out[m] = results[i]
-		}
-	}
-	p.G.DropResident()
-	return out, nil
-}
-
-// runShareWave executes one replay group: assemble every cell, build
-// the hub, subscribe all cursors, then drive the engines — on tokens+1
-// goroutines when tokens > 0, otherwise phase-lockstep on the caller.
-func (p *Prepared) runShareWave(ctx context.Context, wave []Mode, cfg SystemConfig, tokens int) ([]RunResult, error) {
-	st, err := p.machine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]*cellRun, len(wave))
-	defer func() {
-		for _, c := range cells {
-			if c != nil {
-				c.abort()
-			}
-		}
-	}()
-	for i, m := range wave {
-		if cells[i], err = p.assemble(m, cfg); err != nil {
-			return nil, err
-		}
-	}
-	win := shareWindow
-	if win == 0 && p.G.Backing() == graph.MMap {
-		win = outOfCoreShareWindow
-	}
-	h, err := accel.NewShareGroup(accel.Config{PEs: cfg.PEs, MLP: cfg.MLP}, p.G, p.Prog, st.lay,
-		accel.ShareOptions{Window: win})
-	if err != nil {
-		return nil, err
-	}
-	defer h.Close()
-	h.SetSpans(cfg.Spans)
-	groupSpan := cfg.Spans.Begin(fmt.Sprintf("sharegroup:%s/%s[%d]", p.Workload.Algorithm, p.G.Name, len(wave)))
-	defer groupSpan.End()
-	for _, c := range cells {
-		cur, err := h.Subscribe()
-		if err != nil {
-			return nil, err
-		}
-		c.eng.SetShare(cur)
-	}
-
-	results := make([]RunResult, len(wave))
-	errs := make([]error, len(wave))
-	if tokens > 0 {
-		// Concurrent wave: each consumer pulls (and, first-come,
-		// generates) chunks on its own goroutine; the caller is consumer
-		// zero, the borrowed tokens drive the rest.
-		var wg sync.WaitGroup
-		runCell := func(i int) {
-			stats, err := cells[i].eng.Run()
-			if err != nil {
-				errs[i] = err
-				h.Fail(err)
-				return
-			}
-			results[i] = cells[i].finish(stats)
-			cells[i] = nil
-		}
-		for i := 1; i < len(cells); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				runCell(i)
-			}(i)
-		}
-		runCell(0)
-		wg.Wait()
-	} else {
-		// Inline lockstep: all engines advance one phase at a time on
-		// this goroutine. The chunk window stays small (each phase is
-		// generated once and consumed by everyone before the next), and
-		// -j 1 still pays functional generation only once per group.
-		for {
-			if err := ctx.Err(); err != nil {
-				h.Fail(err)
-			}
-			advanced := false
-			for _, c := range cells {
-				if c.eng.Step() {
-					advanced = true
-				}
-			}
-			if !advanced {
-				break
-			}
-		}
-		for i, c := range cells {
-			stats, err := c.eng.Run() // sealed: returns stats or the share error
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i] = c.finish(stats)
-			cells[i] = nil
-		}
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("%s under %v: %w", p.G.Name, wave[i], err)
-		}
-	}
-	// Scheduling-dependent accounting (group composition varies with -j
-	// and token availability) goes to the volatile side only: the
-	// deterministic snapshots must stay identical with sharing on or off.
-	if cfg.Volatile != nil {
-		s := h.Stats()
-		cfg.Volatile.Observe("accel.trace.group.modes", uint64(len(wave)))
-		cfg.Volatile.Observe("accel.trace.shared", s.SharedEntries)
-		cfg.Volatile.Observe("accel.trace.regen", s.GeneratedEntries)
-		cfg.Volatile.Observe("accel.trace.spilled.chunks", s.SpilledChunks)
-		cfg.Volatile.Observe("accel.trace.window.highwater", uint64(s.HighWater))
-		cfg.Volatile.Observe("accel.trace.detached", uint64(s.Detached))
-	}
-	return results, nil
 }

@@ -212,10 +212,7 @@ func Figure8ModesCtx(ctx context.Context, p *Prepared, modes []Mode, cfg SystemC
 		Cycles:     map[Mode]uint64{},
 		Normalized: map[Mode]float64{},
 	}
-	// Mode cells share one functional trace per workload when the
-	// config allows it (ShareAuto, no chaos) — byte-identical results,
-	// one generation pass instead of len(modes).
-	results, err := p.RunModesShared(ctx, modes, cfg, jobs)
+	results, err := p.RunModesCtx(ctx, modes, cfg, jobs)
 	if err != nil {
 		return cell, err
 	}

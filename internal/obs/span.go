@@ -23,7 +23,7 @@ type Span struct {
 const defaultSpanCap = 1 << 20
 
 // SpanRecorder collects phase spans (Prepare, CSR build, page-table
-// build, per-PE trace generation, timing replay, per-cell execution)
+// build, timing replay, per-cell execution)
 // for export as Chrome trace-event JSON. Spans measure host wall time
 // — they are a debugging artifact like the event tracer, written to
 // their own -spans file and never part of a deterministic output.

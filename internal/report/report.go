@@ -73,12 +73,10 @@ type Options struct {
 	Prepared *core.PreparedCache
 	// Workers, when non-nil, is the shared extra-worker pool bounding
 	// *all* concurrency of the invocation: cell-level workers hold its
-	// tokens (via runner.MapB) and inside each cell the engine's trace
-	// generators, parallel CSR builds and page-table construction borrow
-	// from the same pool — so one -j value never oversubscribes the
-	// machine. Nil preserves the plain per-level Jobs semantics; results
-	// are byte-identical either way. Commands set it to
-	// runner.BudgetFor(jobs).
+	// tokens (via runner.MapB) and parallel CSR builds borrow from the
+	// same pool — so one -j value never oversubscribes the machine. Nil preserves the plain per-level Jobs
+	// semantics; results are byte-identical either way. Commands set it
+	// to runner.BudgetFor(jobs).
 	Workers *runner.Budget
 	// Ctx, when non-nil, cancels the sweep: generators stop claiming
 	// cells when it is done (Ctrl-C in the commands). Nil means
@@ -96,8 +94,7 @@ type Options struct {
 	// bit-for-bit.
 	Chaos *chaos.Config
 	// Spans, when non-nil, records wall-clock phase spans (workload
-	// preparation, page-table builds, cell execution, trace generation,
-	// timing replay) for Chrome-trace/Perfetto export. Spans are a
+	// preparation, page-table builds, cell execution, timing replay) for Chrome-trace/Perfetto export. Spans are a
 	// debugging artifact: wall time is nondeterministic, so they never
 	// feed tables or metrics.
 	Spans *obs.SpanRecorder
@@ -139,15 +136,6 @@ type Options struct {
 	// effects (metrics fold, progress, checkpoint record) all run after
 	// the compute returns success — a failed attempt leaves no residue.
 	Retry runner.RetryPolicy
-	// Share selects trace sharing for mode-matrix artifacts (see
-	// core.SystemConfig.ShareTraces): ShareAuto (the zero value) lets a
-	// workload's mode cells replay one canonical functional trace,
-	// ShareOff runs every cell independently. Tables, goldens and the
-	// deterministic metrics snapshot are byte-identical either way
-	// (pinned by the CI A/B cmp step); only wall-clock changes. Callers
-	// mixing the two against one checkpoint directory must namespace it
-	// (the commands fold "+share(off)" into the checkpoint profile).
-	Share core.ShareMode
 }
 
 // Shard identifies one member of a distributed sweep fleet: cell i of
@@ -258,11 +246,6 @@ func (o Options) system(prof core.Profile) core.SystemConfig {
 	cfg.Workers = o.Workers
 	cfg.Chaos = o.Chaos
 	cfg.Spans = o.Spans
-	cfg.ShareTraces = o.Share
-	// Replay-group accounting is scheduling-dependent, so it reports
-	// through the collector's volatile side (live /metrics only), never
-	// the deterministic snapshot.
-	cfg.Volatile = o.Metrics
 	return cfg
 }
 

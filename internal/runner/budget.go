@@ -5,13 +5,13 @@ import "sync/atomic"
 // Budget is the shared worker-token pool that makes one -j value govern
 // *all* parallelism of a harness invocation. The paper harness has two
 // nested levels of concurrency: cell-level workers (independent
-// simulations of the evaluation matrix, fanned out by Map/MapB) and
-// intra-run workers (the accelerator engine's trace generators and the
-// parallel parts of workload preparation). Both draw "extra worker"
+// simulations of the evaluation matrix, fanned out by MapB) and the
+// parallel CSR build of workload preparation. Both draw "extra worker"
 // tokens from the same Budget, so a -j 8 sweep never runs more than 8
 // compute goroutines at once: when the matrix is wide the tokens are
-// spent on cells, and as the tail drains the freed tokens migrate into
-// the remaining cells' engines.
+// spent on cells, and a graph build that finds tokens free splits its
+// counting sort across them. Each simulation itself runs on one
+// goroutine.
 //
 // A Budget holds the number of *extra* workers beyond the calling
 // goroutine: NewBudget(0) (or a nil *Budget) means strictly sequential

@@ -9,6 +9,7 @@ package runner
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -46,7 +47,7 @@ func Map[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i
 // in index order), and one extra worker is spawned per token available —
 // up to jobs-1 — each returning its token when it runs out of cells, so
 // tail-end tokens migrate to whatever still needs them (other artifacts,
-// or the intra-run workers of the remaining cells). A nil budget grants
+// or parallel graph builds). A nil budget grants
 // every requested worker, reproducing plain Map.
 //
 // Results are collected by cell index, never by completion order, so —
@@ -117,14 +118,27 @@ func mapCells[T any](ctx context.Context, opts Options, n int, fn func(ctx conte
 				defer b.Release(1)
 			}
 			for {
+				// Check for cancellation before claiming, never
+				// after: claims go in index order, so a claimed cell
+				// dropped here could be a smaller index than the
+				// failure that cancelled the pool.
+				if ctx.Err() != nil {
+					return
+				}
 				i := int(atomic.AddInt64(&next, 1))
-				if i >= n || ctx.Err() != nil {
+				if i >= n {
 					return
 				}
 				r, err := runCell(ctx, opts, i, fn)
 				if err != nil {
 					mu.Lock()
-					if firstIdx == -1 || i < firstIdx {
+					// A cell that fails with context.Canceled after
+					// another cell's error cancelled the pool (and not
+					// the caller) reports that cancellation, not a
+					// failure of its own: it must not displace the
+					// cause, whatever its index.
+					echo := firstErr != nil && parent.Err() == nil && errors.Is(err, context.Canceled)
+					if !echo && (firstIdx == -1 || i < firstIdx) {
 						firstIdx, firstErr = i, err
 					}
 					mu.Unlock()

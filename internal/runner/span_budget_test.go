@@ -8,10 +8,10 @@ import (
 )
 
 // TestSpanEmissionFromBudgetWorkers hammers concurrent span emission in
-// the shape the accelerator engine uses it: each round, the caller
-// acquires whatever extra-worker tokens the Budget will give, spawns a
-// producer goroutine per token that opens and closes a span, and does
-// one inline span itself. Run under -race in CI this exercises the
+// the shape token-borrowing callers (MapB cells, parallel CSR builds)
+// use it: each round, the caller acquires whatever extra-worker tokens
+// the Budget will give, spawns a worker goroutine per token that opens
+// and closes a span, and does one inline span itself. Run under -race in CI this exercises the
 // recorder's locking; the assertions pin that no span is lost, tokens
 // never leak, and lane assignment never exceeds the true concurrency
 // bound (tokens + the calling goroutine).
@@ -28,7 +28,7 @@ func TestSpanEmissionFromBudgetWorkers(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				defer b.Release(1)
-				sp := r.Begin("tracegen")
+				sp := r.Begin("worker")
 				for i := 0; i < 100; i++ {
 					_ = i * i
 				}

@@ -97,6 +97,10 @@ type jobRun struct {
 	// context cancellations apart.
 	cancelled bool
 	done      chan struct{}
+	// wmu serializes the run's record writes (see write); settled,
+	// guarded by wmu, marks that the run's last record is on disk.
+	wmu     sync.Mutex
+	settled bool
 }
 
 // NewScheduler builds the scheduler over a store and resumes every
@@ -290,23 +294,6 @@ func (s *Scheduler) recomputeSharesLocked() {
 	}
 }
 
-// persist writes the run's job record (with the durable cell count
-// refreshed) through the store.
-func (r *jobRun) persist(s *Store) error {
-	r.mu.Lock()
-	r.job.CellsDone = r.ck.Len()
-	j := *r.job
-	r.mu.Unlock()
-	return s.Put(&j)
-}
-
-// setState transitions the run's state under its lock.
-func (r *jobRun) setState(st State) {
-	r.mu.Lock()
-	r.job.State = st
-	r.mu.Unlock()
-}
-
 // run executes one job to a terminal state (or to queued, when a drain
 // interrupts it). Every transition is persisted before it matters.
 func (s *Scheduler) run(ctx context.Context, r *jobRun) {
@@ -329,8 +316,7 @@ func (s *Scheduler) run(ctx context.Context, r *jobRun) {
 	r.mu.Unlock()
 	defer ck.Close()
 
-	r.setState(StateRunning)
-	if err := r.persist(s.store); err != nil {
+	if _, err := s.write(r, false, func(j *Job) { j.State = StateRunning }); err != nil {
 		s.finish(r, StateFailed, "", err)
 		return
 	}
@@ -417,7 +403,7 @@ func (s *Scheduler) interrupted(r *jobRun, ctx context.Context, err error) {
 		if serr := r.ck.Sync(); serr != nil {
 			s.logf("job %s: drain checkpoint sync: %v", r.job.ID, serr)
 		}
-		if perr := s.settle(r, func(j *Job) { j.State = StateQueued }); perr != nil {
+		if _, perr := s.write(r, true, func(j *Job) { j.State = StateQueued }); perr != nil {
 			s.logf("job %s: drain persist: %v", r.job.ID, perr)
 		}
 		s.logf("job %s: drained with %d/%d cells durable; will resume on restart",
@@ -427,7 +413,7 @@ func (s *Scheduler) interrupted(r *jobRun, ctx context.Context, err error) {
 
 // finish drives a job to a terminal state and persists it.
 func (s *Scheduler) finish(r *jobRun, st State, artifact string, err error) {
-	perr := s.settle(r, func(j *Job) {
+	_, perr := s.write(r, true, func(j *Job) {
 		j.State = st
 		j.FinishedUnix = time.Now().Unix()
 		j.Artifact = artifact
@@ -451,25 +437,37 @@ func (s *Scheduler) finish(r *jobRun, st State, artifact string, err error) {
 	}
 }
 
-// settle ends a run's life in the live table: it writes the record
-// that update produces, and only then publishes it and unregisters the
-// run, both under s.mu. So Status never reports a state ahead of disk,
-// and once it reports the final state, Cancel no longer finds a live
-// run and answers from the durable record.
-func (s *Scheduler) settle(r *jobRun, update func(*Job)) error {
+// write persists the record update produces (with the durable cell
+// count refreshed) and only then publishes it, so Status never reports
+// a state ahead of disk. A settling write (the run's last: terminal, or
+// re-queued by a drain) also unregisters the run, under s.mu with the
+// publish, so once Status reports the final state Cancel no longer
+// finds a live run and answers from the durable record. wmu serializes
+// a run's writes, and any write after the settling one is dropped: a
+// concurrent Drain can never overwrite a terminal record with draining.
+// It reports whether the record was written.
+func (s *Scheduler) write(r *jobRun, settle bool, update func(*Job)) (bool, error) {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	if r.settled {
+		return false, nil
+	}
 	r.mu.Lock()
 	j := *r.job
-	r.mu.Unlock()
 	j.CellsDone = r.ck.Len()
+	r.mu.Unlock()
 	update(&j)
 	err := s.store.Put(&j)
-	s.mu.Lock()
+	if settle {
+		r.settled = true
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		delete(s.jobs, j.ID)
+	}
 	r.mu.Lock()
 	*r.job = j
 	r.mu.Unlock()
-	delete(s.jobs, j.ID)
-	s.mu.Unlock()
-	return err
+	return true, err
 }
 
 // Cancel aborts a queued or running job (DELETE /jobs/{id}). Terminal
@@ -500,7 +498,8 @@ func (s *Scheduler) Cancel(id string) error {
 // Drain stops admission and gracefully interrupts every running job:
 // workers finish their in-flight cells, checkpoints are fsynced, and
 // each job is re-queued durably so the next daemon start resumes it.
-// It returns the IDs of the jobs left resumable.
+// It returns the IDs of the jobs left resumable; a run that settled
+// after the listing below keeps its record and is not among them.
 func (s *Scheduler) Drain() []string {
 	s.mu.Lock()
 	s.draining = true
@@ -511,11 +510,13 @@ func (s *Scheduler) Drain() []string {
 	s.mu.Unlock()
 	var ids []string
 	for _, r := range live {
-		r.setState(StateDraining)
-		if err := r.persist(s.store); err != nil {
+		wrote, err := s.write(r, false, func(j *Job) { j.State = StateDraining })
+		if err != nil {
 			s.logf("job %s: persisting draining: %v", r.job.ID, err)
 		}
-		ids = append(ids, r.job.ID)
+		if wrote {
+			ids = append(ids, r.job.ID)
+		}
 		r.cancel()
 	}
 	s.wg.Wait()

@@ -370,6 +370,73 @@ func TestServeCancelDurableBeforeVisible(t *testing.T) {
 	againCancel("after the write")
 }
 
+// TestServeDrainKeepsTerminalRecord races Drain against a run that is
+// settling: the cancelled record's write is held on its way to disk
+// while Drain lists the (still live) run, and any draining write is
+// held until the cancelled one has landed — the order that used to
+// leave "draining" on disk over a terminal record, so the job re-ran
+// after a restart. The durable record must stay cancelled, and Drain
+// must not report the job as resumable.
+func TestServeDrainKeepsTerminalRecord(t *testing.T) {
+	store, sched := newTestScheduler(t, t.TempDir(), Config{Jobs: 2})
+	defer sched.Close()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	terminalWritten := make(chan struct{})
+	store.putFn = func(path string, data []byte) error {
+		switch {
+		case bytes.Contains(data, []byte(`"state": "cancelled"`)):
+			close(entered)
+			<-release
+			defer close(terminalWritten)
+		case bytes.Contains(data, []byte(`"state": "draining"`)):
+			<-terminalWritten
+		}
+		return atomicWrite(path, data)
+	}
+	var cells atomic.Int32
+	sched.testCellSink = func(_ string, ctx context.Context) {
+		if cells.Add(1) > 1 {
+			<-ctx.Done()
+		}
+	}
+	j, err := sched.Submit(JobSpec{Profile: "tiny", Artifacts: []string{"fig2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cells.Load() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := sched.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	drained := make(chan []string)
+	go func() { drained <- sched.Drain() }()
+	// Drain lists the live runs in the same critical section that sets
+	// draining, so once the flag is up the settling run is on its list.
+	for {
+		sched.mu.Lock()
+		listed := sched.draining
+		sched.mu.Unlock()
+		if listed {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if ids := <-drained; len(ids) != 0 {
+		t.Errorf("Drain reports %v resumable; the only job had already settled", ids)
+	}
+	jobs, _, err := store.Scan()
+	if err != nil || len(jobs) != 1 {
+		t.Fatalf("scan after Drain: %d records, err %v", len(jobs), err)
+	}
+	if jobs[0].State != StateCancelled {
+		t.Errorf("durable record after Drain is %s, want cancelled", jobs[0].State)
+	}
+}
+
 // TestServeDeadline fails a job that exceeds its wall-clock budget,
 // without retrying the timeout.
 func TestServeDeadline(t *testing.T) {
