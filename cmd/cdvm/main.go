@@ -1,11 +1,11 @@
-// Command cdvm regenerates Figure 10: VM overheads of memory-intensive CPU
-// workloads under conventional 4 KB paging, transparent huge pages and
-// cDVM (Section 7 of the paper).
+// Command cdvm details one memory-intensive CPU workload of Figure 10:
+// its VM overhead, TLB-hierarchy miss rate and walk cycles under
+// conventional 4 KB paging, transparent huge pages and cDVM (Section 7
+// of the paper). The figure itself is `dvmrepro -only fig10`.
 //
 // Usage:
 //
-//	cdvm                 # the full figure
-//	cdvm -workload mcf   # one workload with details
+//	cdvm -workload mcf [-overlap]
 package main
 
 import (
@@ -15,28 +15,17 @@ import (
 
 	"github.com/dvm-sim/dvm/internal/cpu"
 	"github.com/dvm-sim/dvm/internal/obs"
-	"github.com/dvm-sim/dvm/internal/report"
 	"github.com/dvm-sim/dvm/internal/results"
-	"github.com/dvm-sim/dvm/internal/runner"
 )
 
 func main() {
 	workload := flag.String("workload", "", "run a single workload (mcf|bt|cg|canneal|xsbench)")
 	overlap := flag.Bool("overlap", false, "enable the §7.1 cDVM store-overlap optimization")
-	jobs := flag.Int("j", 0, "max concurrent experiment cells (0 = one per CPU, 1 = sequential)")
-	quiet := flag.Bool("q", false, "suppress status output")
 	flag.Parse()
 
-	lg := obs.NewLogger(os.Stderr, "cdvm", *quiet)
+	lg := obs.NewLogger(os.Stderr, "cdvm", false)
 	if *workload == "" {
-		opts := report.Options{Jobs: *jobs, Workers: runner.BudgetFor(*jobs)}
-		if !lg.Quiet() {
-			opts.Progress = lg.Statusf
-		}
-		if err := report.Figure10(os.Stdout, opts); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		return
+		lg.Exitf(2, "-workload is required (the full Figure 10 is dvmrepro -only fig10)")
 	}
 	spec, err := cpu.WorkloadByName(*workload)
 	if err != nil {

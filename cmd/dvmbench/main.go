@@ -147,7 +147,6 @@ func main() {
 	graphCache := flag.String("graph-cache", "", "directory for the on-disk CSR graph cache (mmap'd graphs; recorded in the measurement)")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address")
-	flag.StringVar(httpAddr, "pprof", "", "deprecated alias of -http")
 	flag.Parse()
 
 	lg := obs.NewLogger(os.Stderr, "dvmbench", *quiet)

@@ -35,11 +35,11 @@
 // mmaps it read-only, so a fleet of shards (or a second run) shares
 // page-cache pages instead of regenerating and holding private copies.
 //
-// Chaos: -chaos-rate arms deterministic
+// Chaos: -chaos-rate (a probability in [0, 1]) arms deterministic
 // seeded fault injection (allocation failures, corrupted PTEs, truncated
 // walks, bad PE permissions, memory latency spikes) in every simulation;
-// -chaos-seed fixes the fault schedule, so two runs with the same seed
-// report identical chaos.* counters and identical typed errors.
+// -chaos-seed fixes the fault schedule (0 means 1), so two runs with the
+// same seed report identical chaos.* counters and identical typed errors.
 //
 // Observability: -metrics writes the merged per-run registry snapshot
 // (counters and latency histograms) as JSON (byte-identical at any -j —
@@ -49,8 +49,11 @@
 // timing replay) as Chrome trace-event JSON loadable
 // in ui.perfetto.dev; -http serves the live surface — net/http/pprof
 // under /debug/pprof/, the merged metrics in Prometheus text exposition
-// format at /metrics, and the sweep progress as JSON at /progress
-// (-pprof is the deprecated alias of -http).
+// format at /metrics, and the sweep progress as JSON at /progress.
+//
+// The sweep's identity (profile, -only, -modes, chaos, -shard) is a
+// report.Spec: it validates the flags and names the checkpoint
+// namespace, exactly as it does for a dvmserved job.
 package main
 
 import (
@@ -60,24 +63,19 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
-	"github.com/dvm-sim/dvm/internal/chaos"
 	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/obs"
 	"github.com/dvm-sim/dvm/internal/report"
 	"github.com/dvm-sim/dvm/internal/runner"
 )
 
-// artifactKeys is the -only vocabulary, in paper rendering order.
-var artifactKeys = report.ArtifactKeys
-
 func main() {
 	profileName := flag.String("profile", "small", "experiment profile: "+strings.Join(core.ProfileNames(), "|")+" (see DESIGN.md §6)")
-	only := flag.String("only", "", "comma-separated subset: "+strings.Join(artifactKeys, ","))
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(report.ArtifactKeys, ","))
 	modesName := flag.String("modes", "paper", "mode set for the fig8/fig9 matrix: paper (the seven paper columns, the byte-stable artifact) or extended (paper + SPARTA + VBI columns)")
 	jobs := flag.Int("j", 0, "max concurrent experiment cells (0 = one per CPU, 1 = sequential)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
@@ -87,7 +85,6 @@ func main() {
 	traceMask := flag.String("trace-mask", "all", "comma-separated components to trace: iommu,tlb,pwc,avc,bmcache,bitmap,engine,chaos,block or 'all'")
 	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default 65536; older events are overwritten)")
 	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
-	flag.StringVar(httpAddr, "pprof", "", "deprecated alias of -http")
 	spansPath := flag.String("spans", "", "write phase spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
 	ckPath := flag.String("checkpoint", "", "persist completed experiment cells to this JSONL file (enables -resume)")
 	resume := flag.Bool("resume", false, "with -checkpoint: skip cells a previous interrupted run completed")
@@ -135,16 +132,14 @@ func main() {
 		}
 	}
 
-	prof, err := core.ProfileByName(*profileName)
-	if err != nil {
-		lg.Exitf(2, "%v", err)
+	spec := report.Spec{Profile: *profileName, Modes: *modesName, ChaosRate: *chaosRate, ChaosSeed: *chaosSeed}
+	if *only != "" {
+		spec.Artifacts = strings.Split(*only, ",")
 	}
-
-	var shard report.Shard
 	if *shardSpec != "" {
 		k, n := 0, 0
 		if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &k, &n); err != nil ||
-			fmt.Sprintf("%d/%d", k, n) != *shardSpec || n < 1 || k < 0 || k >= n {
+			fmt.Sprintf("%d/%d", k, n) != *shardSpec || n < 1 {
 			lg.Exitf(2, "bad -shard %q (want k/n with 0 <= k < n)", *shardSpec)
 		}
 		if *ckPath == "" {
@@ -153,7 +148,16 @@ func main() {
 		if *metricsPath != "" {
 			lg.Exitf(2, "-shard and -metrics are incompatible: merge the shard checkpoints and render with -resume to get the complete snapshot")
 		}
-		shard = report.Shard{Index: k, Count: n}
+		spec.Shard = report.Shard{Index: k, Count: n}
+	}
+
+	opts := report.Options{Jobs: *jobs, Metrics: coll, Workers: runner.BudgetFor(*jobs)}
+	prof, wanted, err := spec.Resolve(&opts)
+	if err != nil {
+		lg.Exitf(2, "%v", err)
+	}
+	if c := opts.Chaos; c != nil {
+		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", c.Seed, c.Rate)
 	}
 
 	// Ctrl-C / SIGTERM cancels the sweep through the context: workers
@@ -161,6 +165,7 @@ func main() {
 	// the partial metrics snapshot is flushed before exiting 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	opts.Ctx = ctx
 
 	prepared := core.NewPreparedCache()
 	if *graphCache != "" {
@@ -170,7 +175,7 @@ func main() {
 		prepared = core.NewPreparedCacheDir(*graphCache)
 	}
 	defer prepared.Close()
-	opts := report.Options{Ctx: ctx, Jobs: *jobs, Metrics: coll, Prepared: prepared, Workers: runner.BudgetFor(*jobs), Shard: shard}
+	opts.Prepared = prepared
 	if !lg.Quiet() {
 		opts.Progress = lg.Statusf
 	}
@@ -193,74 +198,18 @@ func main() {
 		tracer = obs.NewTracer(*traceCap, mask)
 		opts.Tracer = tracer
 	}
-	// The checkpoint identity includes the chaos configuration and the
-	// mode set: cells simulated under fault injection (or with extra
-	// mode columns) must never satisfy a default run's resume (or vice
-	// versa).
-	ckProfile := prof.Name
-	switch *modesName {
-	case "paper":
-		// opts.Modes nil: the seven-column byte-stable artifact.
-	case "extended":
-		opts.Modes = core.RegisteredModes()
-		ckProfile += "+modes(extended)"
-	default:
-		lg.Exitf(2, "unknown -modes %q (paper|extended)", *modesName)
-	}
-	if *chaosRate > 0 {
-		opts.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
-		ckProfile = fmt.Sprintf("%s+chaos(seed=%d,rate=%g)", ckProfile, *chaosSeed, *chaosRate)
-		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", *chaosSeed, *chaosRate)
-	}
-	// The shard suffix goes last so MergeCheckpoints can strip exactly it
-	// and recover the full base namespace (modes/chaos included).
-	if shard.Count > 0 {
-		ckProfile = core.ShardProfile(ckProfile, shard.Index, shard.Count)
-	}
 	if *resume && *ckPath == "" {
 		lg.Exitf(2, "-resume requires -checkpoint")
 	}
 	var ck *core.Checkpoint
 	if *ckPath != "" {
-		ck, err = core.OpenCheckpoint(*ckPath, ckProfile, *resume)
+		ck, err = core.OpenCheckpoint(*ckPath, spec.Key(), *resume)
 		if err != nil {
 			lg.Exitf(1, "%v", err)
 		}
 		opts.Checkpoint = ck
 		if *resume && ck.Len() > 0 {
 			lg.Statusf("resuming from %s: %d completed cells restored", *ckPath, ck.Len())
-		}
-	}
-
-	known := map[string]bool{}
-	for _, k := range artifactKeys {
-		known[k] = true
-	}
-	wanted := map[string]bool{}
-	if *only == "" {
-		for _, k := range artifactKeys {
-			wanted[k] = true
-		}
-	} else {
-		var unknown []string
-		for _, k := range strings.Split(*only, ",") {
-			k = strings.TrimSpace(k)
-			if k == "" {
-				continue
-			}
-			if !known[k] {
-				unknown = append(unknown, k)
-				continue
-			}
-			wanted[k] = true
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			lg.Exitf(2, "unknown artifact key(s) %s; valid keys: %s",
-				strings.Join(unknown, ", "), strings.Join(artifactKeys, ", "))
-		}
-		if len(wanted) == 0 {
-			lg.Exitf(2, "-only selected nothing; valid keys: %s", strings.Join(artifactKeys, ", "))
 		}
 	}
 
@@ -308,12 +257,12 @@ func main() {
 	}
 
 	out := io.Writer(os.Stdout)
-	if shard.Count > 0 {
+	if spec.Shard.Count > 0 {
 		// A shard's table rows are partial (unowned cells render as
 		// zeros), so the rendered text is suppressed; the checkpoint is
 		// the shard's durable output.
 		out = io.Discard
-		lg.Statusf("shard %d/%d: tables suppressed; completed cells go to %s", shard.Index, shard.Count, *ckPath)
+		lg.Statusf("shard %d/%d: tables suppressed; completed cells go to %s", spec.Shard.Index, spec.Shard.Count, *ckPath)
 	}
 	// report.Sweep is the rendering path shared with dvmserved; the
 	// observe hook adds this command's per-artifact status lines.
@@ -335,9 +284,9 @@ func main() {
 	if err := ck.Close(); err != nil {
 		lg.Exitf(1, "checkpoint: %v", err)
 	}
-	if shard.Count > 0 {
+	if spec.Shard.Count > 0 {
 		fmt.Fprintf(os.Stderr, "dvmrepro: shard %d/%d complete: %d cells in %s; combine with -merge-shards\n",
-			shard.Index, shard.Count, ck.Len(), *ckPath)
+			spec.Shard.Index, spec.Shard.Count, ck.Len(), *ckPath)
 	}
 	if tracer != nil {
 		// Fold the final drop count in at flush time (see interrupted).

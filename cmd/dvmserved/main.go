@@ -9,7 +9,9 @@
 //	dvmserved -addr localhost:8080 -dir /var/lib/dvmserved [-j N]
 //	          [-cell-timeout 5m] [-retries 3] [-sync-every 1] [-q]
 //
-// Submit a job (the spec mirrors dvmrepro's flags):
+// Submit a job (its sweep fields — profile, artifacts, modes,
+// chaos_rate, chaos_seed — are a report.Spec, the same description
+// dvmrepro builds from its flags):
 //
 //	curl -X POST localhost:8080/jobs -d '{"profile":"tiny"}'
 //	curl localhost:8080/jobs/j0001                # status + progress

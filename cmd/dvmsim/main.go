@@ -18,8 +18,8 @@
 // merged registry snapshot (counters and histograms) of all runs as JSON;
 // -trace writes a JSONL event trace of the translation path; -spans
 // writes phase spans as Chrome trace-event JSON (ui.perfetto.dev); -http
-// serves the live surface (/metrics, /progress, /debug/pprof/; -pprof is
-// the deprecated alias).
+// serves the live surface (/metrics, /progress, /debug/pprof/).
+// -chaos-rate (a probability in [0, 1]) arms seeded fault injection.
 package main
 
 import (
@@ -53,7 +53,6 @@ func main() {
 	traceMask := flag.String("trace-mask", "all", "comma-separated components to trace: iommu,tlb,pwc,avc,bmcache,bitmap,engine,chaos,block or 'all'")
 	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default 65536; older events are overwritten)")
 	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
-	flag.StringVar(httpAddr, "pprof", "", "deprecated alias of -http")
 	spansPath := flag.String("spans", "", "write phase spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (fixed seed = deterministic fault schedule)")
@@ -83,6 +82,10 @@ func main() {
 	if err != nil {
 		lg.Exitf(2, "%v", err)
 	}
+	chaosCfg := &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
+	if err := chaosCfg.Validate(); err != nil {
+		lg.Exitf(2, "%v", err)
+	}
 	w := core.Workload{
 		Algorithm:     *alg,
 		Dataset:       d,
@@ -104,8 +107,8 @@ func main() {
 
 	cfg := prof.SystemConfig()
 	cfg.Workers = workers
-	if *chaosRate > 0 {
-		cfg.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
+	if chaosCfg.Enabled() {
+		cfg.Chaos = chaosCfg
 		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", *chaosSeed, *chaosRate)
 	}
 	var tracer *obs.Tracer

@@ -1,11 +1,11 @@
-// Command shbench regenerates Table 4: the percentage of system memory
-// that the shbench allocation workload can allocate before identity
-// mapping (VA==PA) fails to hold.
+// Command shbench runs one cell of Table 4: the percentage of system
+// memory that the shbench allocation workload can allocate before
+// identity mapping (VA==PA) fails to hold. The table itself is
+// `dvmrepro -only table4`.
 //
 // Usage:
 //
-//	shbench              # the full 3x3 table
-//	shbench -expt 2 -mem 32   # one cell (memory in GB)
+//	shbench -expt 2 [-mem 32]   # memory in GB
 package main
 
 import (
@@ -14,28 +14,17 @@ import (
 	"os"
 
 	"github.com/dvm-sim/dvm/internal/obs"
-	"github.com/dvm-sim/dvm/internal/report"
-	"github.com/dvm-sim/dvm/internal/runner"
 	"github.com/dvm-sim/dvm/internal/shbench"
 )
 
 func main() {
-	expt := flag.Int("expt", 0, "run a single experiment (1-3); 0 = full table")
-	memGB := flag.Uint64("mem", 32, "system memory in GB for -expt")
-	jobs := flag.Int("j", 0, "max concurrent experiment cells (0 = one per CPU, 1 = sequential)")
-	quiet := flag.Bool("q", false, "suppress status output")
+	expt := flag.Int("expt", 0, "experiment to run (1-3)")
+	memGB := flag.Uint64("mem", 32, "system memory in GB")
 	flag.Parse()
 
-	lg := obs.NewLogger(os.Stderr, "shbench", *quiet)
+	lg := obs.NewLogger(os.Stderr, "shbench", false)
 	if *expt == 0 {
-		opts := report.Options{Jobs: *jobs, Workers: runner.BudgetFor(*jobs)}
-		if !lg.Quiet() {
-			opts.Progress = lg.Statusf
-		}
-		if err := report.Table4(os.Stdout, opts); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		return
+		lg.Exitf(2, "-expt is required (the full Table 4 is dvmrepro -only table4)")
 	}
 	for _, e := range shbench.Experiments {
 		if e.ID != *expt {

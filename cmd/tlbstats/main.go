@@ -1,15 +1,10 @@
-// Command tlbstats regenerates Figure 2 (TLB miss rates of the graph
-// workloads with 4 KB and 2 MB pages) and optionally sweeps the TLB size.
+// Command tlbstats sweeps the accelerator TLB size for one graph workload
+// and prints the 4 KB-page miss rate at each size — the drill-down behind
+// Figure 2 (the figure itself is `dvmrepro -only fig2`).
 //
 // Usage:
 //
-//	tlbstats [-profile small] [-j N] [-sweep] [-alg PageRank -dataset Wiki]
-//	         [-metrics file] [-http addr] [-q]
-//
-// -metrics writes the merged registry snapshot (counters and histograms)
-// of the Figure 2 runs as JSON (byte-identical at any -j); -http serves
-// the live observability surface (/metrics in Prometheus exposition
-// format, /progress, /debug/pprof/; -pprof is the deprecated alias).
+//	tlbstats [-profile small] [-alg PageRank -dataset Wiki] [-j N]
 package main
 
 import (
@@ -19,64 +14,24 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/graph"
 	"github.com/dvm-sim/dvm/internal/obs"
-	"github.com/dvm-sim/dvm/internal/report"
 	"github.com/dvm-sim/dvm/internal/results"
-	"github.com/dvm-sim/dvm/internal/runner"
 )
 
 func main() {
 	profileName := flag.String("profile", "small", "experiment profile: "+strings.Join(core.ProfileNames(), "|"))
-	sweep := flag.Bool("sweep", false, "sweep TLB sizes for one workload instead of printing Figure 2")
-	alg := flag.String("alg", "PageRank", "algorithm for -sweep")
-	dataset := flag.String("dataset", "Wiki", "dataset for -sweep")
-	jobs := flag.Int("j", 0, "max concurrent experiment cells (0 = one per CPU, 1 = sequential)")
-	quiet := flag.Bool("q", false, "suppress status output")
-	metricsPath := flag.String("metrics", "", "write the merged metrics-registry snapshot as JSON to this file")
-	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
-	flag.StringVar(httpAddr, "pprof", "", "deprecated alias of -http")
+	alg := flag.String("alg", "PageRank", "algorithm: BFS|PageRank|SSSP|CF")
+	dataset := flag.String("dataset", "Wiki", "dataset: "+strings.Join(graph.DatasetNames(), "|"))
+	jobs := flag.Int("j", 0, "max concurrent TLB sizes (0 = one per CPU, 1 = sequential)")
 	flag.Parse()
 
-	lg := obs.NewLogger(os.Stderr, "tlbstats", *quiet)
-	coll := &obs.Collector{}
-	board := &runner.ProgressBoard{}
-	var httpSrv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		httpSrv, err = obs.StartHTTP(*httpAddr, lg, obs.HTTPOptions{
-			Metrics:  coll.Snapshot,
-			Volatile: coll.VolatileSnapshot,
-			Progress: board.Probe(),
-		})
-		if err != nil {
-			lg.Exitf(2, "%v", err)
-		}
-	}
-	// Drain the -http listener on the way out so an in-flight scrape
-	// finishes instead of seeing a connection reset.
-	defer httpSrv.Shutdown(2 * time.Second)
-
+	lg := obs.NewLogger(os.Stderr, "tlbstats", false)
 	prof, err := core.ProfileByName(*profileName)
 	if err != nil {
 		lg.Exitf(2, "%v", err)
-	}
-	if !*sweep {
-		opts := report.Options{Jobs: *jobs, Metrics: coll, Workers: runner.BudgetFor(*jobs)}
-		if !lg.Quiet() {
-			opts.Progress = lg.Statusf
-		}
-		if *httpAddr != "" {
-			opts.Board = board
-		}
-		if err := report.Figure2(prof, os.Stdout, opts); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		writeMetrics(lg, *metricsPath, coll)
-		return
 	}
 	d, err := graph.DatasetByName(*dataset)
 	if err != nil {
@@ -107,23 +62,4 @@ func main() {
 	if err := t.WriteASCII(os.Stdout); err != nil {
 		lg.Exitf(1, "%v", err)
 	}
-	writeMetrics(lg, *metricsPath, coll)
-}
-
-// writeMetrics exports the collected snapshot when -metrics was given.
-func writeMetrics(lg *obs.Logger, path string, coll *obs.Collector) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		lg.Exitf(1, "%v", err)
-	}
-	if err := coll.Snapshot().WriteJSON(f); err != nil {
-		lg.Exitf(1, "%v", err)
-	}
-	if err := f.Close(); err != nil {
-		lg.Exitf(1, "%v", err)
-	}
-	lg.Statusf("metrics written to %s", path)
 }

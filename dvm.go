@@ -198,25 +198,6 @@ var (
 	CF = accel.CF
 )
 
-// Trace record/replay: capture a workload's access stream once, re-price
-// it under any MMU configuration.
-type (
-	// TraceRecord is one recorded accelerator access.
-	TraceRecord = accel.TraceRecord
-	// TraceWriter / TraceReader stream the compact binary trace format.
-	TraceWriter = accel.TraceWriter
-	TraceReader = accel.TraceReader
-	// ReplayResult is the outcome of re-pricing a trace.
-	ReplayResult = accel.ReplayResult
-)
-
-// Trace constructors and the replayer.
-var (
-	NewTraceWriter = accel.NewTraceWriter
-	NewTraceReader = accel.NewTraceReader
-	Replay         = accel.Replay
-)
-
 // BuildLayout allocates a workload's arrays in the process address space.
 func BuildLayout(p *Process, g *Graph, propBytes uint64) (Layout, error) {
 	return accel.BuildLayout(p, g, propBytes)

@@ -99,9 +99,6 @@ type Engine struct {
 	// loop stays allocation-free.
 	mlpHist obs.Histogram
 
-	// observer receives every priced access during RunRecorded.
-	observer *TraceWriter
-
 	// spans, when non-nil, records replay phase spans (wall time, a
 	// debugging artifact; never part of results).
 	spans *obs.SpanRecorder
@@ -394,9 +391,6 @@ func (e *Engine) runStreams(streams []stream) {
 			occ += (bestT - c) >> 63
 		}
 		e.mlpHist.Observe(occ)
-		if e.observer != nil {
-			e.observer.Record(TraceRecord{PE: uint8(pe), Kind: p.pending.kind, VA: p.pending.va})
-		}
 		completion := e.priceAccess(p.pending, bestT)
 		p.ring[p.ringIdx] = completion
 		p.ringIdx++
@@ -429,9 +423,6 @@ func (e *Engine) runStreams(streams []stream) {
 	// phase's streams.
 	for i := range pes {
 		pes[i].s = nil
-	}
-	if e.observer != nil {
-		e.observer.Barrier()
 	}
 }
 

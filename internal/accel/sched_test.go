@@ -252,3 +252,18 @@ func BenchmarkSingleReadyDrain(b *testing.B) {
 		}
 	}
 }
+
+// sliceStream feeds runStreams a pre-collected access list.
+type sliceStream struct {
+	list []access
+	i    int
+}
+
+func (s *sliceStream) next() (access, bool) {
+	if s.i >= len(s.list) {
+		return access{}, false
+	}
+	a := s.list[s.i]
+	s.i++
+	return a, true
+}

@@ -75,6 +75,14 @@ type Config struct {
 	MemSpikeCycles uint64
 }
 
+// Validate reports an error unless Rate is a probability in [0, 1].
+func (c *Config) Validate() error {
+	if !(c.Rate >= 0 && c.Rate <= 1) {
+		return fmt.Errorf("chaos: rate %g outside [0, 1]", c.Rate)
+	}
+	return nil
+}
+
 // Enabled reports whether this config injects anything.
 func (c *Config) Enabled() bool {
 	return c != nil && c.Rate > 0

@@ -86,16 +86,7 @@ func AddRoutes(mux *http.ServeMux, opts HTTPOptions, lg *Logger) {
 // /metrics scrape finish instead of seeing its connection reset when
 // the process exits mid-response.
 type Server struct {
-	addr string
-	srv  *http.Server
-}
-
-// Addr returns the bound listen address (host:port).
-func (s *Server) Addr() string {
-	if s == nil {
-		return ""
-	}
-	return s.addr
+	srv *http.Server
 }
 
 // Shutdown gracefully drains the server: no new connections are
@@ -116,8 +107,7 @@ func (s *Server) Shutdown(timeout time.Duration) {
 // /debug/pprof/, the merged metrics registry in Prometheus text
 // exposition format at /metrics, and the live sweep progress as JSON
 // at /progress. The listener runs until the process exits or the
-// returned server is Shutdown. It generalizes the original -pprof
-// flag; StartPprof remains as the compatibility wrapper.
+// returned server is Shutdown.
 func StartHTTP(addr string, lg *Logger, opts HTTPOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -142,7 +132,7 @@ func StartHTTP(addr string, lg *Logger, opts HTTPOptions) (*Server, error) {
 	if lg != nil {
 		lg.Statusf("observability surface on http://%s/ (/metrics, /progress, /debug/pprof/)", bound)
 	}
-	return &Server{addr: bound, srv: srv}, nil
+	return &Server{srv: srv}, nil
 }
 
 // promName sanitizes a registry name into a Prometheus metric name:

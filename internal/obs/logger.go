@@ -59,12 +59,3 @@ func (l *Logger) write(format string, args ...interface{}) {
 	fmt.Fprintf(l.w, format, args...)
 	fmt.Fprintln(l.w)
 }
-
-// StartPprof serves net/http/pprof on addr (e.g. "localhost:6060") in
-// the background and returns the bound address. It is the historical
-// -pprof entry point, now a thin wrapper over StartHTTP with no
-// metrics/progress sources wired.
-func StartPprof(addr string, lg *Logger) (string, error) {
-	s, err := StartHTTP(addr, lg, HTTPOptions{})
-	return s.Addr(), err
-}

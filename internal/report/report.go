@@ -107,9 +107,9 @@ type Options struct {
 	// artifacts (Figure 8/9) run and render as columns, in the given
 	// order; the list must include core.ModeIdeal (the normalization
 	// baseline). Nil runs core.AllModes — the paper's seven columns,
-	// byte-identical to the historical artifact. Callers mixing mode sets
-	// against one checkpoint directory must namespace it per set (the
-	// commands fold the set into the checkpoint profile).
+	// byte-identical to the historical artifact. Set it through
+	// Spec.Resolve, whose Key folds the mode set into the checkpoint
+	// namespace.
 	Modes []core.Mode
 	// Shard, when Count > 0, restricts the generators to the cells one
 	// fleet member owns: each artifact's cells are indexed in its fixed

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/report"
 )
 
@@ -46,9 +45,9 @@ func (s State) terminal() bool {
 }
 
 // JobSpec is the client-supplied job description (the POST /jobs body).
-// It is the service analog of dvmrepro's flag set: the same profile,
-// artifact subset, mode set and chaos configuration vocabulary, so a
-// job's outputs are byte-identical to the equivalent single-shot run.
+// Its sweep fields are a report.Spec — the description dvmrepro builds
+// from its flags — so a job's outputs are byte-identical to the
+// equivalent single-shot run and its checkpoint namespace is the same.
 type JobSpec struct {
 	// Profile names the experiment profile (tiny, small, ...).
 	Profile string `json:"profile"`
@@ -61,7 +60,7 @@ type JobSpec struct {
 	// ChaosRate, when > 0, arms deterministic fault injection at this
 	// per-site probability (outputs are then not paper artifacts).
 	ChaosRate float64 `json:"chaos_rate,omitempty"`
-	// ChaosSeed fixes the fault schedule (default 1, as dvmrepro).
+	// ChaosSeed fixes the fault schedule (0 means 1, as dvmrepro).
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
 	// Client names the submitting tenant for fair-share scheduling;
 	// empty is the "default" tenant. Tokens of the daemon's global
@@ -74,64 +73,21 @@ type JobSpec struct {
 	DeadlineSeconds int `json:"deadline_seconds,omitempty"`
 }
 
-// Validate checks the spec against the registries and normalizes
-// defaults. It returns the resolved profile.
-func (s *JobSpec) Validate() (core.Profile, error) {
-	prof, err := core.ProfileByName(s.Profile)
-	if err != nil {
-		return core.Profile{}, err
-	}
-	for _, k := range s.Artifacts {
-		if !report.KnownArtifact(k) {
-			return core.Profile{}, fmt.Errorf("serve: unknown artifact %q (valid: %v)", k, report.ArtifactKeys)
-		}
-	}
-	switch s.Modes {
-	case "", "paper", "extended":
-	default:
-		return core.Profile{}, fmt.Errorf("serve: unknown modes %q (paper|extended)", s.Modes)
-	}
-	if s.ChaosRate < 0 || s.ChaosRate > 1 {
-		return core.Profile{}, fmt.Errorf("serve: chaos_rate %g outside [0, 1]", s.ChaosRate)
-	}
-	if s.ChaosRate > 0 && s.ChaosSeed == 0 {
-		s.ChaosSeed = 1
-	}
+// Validate checks and normalizes the service fields (client, deadline);
+// the sweep fields are validated by report.Spec.Resolve.
+func (s *JobSpec) Validate() error {
 	if s.Client == "" {
 		s.Client = "default"
 	}
 	if s.DeadlineSeconds < 0 {
-		return core.Profile{}, fmt.Errorf("serve: negative deadline_seconds %d", s.DeadlineSeconds)
+		return fmt.Errorf("serve: negative deadline_seconds %d", s.DeadlineSeconds)
 	}
-	return prof, nil
+	return nil
 }
 
-// wanted returns the artifact selection map for report.Sweep (nil =
-// everything).
-func (s *JobSpec) wanted() map[string]bool {
-	if len(s.Artifacts) == 0 {
-		return nil
-	}
-	m := make(map[string]bool, len(s.Artifacts))
-	for _, k := range s.Artifacts {
-		m[k] = true
-	}
-	return m
-}
-
-// checkpointProfile builds the checkpoint namespace for this spec,
-// using exactly dvmrepro's suffix conventions so the durability rules
-// (cells of different configurations never satisfy each other's resume)
-// hold identically across the CLI and the service.
-func (s *JobSpec) checkpointProfile(prof core.Profile) string {
-	p := prof.Name
-	if s.Modes == "extended" {
-		p += "+modes(extended)"
-	}
-	if s.ChaosRate > 0 {
-		p = fmt.Sprintf("%s+chaos(seed=%d,rate=%g)", p, s.ChaosSeed, s.ChaosRate)
-	}
-	return p
+// sweep is the job's sweep description.
+func (s *JobSpec) sweep() report.Spec {
+	return report.Spec{Profile: s.Profile, Artifacts: s.Artifacts, Modes: s.Modes, ChaosRate: s.ChaosRate, ChaosSeed: s.ChaosSeed}
 }
 
 // Job is the durable job record (job.json) plus the live fields the

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/dvm-sim/dvm/internal/chaos"
 	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/obs"
 	"github.com/dvm-sim/dvm/internal/report"
@@ -179,7 +178,11 @@ func (s *Scheduler) Close() {
 // (job.json on disk) before its ID is returned, so an accepted
 // submission survives an immediate crash.
 func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
-	prof, err := spec.Validate()
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	var opts report.Options
+	prof, wanted, err := spec.sweep().Resolve(&opts)
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +192,11 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		return nil, ErrDraining
 	}
 	s.mu.Unlock()
-	var mopts report.Options
-	if spec.Modes == "extended" {
-		mopts.Modes = core.RegisteredModes()
-	}
 	j := &Job{
 		ID:          s.store.NextID(),
 		Spec:        spec,
 		State:       StateQueued,
-		TotalCells:  report.CellCount(prof, mopts, spec.wanted()),
+		TotalCells:  report.CellCount(prof, opts, wanted),
 		CreatedUnix: time.Now().Unix(),
 	}
 	if err := s.store.Put(j); err != nil {
@@ -300,12 +299,14 @@ func (s *Scheduler) run(ctx context.Context, r *jobRun) {
 	defer s.wg.Done()
 	defer close(r.done)
 	j := r.job
-	prof, err := j.Spec.Validate()
+	sweep := j.Spec.sweep()
+	var opts report.Options
+	prof, wanted, err := sweep.Resolve(&opts)
 	if err != nil { // a restart with a now-invalid spec (registry drift)
 		s.finish(r, StateFailed, "", err)
 		return
 	}
-	ck, err := core.OpenCheckpoint(s.store.CheckpointPath(j.ID), j.Spec.checkpointProfile(prof), true)
+	ck, err := core.OpenCheckpoint(s.store.CheckpointPath(j.ID), sweep.Key(), true)
 	if err != nil {
 		s.finish(r, StateFailed, "", fmt.Errorf("serve: job %s checkpoint: %w", j.ID, err))
 		return
@@ -338,29 +339,21 @@ func (s *Scheduler) run(ctx context.Context, r *jobRun) {
 		// Decorrelate retry schedules across jobs, deterministically.
 		retry.Seed ^= uint64(n) * 0x9e3779b97f4a7c15
 	}
-	opts := report.Options{
-		Jobs:        s.cfg.Jobs,
-		Workers:     pool,
-		Ctx:         ctx,
-		Metrics:     coll,
-		Prepared:    s.prepared,
-		Checkpoint:  ck,
-		Board:       r.board,
-		CellTimeout: s.cfg.CellTimeout,
-		Retry:       retry,
-	}
-	if j.Spec.Modes == "extended" {
-		opts.Modes = core.RegisteredModes()
-	}
-	if j.Spec.ChaosRate > 0 {
-		opts.Chaos = &chaos.Config{Seed: j.Spec.ChaosSeed, Rate: j.Spec.ChaosRate}
-	}
+	opts.Jobs = s.cfg.Jobs
+	opts.Workers = pool
+	opts.Ctx = ctx
+	opts.Metrics = coll
+	opts.Prepared = s.prepared
+	opts.Checkpoint = ck
+	opts.Board = r.board
+	opts.CellTimeout = s.cfg.CellTimeout
+	opts.Retry = retry
 	if s.testCellSink != nil {
 		opts.Progress = func(string, ...interface{}) { s.testCellSink(j.ID, ctx) }
 	}
 
 	var tables bytes.Buffer
-	err = report.Sweep(prof, &tables, opts, j.Spec.wanted(), func(key string, render func() error) error {
+	err = report.Sweep(prof, &tables, opts, wanted, func(key string, render func() error) error {
 		s.logf("job %s: == %s (profile %s)", j.ID, key, prof.Name)
 		return render()
 	})
@@ -464,8 +457,11 @@ func (s *Scheduler) write(r *jobRun, settle bool, update func(*Job)) (bool, erro
 		defer s.mu.Unlock()
 		delete(s.jobs, j.ID)
 	}
+	// Publish only what a transition changes: ID, Spec and TotalCells
+	// are fixed at admission, and the run reads them without r.mu.
 	r.mu.Lock()
-	*r.job = j
+	r.job.State, r.job.Error, r.job.Artifact = j.State, j.Error, j.Artifact
+	r.job.CellsDone, r.job.FinishedUnix = j.CellsDone, j.FinishedUnix
 	r.mu.Unlock()
 	return true, err
 }

@@ -467,7 +467,9 @@ func TestServeSubmitValidation(t *testing.T) {
 		{Profile: "no-such-profile"},
 		{Profile: "tiny", Artifacts: []string{"fig99"}},
 		{Profile: "tiny", Modes: "bogus"},
+		{Profile: "tiny", Artifacts: []string{" ", ""}},
 		{Profile: "tiny", ChaosRate: 1.5},
+		{Profile: "tiny", ChaosRate: -0.1},
 		{Profile: "tiny", DeadlineSeconds: -1},
 	} {
 		if _, err := sched.Submit(spec); err == nil {
