@@ -167,7 +167,10 @@ type Result struct {
 	BaseCycles float64
 }
 
-// Run measures one workload under all three schemes.
+// Run measures one workload under all three schemes. The trace is
+// open-loop: seeded from spec.Seed, it never reads simulator state. So
+// one generator drives the three schemes' hierarchies in lockstep, and
+// each access is generated once and priced three times.
 func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	res := Result{
@@ -176,122 +179,150 @@ func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 		L2MissRate: map[Scheme]float64{},
 		WalkCycles: map[Scheme]uint64{},
 	}
-	if spec.Footprint == 0 || spec.Accesses == 0 {
-		return res, fmt.Errorf("cpu: workload %q has empty footprint or trace", spec.Name)
-	}
-
-	// Build the process: cDVM identity maps every segment (§7.2).
-	sys, err := osmodel.NewSystem(nextPow2(spec.Footprint * 2))
+	tables, heapBase, err := buildTables(spec)
 	if err != nil {
 		return res, err
 	}
-	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, IdentityMapAll: true, Seed: spec.Seed})
-	if _, err := proc.LoadProgram(osmodel.Program{CodeBytes: 2 << 20, DataBytes: 1 << 20, BSSBytes: 1 << 20}); err != nil {
-		return res, err
+	var hs [len(tables)]hierarchy
+	for s := range hs {
+		hs[s] = newHierarchy(cfg, Scheme(s), tables[s])
 	}
-	heap, _, err := proc.Mmap(spec.Footprint, addr.ReadWrite)
-	if err != nil {
-		return res, err
-	}
-
-	std, err := proc.BuildCanonicalTable(false)
-	if err != nil {
-		return res, err
-	}
-	thp, err := proc.BuildHugeTable(addr.PageSize2M)
-	if err != nil {
-		return res, err
-	}
-	pe, err := proc.BuildCanonicalTable(true)
-	if err != nil {
-		return res, err
-	}
-
-	res.BaseCycles = float64(spec.Accesses) * spec.CyclesPerAccess
-	for _, scheme := range []Scheme{Scheme4K, SchemeTHP, SchemeCDVM} {
-		var table *pagetable.Table
-		pageSize := addr.PageSize4K
-		switch scheme {
-		case Scheme4K:
-			table = std
-		case SchemeTHP:
-			table = thp
-			pageSize = addr.PageSize2M
-		case SchemeCDVM:
-			table = pe
-		}
-		walk, missRate := simulate(spec, cfg, table, pageSize, scheme, heap.Start)
-		res.WalkCycles[scheme] = walk
-		res.L2MissRate[scheme] = missRate
-		res.Overhead[scheme] = float64(walk) / res.BaseCycles
-	}
-	return res, nil
-}
-
-// simulate drives the trace through the TLB hierarchy + walker and returns
-// total walk stall cycles and the L2 miss rate.
-func simulate(spec WorkloadSpec, cfg Config, table *pagetable.Table, pageSize uint64, scheme Scheme, heapBase addr.VA) (uint64, float64) {
-	l1 := mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L1TLBEntries, Ways: cfg.L1TLBWays, PageSize: pageSize})
-	l2 := mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L2TLBEntries, Ways: cfg.L2TLBWays, PageSize: pageSize})
-	var walker *mmu.PTECache
-	if scheme == SchemeCDVM {
-		walker = mmu.MustNewPTECache(mmu.DefaultAVCConfig())
-	} else {
-		walker = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
-	}
-
 	gen := newTraceGen(spec)
 	gen.bind(heapBase)
 	storeFrac := spec.StoreFrac
 	if storeFrac == 0 {
 		storeFrac = 0.3
 	}
-	var walkCycles uint64
 	var walkRes pagetable.WalkResult
 	for i := 0; i < spec.Accesses; i++ {
 		va := gen.next()
 		isStore := gen.rng.Float64() < storeFrac
-		if _, _, hit := l1.Lookup(va); hit {
-			continue
+		for s := range hs {
+			hs[s].access(va, isStore, &walkRes)
 		}
-		if pa, perm, hit := l2.Lookup(va); hit {
-			// An STLB hit is not a page walk; the hardware counter
-			// the paper reads (walk duration) excludes it, so the
-			// analytical model does too.
-			pageBase := addr.VA(addr.AlignDown(uint64(va), pageSize))
-			l1.Insert(pageBase, pa-addr.PA(uint64(va)-uint64(pageBase)), perm)
-			continue
-		}
-		// Hardware page walk. Under the §7.1 store optimization, a
-		// cDVM store's cacheline fetch overlaps DAV: its walk cycles
-		// vanish from the critical path (the walk still happens and
-		// still warms the AVC).
-		table.WalkInto(va, &walkRes)
-		var thisWalk uint64
-		for _, step := range walkRes.Steps {
-			if walker.Caches(step.Level) {
-				thisWalk += cfg.ProbeCycles
-				if walker.Lookup(step.EntryPA, step.Level) {
-					continue
-				}
-				thisWalk += cfg.MemRefCycles
-				walker.Insert(step.EntryPA, step.Level)
-			} else {
-				thisWalk += cfg.MemRefCycles
-			}
-		}
-		if !(scheme == SchemeCDVM && cfg.StoreOverlap && isStore) {
-			walkCycles += thisWalk
-		}
-		if walkRes.Outcome == pagetable.WalkFault {
-			continue
-		}
-		base := addr.VA(addr.AlignDown(uint64(va), pageSize))
-		paBase := walkRes.PA - addr.PA(uint64(va)-uint64(base))
-		l2.Insert(base, paBase, walkRes.Perm)
-		l1.Insert(base, paBase, walkRes.Perm)
 	}
-	return walkCycles, l2.MissRate()
+	res.BaseCycles = float64(spec.Accesses) * spec.CyclesPerAccess
+	for s, h := range hs {
+		res.WalkCycles[Scheme(s)] = h.walkCycles
+		res.L2MissRate[Scheme(s)] = h.l2.MissRate()
+		res.Overhead[Scheme(s)] = float64(h.walkCycles) / res.BaseCycles
+	}
+	return res, nil
+}
+
+// buildTables builds the workload's process and its page table under
+// each scheme, indexed by Scheme, and returns the heap the trace
+// addresses.
+func buildTables(spec WorkloadSpec) (tables [3]*pagetable.Table, heapBase addr.VA, err error) {
+	if spec.Footprint == 0 || spec.Accesses == 0 {
+		return tables, 0, fmt.Errorf("cpu: workload %q has empty footprint or trace", spec.Name)
+	}
+	// Build the process: cDVM identity maps every segment (§7.2).
+	sys, err := osmodel.NewSystem(nextPow2(spec.Footprint * 2))
+	if err != nil {
+		return tables, 0, err
+	}
+	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, IdentityMapAll: true, Seed: spec.Seed})
+	if _, err := proc.LoadProgram(osmodel.Program{CodeBytes: 2 << 20, DataBytes: 1 << 20, BSSBytes: 1 << 20}); err != nil {
+		return tables, 0, err
+	}
+	heap, _, err := proc.Mmap(spec.Footprint, addr.ReadWrite)
+	if err != nil {
+		return tables, 0, err
+	}
+	if tables[Scheme4K], err = proc.BuildCanonicalTable(false); err != nil {
+		return tables, 0, err
+	}
+	if tables[SchemeTHP], err = proc.BuildHugeTable(addr.PageSize2M); err != nil {
+		return tables, 0, err
+	}
+	if tables[SchemeCDVM], err = proc.BuildCanonicalTable(true); err != nil {
+		return tables, 0, err
+	}
+	return tables, heap.Start, nil
+}
+
+// pageSize is the page size a scheme's TLBs cache.
+func (s Scheme) pageSize() uint64 {
+	if s == SchemeTHP {
+		return addr.PageSize2M
+	}
+	return addr.PageSize4K
+}
+
+// hierarchy is one scheme's TLB hierarchy and hardware walker, with the
+// walk stall cycles it has charged so far.
+type hierarchy struct {
+	table      *pagetable.Table
+	pageSize   uint64
+	l1, l2     *mmu.TLB
+	walker     *mmu.PTECache
+	probe      uint64 // cycles per walker-cache probe
+	memRef     uint64 // cycles per walk reference that misses it
+	hideStores bool   // §7.1 store overlap (cDVM only)
+	walkCycles uint64
+}
+
+func newHierarchy(cfg Config, scheme Scheme, table *pagetable.Table) hierarchy {
+	h := hierarchy{
+		table:      table,
+		pageSize:   scheme.pageSize(),
+		probe:      cfg.ProbeCycles,
+		memRef:     cfg.MemRefCycles,
+		hideStores: scheme == SchemeCDVM && cfg.StoreOverlap,
+	}
+	h.l1 = mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L1TLBEntries, Ways: cfg.L1TLBWays, PageSize: h.pageSize})
+	h.l2 = mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L2TLBEntries, Ways: cfg.L2TLBWays, PageSize: h.pageSize})
+	if scheme == SchemeCDVM {
+		h.walker = mmu.MustNewPTECache(mmu.DefaultAVCConfig())
+	} else {
+		h.walker = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
+	}
+	return h
+}
+
+// access translates one trace access through the hierarchy, charging
+// any page walk's stall cycles.
+func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResult) {
+	if _, _, hit := h.l1.Lookup(va); hit {
+		return
+	}
+	if pa, perm, hit := h.l2.Lookup(va); hit {
+		// An STLB hit is not a page walk; the hardware counter the
+		// paper reads (walk duration) excludes it, so the analytical
+		// model does too.
+		pageBase := addr.VA(addr.AlignDown(uint64(va), h.pageSize))
+		h.l1.Insert(pageBase, pa-addr.PA(uint64(va)-uint64(pageBase)), perm)
+		return
+	}
+	// Hardware page walk. Under the §7.1 store optimization, a cDVM
+	// store's cacheline fetch overlaps DAV: its walk cycles vanish from
+	// the critical path (the walk still happens and still warms the
+	// AVC).
+	h.table.WalkInto(va, walkRes)
+	var thisWalk uint64
+	for _, step := range walkRes.Steps {
+		if h.walker.Caches(step.Level) {
+			thisWalk += h.probe
+			if h.walker.Lookup(step.EntryPA, step.Level) {
+				continue
+			}
+			thisWalk += h.memRef
+			h.walker.Insert(step.EntryPA, step.Level)
+		} else {
+			thisWalk += h.memRef
+		}
+	}
+	if !(h.hideStores && isStore) {
+		h.walkCycles += thisWalk
+	}
+	if walkRes.Outcome == pagetable.WalkFault {
+		return
+	}
+	base := addr.VA(addr.AlignDown(uint64(va), h.pageSize))
+	paBase := walkRes.PA - addr.PA(uint64(va)-uint64(base))
+	h.l2.Insert(base, paBase, walkRes.Perm)
+	h.l1.Insert(base, paBase, walkRes.Perm)
 }
 
 // traceGen produces the synthetic address stream.

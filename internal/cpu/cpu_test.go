@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/mmu"
+	"github.com/dvm-sim/dvm/internal/pagetable"
 )
 
 // fastSpec shrinks a workload for unit-test runtimes.
@@ -146,5 +148,100 @@ func TestStoreOverlapReducesCDVM(t *testing.T) {
 	if opt.Overhead[Scheme4K] != base.Overhead[Scheme4K] {
 		t.Errorf("store overlap changed 4K overhead: %.4f vs %.4f",
 			opt.Overhead[Scheme4K], base.Overhead[Scheme4K])
+	}
+}
+
+// simulatePerScheme is the per-scheme loop Run replaced, kept as the
+// reference TestRunLockstepMatchesPerScheme checks the lockstep run
+// against: one trace generator per scheme, each driving its own TLB
+// hierarchy and walker from the start of the trace.
+func simulatePerScheme(spec WorkloadSpec, cfg Config, table *pagetable.Table, pageSize uint64, scheme Scheme, heapBase addr.VA) (uint64, float64) {
+	l1 := mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L1TLBEntries, Ways: cfg.L1TLBWays, PageSize: pageSize})
+	l2 := mmu.MustNewTLB(mmu.TLBConfig{Entries: cfg.L2TLBEntries, Ways: cfg.L2TLBWays, PageSize: pageSize})
+	var walker *mmu.PTECache
+	if scheme == SchemeCDVM {
+		walker = mmu.MustNewPTECache(mmu.DefaultAVCConfig())
+	} else {
+		walker = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
+	}
+
+	gen := newTraceGen(spec)
+	gen.bind(heapBase)
+	storeFrac := spec.StoreFrac
+	if storeFrac == 0 {
+		storeFrac = 0.3
+	}
+	var walkCycles uint64
+	var walkRes pagetable.WalkResult
+	for i := 0; i < spec.Accesses; i++ {
+		va := gen.next()
+		isStore := gen.rng.Float64() < storeFrac
+		if _, _, hit := l1.Lookup(va); hit {
+			continue
+		}
+		if pa, perm, hit := l2.Lookup(va); hit {
+			pageBase := addr.VA(addr.AlignDown(uint64(va), pageSize))
+			l1.Insert(pageBase, pa-addr.PA(uint64(va)-uint64(pageBase)), perm)
+			continue
+		}
+		table.WalkInto(va, &walkRes)
+		var thisWalk uint64
+		for _, step := range walkRes.Steps {
+			if walker.Caches(step.Level) {
+				thisWalk += cfg.ProbeCycles
+				if walker.Lookup(step.EntryPA, step.Level) {
+					continue
+				}
+				thisWalk += cfg.MemRefCycles
+				walker.Insert(step.EntryPA, step.Level)
+			} else {
+				thisWalk += cfg.MemRefCycles
+			}
+		}
+		if !(scheme == SchemeCDVM && cfg.StoreOverlap && isStore) {
+			walkCycles += thisWalk
+		}
+		if walkRes.Outcome == pagetable.WalkFault {
+			continue
+		}
+		base := addr.VA(addr.AlignDown(uint64(va), pageSize))
+		paBase := walkRes.PA - addr.PA(uint64(va)-uint64(base))
+		l2.Insert(base, paBase, walkRes.Perm)
+		l1.Insert(base, paBase, walkRes.Perm)
+	}
+	return walkCycles, l2.MissRate()
+}
+
+// TestRunLockstepMatchesPerScheme checks that driving the three schemes
+// from one trace in lockstep gives exactly the per-scheme loop's walk
+// cycles, miss rates and overheads, for every Figure 10 workload, two
+// trace seeds and the store optimization on and off.
+func TestRunLockstepMatchesPerScheme(t *testing.T) {
+	for _, w := range Workloads {
+		for _, seed := range []int64{w.Seed, w.Seed + 1000} {
+			spec := w
+			spec.Seed = seed
+			spec.Accesses = 400_000
+			tables, heapBase, err := buildTables(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, overlap := range []bool{false, true} {
+				cfg := Config{StoreOverlap: overlap}
+				got, err := Run(spec, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg = cfg.withDefaults()
+				base := float64(spec.Accesses) * spec.CyclesPerAccess
+				for s := Scheme4K; s <= SchemeCDVM; s++ {
+					walk, miss := simulatePerScheme(spec, cfg, tables[s], s.pageSize(), s, heapBase)
+					if got.WalkCycles[s] != walk || got.L2MissRate[s] != miss || got.Overhead[s] != float64(walk)/base {
+						t.Errorf("%s seed %d overlap %v %s: lockstep walk %d miss %v overhead %v, per-scheme walk %d miss %v overhead %v",
+							w.Name, seed, overlap, s, got.WalkCycles[s], got.L2MissRate[s], got.Overhead[s], walk, miss, float64(walk)/base)
+					}
+				}
+			}
+		}
 	}
 }

@@ -128,6 +128,15 @@ type Status struct {
 	EtaSeconds float64 `json:"eta_seconds,omitempty"`
 }
 
+// newStatus builds a Status with its percentage.
+func newStatus(j Job, done int, eta float64) Status {
+	st := Status{Job: j, DoneCells: done, EtaSeconds: eta}
+	if j.TotalCells > 0 {
+		st.Percent = 100 * float64(done) / float64(j.TotalCells)
+	}
+	return st
+}
+
 // progressLine renders the status in the CLI's progress vocabulary.
 func (st Status) progressLine() string {
 	eta := "-"

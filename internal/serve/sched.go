@@ -141,7 +141,7 @@ func NewScheduler(store *Store, cfg Config) (*Scheduler, error) {
 		return nil, err
 	}
 	for _, d := range damaged {
-		s.logf("job dir %s is damaged (missing or corrupt job.json); skipping", d)
+		s.logf("job dir %s is damaged (not a job ID, or missing or corrupt job.json); skipping", d)
 	}
 	for _, j := range jobs {
 		if j.State.terminal() {
@@ -474,7 +474,7 @@ func (s *Scheduler) Cancel(id string) error {
 	r := s.jobs[id]
 	s.mu.Unlock()
 	if r == nil {
-		j, err := s.load(id)
+		j, err := s.store.Get(id)
 		if err != nil {
 			return err
 		}
@@ -520,49 +520,41 @@ func (s *Scheduler) Drain() []string {
 	return ids
 }
 
-// load reads a job's durable record.
-func (s *Scheduler) load(id string) (*Job, error) {
-	jobs, _, err := s.store.Scan()
-	if err != nil {
-		return nil, err
-	}
-	for _, j := range jobs {
-		if j.ID == id {
-			return j, nil
-		}
-	}
-	return nil, ErrNotFound
-}
-
-// Status reports one job: the durable record plus live progress.
+// Status reports one job: the durable record plus live progress. A run
+// leaves s.jobs only after its last record is on disk (write), so for a
+// job that is not live the record, one file read, is current.
 func (s *Scheduler) Status(id string) (Status, error) {
 	s.mu.Lock()
 	r := s.jobs[id]
 	s.mu.Unlock()
-	var st Status
 	if r != nil {
-		r.mu.Lock()
-		st.Job = *r.job
-		if r.ck != nil {
-			st.DoneCells = r.ck.Len()
-		}
-		r.mu.Unlock()
-		if ps, ok := r.board.Probe()(); ok {
-			st.EtaSeconds = ps.EtaSeconds
-		}
-	} else {
-		j, err := s.load(id)
-		if err != nil {
-			return st, err
-		}
-		st.Job = *j
-		st.DoneCells = j.CellsDone
+		return r.status(), nil
 	}
-	if st.TotalCells > 0 {
-		st.Percent = 100 * float64(st.DoneCells) / float64(st.TotalCells)
+	j, err := s.store.Get(id)
+	if err != nil {
+		return Status{}, err
 	}
-	return st, nil
+	return recordStatus(j), nil
 }
+
+// status reports a live run: its published record, the checkpoint's
+// durable cell count and the progress board's ETA.
+func (r *jobRun) status() Status {
+	r.mu.Lock()
+	j, done := *r.job, 0
+	if r.ck != nil {
+		done = r.ck.Len()
+	}
+	r.mu.Unlock()
+	var eta float64
+	if ps, ok := r.board.Probe()(); ok {
+		eta = ps.EtaSeconds
+	}
+	return newStatus(j, done, eta)
+}
+
+// recordStatus reports a job that is not live from its durable record.
+func recordStatus(j *Job) Status { return newStatus(*j, j.CellsDone, 0) }
 
 // Progress aggregates live jobs for the daemon's /progress endpoint:
 // durable cells done and totals summed across every non-terminal job,
@@ -602,19 +594,29 @@ func (s *Scheduler) Progress() (obs.ProgressState, bool) {
 }
 
 // List reports every job in the store (durable records; live jobs get
-// their current cell counts).
+// their current cell counts). It reads the store once. The live runs
+// are snapshotted before the scan: a run that settles after the
+// snapshot still reports its final published state, and one that
+// settled before it has its final record on disk by the time the scan
+// reads it.
 func (s *Scheduler) List() ([]Status, error) {
+	s.mu.Lock()
+	live := make(map[string]*jobRun, len(s.jobs))
+	for id, r := range s.jobs {
+		live[id] = r
+	}
+	s.mu.Unlock()
 	jobs, _, err := s.store.Scan()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Status, 0, len(jobs))
 	for _, j := range jobs {
-		st, err := s.Status(j.ID)
-		if err != nil {
-			continue
+		if r := live[j.ID]; r != nil {
+			out = append(out, r.status())
+		} else {
+			out = append(out, recordStatus(j))
 		}
-		out = append(out, st)
 	}
 	return out, nil
 }

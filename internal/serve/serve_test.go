@@ -519,6 +519,21 @@ func TestServeHTTPAPI(t *testing.T) {
 	if resp, _ := get("/jobs/j9999"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 	}
+	// Path segments outside the job-ID grammar never reach the store.
+	for _, id := range []string{"..%2F..", "j+1", "x"} {
+		if resp, b := get("/jobs/" + id); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /jobs/%s: %d %s, want 404", id, resp.StatusCode, b)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("DELETE /jobs/%s: %d, want 404", id, resp.StatusCode)
+		}
+	}
 
 	resp := post(`{"profile":"tiny","artifacts":["fig2"],"client":"curl"}`)
 	if resp.StatusCode != http.StatusAccepted {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -67,10 +66,18 @@ func (s *Store) NextID() string {
 	return fmt.Sprintf("j%04d", s.seq)
 }
 
-// idSeq parses the numeric suffix of a job ID.
+// idSeq parses a job ID: "j" followed by one or more ASCII digits,
+// nothing else (no sign, no separator). It is the only gate between an
+// HTTP path segment and a file path, so everything else is rejected
+// before the disk is touched.
 func idSeq(id string) (int, bool) {
-	if !strings.HasPrefix(id, "j") {
+	if len(id) < 2 || id[0] != 'j' {
 		return 0, false
+	}
+	for i := 1; i < len(id); i++ {
+		if id[i] < '0' || id[i] > '9' {
+			return 0, false
+		}
 	}
 	n, err := strconv.Atoi(id[1:])
 	return n, err == nil
@@ -144,10 +151,31 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
+// Get reads one job's durable record, <id>/job.json, and nothing else.
+// It applies Scan's checks: an ID outside the job-ID grammar, a missing
+// or unreadable file, bad JSON or a record naming another ID are all
+// ErrNotFound — exactly the directories Scan reports as damaged.
+func (s *Store) Get(id string) (*Job, error) {
+	if _, ok := idSeq(id); !ok {
+		return nil, ErrNotFound
+	}
+	b, err := os.ReadFile(filepath.Join(s.dir, id, "job.json"))
+	if err != nil {
+		return nil, ErrNotFound
+	}
+	var j Job
+	if err := json.Unmarshal(b, &j); err != nil || j.ID != id {
+		return nil, ErrNotFound
+	}
+	return &j, nil
+}
+
 // Scan loads every job record in the store, sorted by ID. Directories
-// whose job.json is missing or unreadable (a crash before the very
-// first Put, or operator damage) are reported in damaged rather than
-// silently dropped; leftover *.tmp files are ignored.
+// that Get would not answer for — a name outside the job-ID grammar, or
+// a job.json that is missing or unreadable (a crash before the very
+// first Put, or operator damage) — are reported in damaged rather than
+// silently dropped; leftover *.tmp files are ignored. Scan reads the
+// whole store, so it runs only at startup and once per List.
 func (s *Store) Scan() (jobs []*Job, damaged []string, err error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -157,17 +185,12 @@ func (s *Store) Scan() (jobs []*Job, damaged []string, err error) {
 		if !e.IsDir() {
 			continue
 		}
-		b, rerr := os.ReadFile(filepath.Join(s.dir, e.Name(), "job.json"))
-		if rerr != nil {
+		j, gerr := s.Get(e.Name())
+		if gerr != nil {
 			damaged = append(damaged, e.Name())
 			continue
 		}
-		var j Job
-		if jerr := json.Unmarshal(b, &j); jerr != nil || j.ID != e.Name() {
-			damaged = append(damaged, e.Name())
-			continue
-		}
-		jobs = append(jobs, &j)
+		jobs = append(jobs, j)
 	}
 	sort.Slice(jobs, func(i, k int) bool { return jobs[i].ID < jobs[k].ID })
 	return jobs, damaged, nil
