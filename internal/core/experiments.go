@@ -168,11 +168,7 @@ func Table1(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	stdStats := std.SizeStats()
 	row.StdBytes = stdStats.Bytes
 	row.L1Fraction = stdStats.L1Fraction
-	pe, err := proc.BuildCanonicalTable(true)
-	if err != nil {
-		return row, err
-	}
-	row.PEBytes = pe.SizeStats().Bytes
+	row.PEBytes = std.Compacted().SizeStats().Bytes
 	return row, nil
 }
 

@@ -69,6 +69,31 @@ var Workloads = []WorkloadSpec{
 	{Name: "xsbench", Source: "XSBench", Footprint: 5600 << 20, RandFrac: 0.026, HotFrac: 0.05, HotBytes: 1 << 20, Accesses: 2_000_000, CyclesPerAccess: 4.0, Seed: 105},
 }
 
+// validate rejects specs the trace generator cannot draw from: an empty
+// footprint or trace, a fraction outside [0,1], an empty or oversized
+// hot set while hot draws are possible, and a sequential stride wider
+// than the footprint.
+func (s WorkloadSpec) validate() error {
+	if s.Footprint == 0 || s.Accesses <= 0 {
+		return fmt.Errorf("cpu: workload %q has empty footprint or trace", s.Name)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"RandFrac", s.RandFrac}, {"HotFrac", s.HotFrac}, {"StoreFrac", s.StoreFrac}} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("cpu: workload %q: %s %v outside [0,1]", s.Name, f.name, f.v)
+		}
+	}
+	if s.RandFrac > 0 && s.HotFrac > 0 && (s.HotBytes == 0 || s.HotBytes > s.Footprint) {
+		return fmt.Errorf("cpu: workload %q: HotBytes %d must be in (0, Footprint %d] when hot draws are possible", s.Name, s.HotBytes, s.Footprint)
+	}
+	if s.SeqStride > s.Footprint {
+		return fmt.Errorf("cpu: workload %q: SeqStride %d exceeds Footprint %d", s.Name, s.SeqStride, s.Footprint)
+	}
+	return nil
+}
+
 // WorkloadByName finds a spec.
 func WorkloadByName(name string) (WorkloadSpec, error) {
 	for _, w := range Workloads {
@@ -179,27 +204,28 @@ func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 		L2MissRate: map[Scheme]float64{},
 		WalkCycles: map[Scheme]uint64{},
 	}
+	if err := spec.validate(); err != nil {
+		return res, err
+	}
 	tables, heapBase, err := buildTables(spec)
 	if err != nil {
 		return res, err
 	}
-	var hs [len(tables)]hierarchy
+	hs := make([]hierarchy, len(tables))
 	for s := range hs {
 		hs[s] = newHierarchy(cfg, Scheme(s), tables[s])
 	}
+	ls := lockstep{hs: hs}
 	gen := newTraceGen(spec)
 	gen.bind(heapBase)
 	storeFrac := spec.StoreFrac
 	if storeFrac == 0 {
 		storeFrac = 0.3
 	}
-	var walkRes pagetable.WalkResult
 	for i := 0; i < spec.Accesses; i++ {
 		va := gen.next()
 		isStore := gen.rng.Float64() < storeFrac
-		for s := range hs {
-			hs[s].access(va, isStore, &walkRes)
-		}
+		ls.access(va, isStore)
 	}
 	res.BaseCycles = float64(spec.Accesses) * spec.CyclesPerAccess
 	for s, h := range hs {
@@ -212,11 +238,9 @@ func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 
 // buildTables builds the workload's process and its page table under
 // each scheme, indexed by Scheme, and returns the heap the trace
-// addresses.
+// addresses. The cDVM table is the 4K table compacted into PEs, derived
+// from the 4K build rather than built a second time.
 func buildTables(spec WorkloadSpec) (tables [3]*pagetable.Table, heapBase addr.VA, err error) {
-	if spec.Footprint == 0 || spec.Accesses == 0 {
-		return tables, 0, fmt.Errorf("cpu: workload %q has empty footprint or trace", spec.Name)
-	}
 	// Build the process: cDVM identity maps every segment (§7.2).
 	sys, err := osmodel.NewSystem(nextPow2(spec.Footprint * 2))
 	if err != nil {
@@ -236,9 +260,7 @@ func buildTables(spec WorkloadSpec) (tables [3]*pagetable.Table, heapBase addr.V
 	if tables[SchemeTHP], err = proc.BuildHugeTable(addr.PageSize2M); err != nil {
 		return tables, 0, err
 	}
-	if tables[SchemeCDVM], err = proc.BuildCanonicalTable(true); err != nil {
-		return tables, 0, err
-	}
+	tables[SchemeCDVM] = tables[Scheme4K].Compacted()
 	return tables, heap.Start, nil
 }
 
@@ -281,11 +303,38 @@ func newHierarchy(cfg Config, scheme Scheme, table *pagetable.Table) hierarchy {
 	return h
 }
 
-// access translates one trace access through the hierarchy, charging
-// any page walk's stall cycles.
-func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResult) {
-	if _, _, hit := h.l1.Lookup(va); hit {
+// lockstep prices one trace through several hierarchies at once. An
+// access to the 4 KB page of the previous access, which left that page
+// resident in every L1, is an L1 hit on each L1's most recently used
+// entry. Its probe would only restamp an entry already holding its
+// set's newest LRU stamp, so skipping it changes no victim, no L2 state
+// and no walk.
+type lockstep struct {
+	hs       []hierarchy
+	walkRes  pagetable.WalkResult
+	page     uint64 // 4 KB page number of the previous access
+	resident bool   // the previous access left the page in every L1
+}
+
+func (l *lockstep) access(va addr.VA, isStore bool) {
+	page := va.PageNumber()
+	if l.resident && page == l.page {
 		return
+	}
+	l.page, l.resident = page, true
+	for i := range l.hs {
+		if !l.hs[i].access(va, isStore, &l.walkRes) {
+			l.resident = false
+		}
+	}
+}
+
+// access translates one trace access through the hierarchy, charging
+// any page walk's stall cycles. It reports whether va's page is
+// resident in the L1 afterwards, which fails only on a faulting walk.
+func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResult) (resident bool) {
+	if _, _, hit := h.l1.Lookup(va); hit {
+		return true
 	}
 	if pa, perm, hit := h.l2.Lookup(va); hit {
 		// An STLB hit is not a page walk; the hardware counter the
@@ -293,7 +342,7 @@ func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResu
 		// model does too.
 		pageBase := addr.VA(addr.AlignDown(uint64(va), h.pageSize))
 		h.l1.Insert(pageBase, pa-addr.PA(uint64(va)-uint64(pageBase)), perm)
-		return
+		return true
 	}
 	// Hardware page walk. Under the §7.1 store optimization, a cDVM
 	// store's cacheline fetch overlaps DAV: its walk cycles vanish from
@@ -317,12 +366,13 @@ func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResu
 		h.walkCycles += thisWalk
 	}
 	if walkRes.Outcome == pagetable.WalkFault {
-		return
+		return false
 	}
 	base := addr.VA(addr.AlignDown(uint64(va), h.pageSize))
 	paBase := walkRes.PA - addr.PA(uint64(va)-uint64(base))
 	h.l2.Insert(base, paBase, walkRes.Perm)
 	h.l1.Insert(base, paBase, walkRes.Perm)
+	return true
 }
 
 // traceGen produces the synthetic address stream.

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/addr"
@@ -243,5 +245,99 @@ func TestRunLockstepMatchesPerScheme(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestWorkloadSpecValidation(t *testing.T) {
+	ok := WorkloadSpec{Name: "ok", Footprint: 1 << 20, RandFrac: 0.5, HotFrac: 0.5, HotBytes: 64 << 10, Accesses: 1000, CyclesPerAccess: 4, Seed: 1}
+	for _, tc := range []struct {
+		want string // the error names the field
+		edit func(*WorkloadSpec)
+	}{
+		{"footprint", func(s *WorkloadSpec) { s.Footprint = 0 }},
+		{"trace", func(s *WorkloadSpec) { s.Accesses = 0 }},
+		{"RandFrac", func(s *WorkloadSpec) { s.RandFrac = 1.5 }},
+		{"RandFrac", func(s *WorkloadSpec) { s.RandFrac = math.NaN() }},
+		{"HotFrac", func(s *WorkloadSpec) { s.HotFrac = -0.1 }},
+		{"StoreFrac", func(s *WorkloadSpec) { s.StoreFrac = 2 }},
+		{"HotBytes", func(s *WorkloadSpec) { s.HotBytes = 0 }}, // would divide by zero in traceGen.next
+		{"HotBytes", func(s *WorkloadSpec) { s.HotBytes = s.Footprint + 1 }},
+		{"SeqStride", func(s *WorkloadSpec) { s.SeqStride = s.Footprint + 1 }},
+	} {
+		spec := ok
+		tc.edit(&spec)
+		if _, err := Run(spec, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run(%+v) error %v, want one naming %s", spec, err, tc.want)
+		}
+	}
+	// No hot draws are possible without random draws or a hot fraction,
+	// so HotBytes is then free.
+	for _, spec := range []WorkloadSpec{
+		{Name: "seq", Footprint: 1 << 20, HotFrac: 0.5, Accesses: 1, CyclesPerAccess: 4},
+		{Name: "cold", Footprint: 1 << 20, RandFrac: 0.5, Accesses: 1, CyclesPerAccess: 4},
+	} {
+		if err := spec.validate(); err != nil {
+			t.Errorf("%s: %v", spec.Name, err)
+		}
+	}
+	if err := ok.validate(); err != nil {
+		t.Errorf("base spec: %v", err)
+	}
+	for _, w := range Workloads {
+		if err := w.validate(); err != nil {
+			t.Errorf("%s: %v", w.Name, err)
+		}
+	}
+}
+
+// TestRepeatedPageSkipPricesFaults checks the lockstep's repeated-page
+// skip on its fault path: a faulting walk leaves the page out of the
+// L1, so the next access to that page must be walked and charged again
+// rather than skipped as an L1 hit.
+func TestRepeatedPageSkipPricesFaults(t *testing.T) {
+	const base = addr.VA(1 << 30)
+	tbl := pagetable.MustNew(pagetable.Config{})
+	for _, r := range []addr.VRange{{Start: base, Size: 8 << 12}, {Start: base + 16<<12, Size: 8 << 12}} {
+		if err := tbl.MapRange(r, addr.PA(r.Start), addr.ReadWrite, addr.PageSize4K); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hole, mapped := base+12<<12+0x40, base+2<<12
+	cfg := Config{}.withDefaults()
+
+	var walkRes pagetable.WalkResult
+	h := newHierarchy(cfg, Scheme4K, tbl)
+	if !h.access(mapped, false, &walkRes) {
+		t.Fatal("mapped page not resident after its walk")
+	}
+	if h.access(hole, false, &walkRes) {
+		t.Fatal("hole reported resident after a faulting walk")
+	}
+	first := h.walkCycles
+	if h.access(hole+8, false, &walkRes) {
+		t.Fatal("hole reported resident after a second faulting walk")
+	}
+	if h.walkCycles == first {
+		t.Fatal("second walk of the hole charged nothing")
+	}
+
+	// The same accesses driven as Run drives them, through lockstep,
+	// must charge exactly what unskipped access calls charge.
+	ls := lockstep{hs: []hierarchy{newHierarchy(cfg, Scheme4K, tbl)}}
+	for _, va := range []addr.VA{mapped, hole, hole + 8} {
+		ls.access(va, false)
+	}
+	if got := ls.hs[0].walkCycles; got != h.walkCycles {
+		t.Errorf("lockstep charged %d walk cycles, unskipped accesses %d", got, h.walkCycles)
+	}
+	if ls.resident {
+		t.Error("lockstep marks a faulting page resident")
+	}
+	// A repeat of a resident page is skipped: no lookup reaches the L1.
+	ls.access(mapped, false)
+	lookups := ls.hs[0].l1.Lookups()
+	ls.access(mapped+64, true)
+	if got := ls.hs[0].l1.Lookups(); got != lookups {
+		t.Errorf("repeat of a resident page probed the L1 (%d -> %d lookups)", lookups, got)
 	}
 }

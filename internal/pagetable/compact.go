@@ -30,13 +30,34 @@ type entrySummary struct {
 // sixteen 64 MB sub-regions, and so on.
 func (t *Table) Compact() int {
 	created := 0
-	t.compactNode(t.root, 0, &created)
+	t.compactNode(t.root, 0, false, &created)
 	return created
 }
 
-// compactNode post-order compacts the subtrees under n, whose base virtual
-// address is base.
-func (t *Table) compactNode(n *Node, base addr.VA, created *int) {
+// Compacted returns the table Compact would leave, built on a copy: t is
+// not modified and shares no node or PEPerms slice with the result.
+// Every surviving node keeps its simulated PA and the copy continues
+// t's node allocator, so walks of the copy touch exactly the entry
+// addresses walks of t.Compact() would — the physically indexed PWC and
+// AVC see the same lines. Leaf nodes that fold into PEs are never
+// copied, which is what makes this cheaper than building the table a
+// second time and compacting it.
+func (t *Table) Compacted() *Table {
+	c := &Table{cfg: t.cfg, nextPA: t.nextPA}
+	created := 0
+	c.root = t.compactNode(t.root, 0, true, &created)
+	return c
+}
+
+// compactNode post-order compacts the subtrees under n, whose base
+// virtual address is base, and returns the node that now holds them: n
+// itself in place, or with clone a copy of n, leaving n untouched. A
+// level-1 child has nothing beneath it to fold, so it is summarized
+// where it is and, with clone, copied only if it survives.
+func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *Node {
+	if clone {
+		n = cloneNode(n)
+	}
 	span := entrySpan(n.Level)
 	for i := 0; i < EntriesPerNode; i++ {
 		e := &n.Entries[i]
@@ -44,22 +65,40 @@ func (t *Table) compactNode(n *Node, base addr.VA, created *int) {
 			continue
 		}
 		eBase := base + addr.VA(uint64(i)*span)
-		t.compactNode(e.Next, eBase, created)
-		s := t.nodeSummaryAt(e.Next, eBase)
+		child := e.Next
+		if child.Level > 1 {
+			child = t.compactNode(child, eBase, clone, created)
+		}
+		s := t.nodeSummaryAt(child, eBase)
 		if s.empty {
 			*e = Entry{}
 			continue
 		}
-		if !s.identity || n.Level < 2 {
-			continue
+		if s.identity && n.Level >= 2 {
+			if perms, ok := t.groupPerms(child, eBase); ok {
+				*e = Entry{Kind: EntryPE, PEPerms: perms}
+				*created++
+				continue
+			}
 		}
-		perms, ok := t.groupPerms(e.Next, eBase)
-		if !ok {
-			continue
+		if clone && child.Level == 1 {
+			child = cloneNode(child)
 		}
-		*e = Entry{Kind: EntryPE, PEPerms: perms}
-		*created++
+		e.Next = child
 	}
+	return n
+}
+
+// cloneNode returns a copy of n with its own PEPerms slices. Table
+// links still point at n's children; compactNode relinks them.
+func cloneNode(n *Node) *Node {
+	c := *n
+	for i := range c.Entries {
+		if e := &c.Entries[i]; e.PEPerms != nil {
+			e.PEPerms = append([]addr.Perm(nil), e.PEPerms...)
+		}
+	}
+	return &c
 }
 
 // summarize produces the summary for a single entry at the given level.

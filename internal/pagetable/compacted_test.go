@@ -1,0 +1,213 @@
+package pagetable
+
+import (
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"github.com/dvm-sim/dvm/internal/addr"
+)
+
+// refCompact is a plain in-place post-order compaction, descending into
+// every child: the reference TestCompactedMatchesInPlace checks Compact
+// and Compacted against.
+func (t *Table) refCompact() int {
+	created := 0
+	t.refCompactNode(t.root, 0, &created)
+	return created
+}
+
+func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
+	span := entrySpan(n.Level)
+	for i := 0; i < EntriesPerNode; i++ {
+		e := &n.Entries[i]
+		if e.Kind != EntryTable {
+			continue
+		}
+		eBase := base + addr.VA(uint64(i)*span)
+		t.refCompactNode(e.Next, eBase, created)
+		s := t.nodeSummaryAt(e.Next, eBase)
+		if s.empty {
+			*e = Entry{}
+			continue
+		}
+		if !s.identity || n.Level < 2 {
+			continue
+		}
+		perms, ok := t.groupPerms(e.Next, eBase)
+		if !ok {
+			continue
+		}
+		*e = Entry{Kind: EntryPE, PEPerms: perms}
+		*created++
+	}
+}
+
+// deepClone copies every node of t, keeping node PAs and the allocator.
+func (t *Table) deepClone() *Table {
+	var cp func(n *Node) *Node
+	cp = func(n *Node) *Node {
+		c := *n
+		for i := range c.Entries {
+			e := &c.Entries[i]
+			if e.PEPerms != nil {
+				e.PEPerms = append([]addr.Perm(nil), e.PEPerms...)
+			}
+			if e.Kind == EntryTable {
+				e.Next = cp(e.Next)
+			}
+		}
+		return &c
+	}
+	return &Table{cfg: t.cfg, root: cp(t.root), nextPA: t.nextPA}
+}
+
+// tableView is everything about a table the Compacted checks compare.
+type tableView struct {
+	stats  SizeStats
+	pages  uint64 // FNV-1a digest of ForEachPage's (va, pa, perm) stream
+	npages int
+	nextPA uint64
+	walks  []WalkResult
+}
+
+func viewOf(tbl *Table, probes []addr.VA) tableView {
+	v := tableView{stats: tbl.SizeStats(), nextPA: tbl.nextPA}
+	h := fnv.New64a()
+	var buf [17]byte
+	tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+		v.npages++
+		for i := 0; i < 8; i++ {
+			buf[i] = byte(uint64(va) >> (8 * i))
+			buf[8+i] = byte(uint64(pa) >> (8 * i))
+		}
+		buf[16] = byte(perm)
+		h.Write(buf[:])
+	})
+	v.pages = h.Sum64()
+	for _, va := range probes {
+		v.walks = append(v.walks, tbl.Walk(va))
+	}
+	return v
+}
+
+// diffViews reports the first difference between two views.
+func diffViews(t testing.TB, what string, got, want tableView, probes []addr.VA) {
+	t.Helper()
+	if got.stats != want.stats {
+		t.Errorf("%s: SizeStats %+v, want %+v", what, got.stats, want.stats)
+	}
+	if got.pages != want.pages || got.npages != want.npages {
+		t.Errorf("%s: ForEachPage %d pages (digest %#x), want %d (%#x)", what, got.npages, got.pages, want.npages, want.pages)
+	}
+	if got.nextPA != want.nextPA {
+		t.Errorf("%s: nextPA %#x, want %#x", what, got.nextPA, want.nextPA)
+	}
+	for i, va := range probes {
+		g, w := got.walks[i], want.walks[i]
+		same := g.Outcome == w.Outcome && g.Fault == w.Fault && g.PA == w.PA && g.Perm == w.Perm &&
+			g.Identity == w.Identity && g.MapBase == w.MapBase && g.MapSize == w.MapSize && len(g.Steps) == len(w.Steps)
+		for j := 0; same && j < len(g.Steps); j++ {
+			same = g.Steps[j] == w.Steps[j]
+		}
+		if !same {
+			t.Errorf("%s: walk %#x = %+v, want %+v", what, uint64(va), g, w)
+			return
+		}
+	}
+}
+
+// checkCompacted checks src.Compacted() against cloning src and running
+// the reference compaction on the clone, checks that in-place Compact on
+// another clone agrees, and that neither src nor its walks change — not
+// even when the derived copy is then protected and unmapped.
+func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
+	t.Helper()
+	before := viewOf(src, probes)
+	ref := src.deepClone()
+	refN := ref.refCompact()
+	want := viewOf(ref, probes)
+
+	inPlace := src.deepClone()
+	if n := inPlace.Compact(); n != refN {
+		t.Errorf("Compact created %d PEs, reference %d", n, refN)
+	}
+	diffViews(t, "in-place Compact", viewOf(inPlace, probes), want, probes)
+
+	got := src.Compacted()
+	diffViews(t, "Compacted", viewOf(got, probes), want, probes)
+	diffViews(t, "source after Compacted", viewOf(src, probes), before, probes)
+
+	// Mutate the copy through every kind of entry it holds: whole PE
+	// fields and huge leaves are updated in place, partial ones expand,
+	// 4 KB leaves change in their (copied) leaf nodes.
+	for i, va := range probes {
+		switch i % 3 {
+		case 0:
+			if err := got.Protect(addr.VRange{Start: addr.VA(addr.AlignDown(uint64(va), 1<<17)), Size: 1 << 17}, addr.ReadExecute); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			if err := got.Protect(addr.VRange{Start: va.PageDown(), Size: addr.PageSize4K}, addr.ReadExecute); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := got.Unmap(addr.VRange{Start: va.PageDown(), Size: addr.PageSize4K}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	diffViews(t, "source after mutating its Compacted copy", viewOf(src, probes), before, probes)
+}
+
+func TestCompactedMatchesInPlace(t *testing.T) {
+	t.Run("random", func(t *testing.T) {
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			tbl, ref := randomLayout(rng)
+			var probes []addr.VA
+			for va := range ref {
+				probes = append(probes, va)
+			}
+			slices.Sort(probes)
+			for i := range probes {
+				probes[i] += addr.VA(rng.Intn(4096))
+			}
+			for i := 0; i < 50; i++ {
+				probes = append(probes, addr.VA(uint64(rng.Intn(1<<16))<<12))
+			}
+			checkCompacted(t, tbl, probes)
+			// A source that already holds PEs: its PEPerms must be
+			// copied, not shared.
+			checkCompacted(t, tbl.Compacted(), probes)
+		}
+	})
+	t.Run("five-level", func(t *testing.T) {
+		tbl := MustNew(Config{Levels: 5})
+		hi := uint64(1) << 50
+		mapIdentityRegion(t, tbl, hi, 3*addr.PageSize2M, addr.ReadWrite)
+		mapIdentityRegion(t, tbl, hi+uint64(addr.PageSize1G), 1<<30, addr.ReadOnly)
+		mapIdentityRegion(t, tbl, 0x400000, 40*addr.PageSize4K, addr.ReadExecute)
+		if err := tbl.Map(addr.VA(hi+8*addr.PageSize2M), 0x7000_0000, addr.ReadWrite, addr.PageSize4K); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.SetPE(addr.VA(hi+1<<40), 3, make([]addr.Perm, DefaultPEFields)); err != nil {
+			t.Fatal(err)
+		}
+		var probes []addr.VA
+		for _, base := range []uint64{hi, hi + uint64(addr.PageSize1G), 0x400000, hi + 8*addr.PageSize2M, hi + 1<<40} {
+			for off := uint64(0); off < 4*addr.PageSize2M; off += 97 * addr.PageSize4K {
+				probes = append(probes, addr.VA(base+off))
+			}
+		}
+		checkCompacted(t, tbl, probes)
+	})
+}
+
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 48 {
+		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want 48", got)
+	}
+}

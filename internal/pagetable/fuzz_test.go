@@ -88,7 +88,7 @@ func FuzzWalkCorruption(f *testing.F) {
 		{0x1000, 1, uint64(EntryLeaf) | 5<<8 | 1<<12, 0x1000}, // bad leaf perm
 		{0x1000, 1, uint64(EntryLeaf) | 1<<8 | 1<<57, 0x1000}, // wild PFN
 		{0x6000_0000, 2, uint64(EntryPE) | 3<<3 | 0x2aa<<9, 0x6000_0000},
-		{0x4000_0000, 2, uint64(EntryLeaf) | 1<<8 | 0x4000_0000 >> 9, 0x4000_0000},
+		{0x4000_0000, 2, uint64(EntryLeaf) | 1<<8 | 0x4000_0000>>9, 0x4000_0000},
 		{0x2000, 1, uint64(EntryEmpty), 0x2000},
 		{0x4000_0000_0000 - 1<<30, 3, uint64(EntryPE) | 16<<3 | 0x1249<<9, 0x4000_0000_0000 - 1<<30},
 	}

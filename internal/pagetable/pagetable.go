@@ -74,19 +74,22 @@ func (k EntryKind) String() string {
 }
 
 // Entry is one slot of a page-table node. Architecturally it occupies
-// EntryBytes; the struct form is a simulation convenience.
+// EntryBytes; the struct form is a simulation convenience. The two
+// byte-sized fields sit together after the word-sized ones, so an Entry
+// is 48 bytes rather than 56 and every node ~14% smaller.
 type Entry struct {
-	Kind EntryKind
 	// Next is the child node for EntryTable entries.
 	Next *Node
 	// PFN is the physical page number, in units of the page size mapped
 	// at this level, for EntryLeaf entries.
 	PFN uint64
-	// Perm is the page permission for EntryLeaf entries.
-	Perm addr.Perm
 	// PEPerms holds the per-sub-region permissions for EntryPE entries;
 	// its length equals the table's PEFields setting.
 	PEPerms []addr.Perm
+	// Kind classifies the entry and selects which fields are valid.
+	Kind EntryKind
+	// Perm is the page permission for EntryLeaf entries.
+	Perm addr.Perm
 }
 
 // Node is one page-table page: 512 entries.

@@ -517,52 +517,56 @@ func TestForEachPage(t *testing.T) {
 	}
 }
 
+// refPage is one page of a flat reference mapping.
+type refPage struct {
+	pa   addr.PA
+	perm addr.Perm
+}
+
+// randomLayout maps random identity regions and scattered non-identity
+// pages into a fresh table, returning it with the flat reference map of
+// what it maps.
+func randomLayout(rng *rand.Rand) (*Table, map[addr.VA]refPage) {
+	tbl := MustNew(Config{})
+	ref := map[addr.VA]refPage{}
+	perms := []addr.Perm{addr.ReadOnly, addr.ReadWrite, addr.ReadExecute}
+	for i := 0; i < 20; i++ {
+		perm := perms[rng.Intn(len(perms))]
+		if rng.Intn(2) == 0 {
+			base := uint64(rng.Intn(64)) << 21 // 2M-aligned within 128 MB
+			npages := rng.Intn(80) + 1
+			for p := 0; p < npages; p++ {
+				va := addr.VA(base + uint64(p)*addr.PageSize4K)
+				if _, dup := ref[va]; dup {
+					continue
+				}
+				if err := tbl.Map(va, addr.PA(va), perm, addr.PageSize4K); err != nil {
+					continue
+				}
+				ref[va] = refPage{addr.PA(va), perm}
+			}
+		} else {
+			va := addr.VA(uint64(rng.Intn(1<<15)) << 12)
+			pa := addr.PA(uint64(rng.Intn(1<<15))<<12 + 1<<33)
+			if _, dup := ref[va]; dup {
+				continue
+			}
+			if err := tbl.Map(va, pa, perm, addr.PageSize4K); err != nil {
+				continue
+			}
+			ref[va] = refPage{pa, perm}
+		}
+	}
+	return tbl, ref
+}
+
 // TestWalkMatchesReference drives random mapping operations and checks the
 // walker against a flat reference map, before and after compaction — the
 // key functional-correctness property of the whole package.
 func TestWalkMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		tbl := MustNew(Config{})
-		ref := map[addr.VA]struct {
-			pa   addr.PA
-			perm addr.Perm
-		}{}
-		perms := []addr.Perm{addr.ReadOnly, addr.ReadWrite, addr.ReadExecute}
-		// Random identity regions + scattered non-identity pages.
-		for i := 0; i < 20; i++ {
-			perm := perms[rng.Intn(len(perms))]
-			if rng.Intn(2) == 0 {
-				base := uint64(rng.Intn(64)) << 21 // 2M-aligned within 128 MB
-				npages := rng.Intn(80) + 1
-				for p := 0; p < npages; p++ {
-					va := addr.VA(base + uint64(p)*addr.PageSize4K)
-					if _, dup := ref[va]; dup {
-						continue
-					}
-					if err := tbl.Map(va, addr.PA(va), perm, addr.PageSize4K); err != nil {
-						continue
-					}
-					ref[va] = struct {
-						pa   addr.PA
-						perm addr.Perm
-					}{addr.PA(va), perm}
-				}
-			} else {
-				va := addr.VA(uint64(rng.Intn(1<<15)) << 12)
-				pa := addr.PA(uint64(rng.Intn(1<<15))<<12 + 1<<33)
-				if _, dup := ref[va]; dup {
-					continue
-				}
-				if err := tbl.Map(va, pa, perm, addr.PageSize4K); err != nil {
-					continue
-				}
-				ref[va] = struct {
-					pa   addr.PA
-					perm addr.Perm
-				}{pa, perm}
-			}
-		}
+		tbl, ref := randomLayout(rng)
 		check := func() bool {
 			for va, want := range ref {
 				pa, perm, ok := tbl.Lookup(va + addr.VA(rng.Intn(4096)))
