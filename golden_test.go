@@ -17,19 +17,30 @@ import (
 //
 //	dvmrepro -profile tiny -j 1
 //
+// and the sweep's merged metrics snapshot, written through the same
+// WriteJSON export as dvmrepro -metrics, against
+// testdata/golden_tiny_metrics.json: every simulated counter and
+// histogram (MLP occupancy, walk memory references, memory latency) is
+// pinned too.
+//
 // This is the referee for every performance change: strength-reduced
-// arithmetic, the scheduler heap, shared page tables and the map-free
-// allocator must all leave the simulated behaviour — and therefore every
-// rendered digit — untouched, at every -j.
+// arithmetic, the scheduler's winner tree, shared page tables and the
+// map-free allocator must all leave the simulated behaviour — and
+// therefore every rendered digit and count — untouched, at every -j.
 //
 // Refresh (only when an intentional modeling change lands):
 //
 //	go run ./cmd/dvmrepro -profile tiny -j 1 -q > testdata/golden_tiny.txt
+//	go run ./cmd/dvmrepro -profile tiny -j 1 -q -metrics testdata/golden_tiny_metrics.json
 func TestGoldenTinyProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full tiny-profile regeneration; skipped with -short")
 	}
 	want, err := os.ReadFile("testdata/golden_tiny.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMetrics, err := os.ReadFile("testdata/golden_tiny_metrics.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +63,15 @@ func TestGoldenTinyProfile(t *testing.T) {
 		t.Fatalf("tiny-profile output diverged from testdata/golden_tiny.txt (got %d bytes, want %d); "+
 			"if a modeling change is intentional, refresh the golden file per the comment above",
 			out.Len(), len(want))
+	}
+	var metrics bytes.Buffer
+	if err := opts.Metrics.Snapshot().WriteJSON(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(metrics.Bytes(), wantMetrics) {
+		t.Fatalf("tiny-profile metrics diverged from testdata/golden_tiny_metrics.json (got %d bytes, want %d); "+
+			"if a modeling change is intentional, refresh the golden file per the comment above",
+			metrics.Len(), len(wantMetrics))
 	}
 }
 

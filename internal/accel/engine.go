@@ -70,12 +70,12 @@ type Engine struct {
 
 	// Scheduler and per-iteration scratch, pooled so the steady-state
 	// run loop allocates nothing: per-PE scheduler state and MLP rings,
-	// the ready-time heap, the phase stream slices, the apply streams'
-	// activation buffers, the next-frontier buffer (ping-ponged with
-	// frontier), and the cached all-vertices apply list.
+	// the ready-time winner tree, the phase stream slices, the apply
+	// streams' activation buffers, the next-frontier buffer (ping-ponged
+	// with frontier), and the cached all-vertices apply list.
 	pes        []peState
 	ringBuf    []uint64
-	heap       []uint64
+	tree       []uint64
 	streamBuf  []stream
 	scatterBuf []scatterStream
 	applyBuf   []applyStream
@@ -317,41 +317,28 @@ type peState struct {
 	pending access
 }
 
-// siftDown restores the min-heap property of h after its root's key
-// grew (or the root was replaced by the last key).
-func siftDown(h []uint64) {
-	n := len(h)
-	j := 0
-	for {
-		l := 2*j + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[m] >= h[j] {
-			return
-		}
-		h[j], h[m] = h[m], h[j]
-		j = m
-	}
-}
-
 // runStreams prices the PEs' access streams against the IOMMU and memory
 // system, merged in global time order so channel contention is causal. Each
 // PE issues at most one access per cycle and keeps at most MLP outstanding.
 //
 // The next PE to issue is the one with the earliest ready time
-// max(clock, oldest MLP slot), the lowest index winning ties. A min-heap
-// holds one packed key ready<<peBits | pe per PE with a pending access,
-// so a single integer compare gives that (ready, PE) order. A PE's ready
-// time changes only when it issues, so only the root's key ever moves,
-// and only upward. next() has side effects on shared engine state, so
-// its global call order is part of the modeled behaviour: the initial
-// fill polls PEs in index order and each subsequent poll refills only
-// the PE that just issued.
+// max(clock, oldest MLP slot), the lowest index winning ties. Each PE
+// with a pending access holds one packed key ready<<peBits | pe, so a
+// single integer compare gives that (ready, PE) order. The keys sit in
+// the leaves of a winner tree (a PE with nothing pending holds the
+// all-ones key, which no real key can equal since pe < 2^peBits-1) and
+// the root is the next issuer. A PE's ready time changes only when it
+// issues, so after each issue only that PE's leaf-to-root path is
+// replayed, one branch-free min per level. next() has side effects on
+// shared engine state, so its global call order is part of the modeled
+// behaviour: the initial fill polls PEs in index order and each
+// subsequent poll refills only the PE that just issued.
+//
+// Because a pushed key is exactly the one the PE will issue with, the
+// MLP occupancy of that issue (how many of the PE's slots are still
+// outstanding at its issue cycle) is counted and observed when the key
+// is computed, off the pop-to-issue path. Every PE starts with an idle
+// ring, so the initial fill observes 0 for each PE that has an access.
 func (e *Engine) runStreams(streams []stream) {
 	n := len(streams)
 	mlp := e.cfg.MLP
@@ -363,9 +350,17 @@ func (e *Engine) runStreams(streams []stream) {
 	pes := e.pes
 	peBits := uint(bits.Len(uint(n)))
 	peMask := uint64(1)<<peBits - 1
-	// Every PE starts ready at e.now, so keys appended in index order
-	// already form a valid heap.
-	h := e.heap[:0]
+	const idle = ^uint64(0)
+	// Leaves at t[m:m+n] (m is n rounded up to a power of two), internal
+	// node j holding min(t[2j], t[2j+1]), the root at t[1].
+	m := 1 << bits.Len(uint(n-1))
+	if cap(e.tree) < 2*m {
+		e.tree = make([]uint64, 2*m)
+	}
+	t := e.tree[:2*m]
+	for i := range t[m:] {
+		t[m+i] = idle
+	}
 	for i := range pes {
 		ring := e.ringBuf[i*mlp : (i+1)*mlp]
 		for j := range ring {
@@ -374,23 +369,18 @@ func (e *Engine) runStreams(streams []stream) {
 		pes[i] = peState{s: streams[i], clock: e.now, ring: ring}
 		if a, ok := pes[i].s.next(); ok {
 			pes[i].pending = a
-			h = append(h, e.now<<peBits|uint64(i))
+			t[m+i] = e.now<<peBits | uint64(i)
+			e.mlpHist.Observe(0)
 		}
 	}
+	for j := m - 1; j >= 1; j-- {
+		t[j] = min(t[2*j], t[2*j+1])
+	}
 	endTime := e.now
-	for len(h) > 0 {
-		pe := int(h[0] & peMask)
-		bestT := h[0] >> peBits
+	for t[1] != idle {
+		pe := int(t[1] & peMask)
+		bestT := t[1] >> peBits
 		p := &pes[pe]
-		// MLP ring occupancy at issue: how many of this PE's slots are
-		// still outstanding at the issue cycle. The key-range check
-		// below keeps every time under 2^63, so the sign bit of
-		// bestT-c is exactly c > bestT.
-		occ := uint64(0)
-		for _, c := range p.ring {
-			occ += (bestT - c) >> 63
-		}
-		e.mlpHist.Observe(occ)
 		completion := e.priceAccess(p.pending, bestT)
 		p.ring[p.ringIdx] = completion
 		p.ringIdx++
@@ -401,14 +391,28 @@ func (e *Engine) runStreams(streams []stream) {
 		if completion > endTime {
 			endTime = completion
 		}
+		key := idle
 		if a, ok := p.s.next(); ok {
 			p.pending = a
-			h[0] = max(p.clock, p.ring[p.ringIdx])<<peBits | uint64(pe)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+			ready := max(p.clock, p.ring[p.ringIdx])
+			// The key-range check below keeps every time under
+			// 2^63, so the sign bit of ready-c is exactly c > ready.
+			occ := uint64(0)
+			for _, c := range p.ring {
+				occ += (ready - c) >> 63
+			}
+			e.mlpHist.Observe(occ)
+			key = ready<<peBits | uint64(pe)
 		}
-		siftDown(h)
+		// Replay the path with the new key held in a register: each
+		// level reads only the sibling, so no load waits on the store
+		// below it.
+		j := m + pe
+		t[j] = key
+		for ; j > 1; j >>= 1 {
+			key = min(key, t[j^1])
+			t[j>>1] = key
+		}
 	}
 	// Accesses complete no earlier than they issue, so every ready time
 	// the phase packed is at most endTime+1 (an MLP slot, or one past an
@@ -417,7 +421,6 @@ func (e *Engine) runStreams(streams []stream) {
 		panic(fmt.Sprintf("accel: phase end time %d overflows the scheduler key (%d PEs leave %d bits for time)",
 			endTime, n, 64-peBits))
 	}
-	e.heap = h
 	e.now = endTime
 	// Drop stream references so pooled state never pins a finished
 	// phase's streams.

@@ -135,11 +135,11 @@ func refSchedule(e *Engine, lists [][]access, log *[]issue) {
 	e.now = endTime
 }
 
-// TestRunStreamsMatchesLinearScan runs the packed-key heap scheduler
-// and the linear-scan specification over the same random multi-phase
-// workloads (1-16 PEs, MLP 1-8) and requires identical issue sequences,
-// issue and completion cycles, phase end times and MLP occupancy
-// distributions.
+// TestRunStreamsMatchesLinearScan runs the packed-key winner-tree
+// scheduler and the linear-scan specification over the same random
+// multi-phase workloads (1-16 PEs, MLP 1-8) and requires identical
+// issue sequences, issue and completion cycles, phase end times and MLP
+// occupancy distributions.
 func TestRunStreamsMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 60; trial++ {
@@ -234,9 +234,9 @@ func BenchmarkRunStreams(b *testing.B) {
 }
 
 // BenchmarkSingleReadyDrain runs a whole PageRank on one PE, where the
-// scheduler heap holds a single key: it prices runStreams' issue loop
-// when there is no ordering work at all (BenchmarkRunStreams has eight
-// PEs contending).
+// scheduler's winner tree is a single leaf: it prices runStreams' issue
+// loop when there is no ordering work at all (BenchmarkRunStreams has
+// eight PEs contending).
 func BenchmarkSingleReadyDrain(b *testing.B) {
 	g, err := graph.GenerateRMAT(graph.DefaultRMAT(11, 3))
 	if err != nil {

@@ -181,12 +181,17 @@ func (t *Table) newNode(level int) *Node {
 // entrySpan returns the bytes of virtual address space mapped by one entry
 // at the given level: 4 KB at level 1, 2 MB at level 2, 1 GB at level 3...
 func entrySpan(level int) uint64 {
-	return addr.PageSize4K << (9 * uint(level-1))
+	return uint64(1) << levelShift(level)
+}
+
+// levelShift is log2 of entrySpan(level).
+func levelShift(level int) uint {
+	return 12 + 9*uint(level-1)
 }
 
 // indexAt returns the entry index for va at the given level.
 func indexAt(va addr.VA, level int) int {
-	return int(uint64(va) >> (12 + 9*uint(level-1)) & (EntriesPerNode - 1))
+	return int(uint64(va) >> levelShift(level) & (EntriesPerNode - 1))
 }
 
 // leafLevelFor returns the page-table level whose leaves map the given page

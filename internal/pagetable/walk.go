@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 )
@@ -156,13 +157,15 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 			n = e.Next
 			continue
 		case EntryLeaf:
-			span := entrySpan(n.Level)
-			base := addr.AlignDown(uint64(va), span)
-			if e.Perm > addr.ReadExecute || e.PFN >= maxPA/span {
+			// Spans are powers of two, so the frame bound, the frame's
+			// base and the offset are shifts and masks.
+			shift := levelShift(n.Level)
+			off := uint64(va) & (uint64(1)<<shift - 1)
+			if e.Perm > addr.ReadExecute || e.PFN >= maxPA>>shift {
 				res.Fault = FaultCorrupt
 				return
 			}
-			pa := addr.PA(e.PFN*span + (uint64(va) - base))
+			pa := addr.PA(e.PFN<<shift + off)
 			if e.Perm == addr.NoPerm {
 				return
 			}
@@ -171,17 +174,19 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 			res.PA = pa
 			res.Perm = e.Perm
 			res.Identity = uint64(pa) == uint64(va)
-			res.MapBase = addr.VA(base)
-			res.MapSize = span
+			res.MapBase = va - addr.VA(off)
+			res.MapSize = uint64(1) << shift
 			return
 		case EntryPE:
 			if n.Level < 2 || len(e.PEPerms) != t.cfg.PEFields {
 				res.Fault = FaultBadPE
 				return
 			}
-			span := entrySpan(n.Level)
-			field := span / uint64(t.cfg.PEFields)
-			fi := (uint64(va) % span) / field
+			// PEFields divides 512, so it is a power of two and each
+			// field spans 2^fieldShift bytes of the entry's span.
+			shift := levelShift(n.Level)
+			fieldShift := shift - uint(bits.TrailingZeros(uint(t.cfg.PEFields)))
+			fi := (uint64(va) & (uint64(1)<<shift - 1)) >> fieldShift
 			perm := e.PEPerms[fi]
 			if perm > addr.ReadExecute {
 				res.Fault = FaultBadPE
@@ -195,8 +200,8 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 			res.PA = addr.PA(va)
 			res.Perm = perm
 			res.Identity = true
-			res.MapBase = addr.VA(addr.AlignDown(uint64(va), field))
-			res.MapSize = field
+			res.MapSize = uint64(1) << fieldShift
+			res.MapBase = va &^ addr.VA(res.MapSize-1)
 			return
 		default:
 			res.Fault = FaultCorrupt
