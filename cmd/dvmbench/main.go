@@ -53,7 +53,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -63,6 +62,7 @@ import (
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/core"
+	"github.com/dvm-sim/dvm/internal/durable"
 	"github.com/dvm-sim/dvm/internal/graph"
 	"github.com/dvm-sim/dvm/internal/memsys"
 	"github.com/dvm-sim/dvm/internal/obs"
@@ -171,39 +171,17 @@ func main() {
 	if (*out == "") == (*against == "") {
 		lg.Exitf(2, "exactly one of -o or -against is required")
 	}
-	prof, err := core.ProfileByName(*profileName)
+	// The sweep is a report.Spec like dvmrepro's: Resolve validates the
+	// profile and -only (unknown keys exit 2 naming the valid ones).
+	spec := report.Spec{Profile: *profileName}
+	if *only != "" {
+		spec.Artifacts = strings.Split(*only, ",")
+	}
+	n := runner.DefaultJobs(*jobs)
+	opts := report.Options{Jobs: n, Workers: runner.BudgetFor(n), Metrics: coll, Board: board}
+	prof, wanted, err := spec.Resolve(&opts)
 	if err != nil {
 		lg.Exitf(2, "%v", err)
-	}
-
-	var wanted map[string]bool
-	if *only != "" {
-		wanted = map[string]bool{}
-		keys := artifactKeys(prof)
-		known := map[string]bool{}
-		for _, k := range keys {
-			known[k] = true
-		}
-		var unknown []string
-		for _, k := range strings.Split(*only, ",") {
-			k = strings.TrimSpace(k)
-			if k == "" {
-				continue
-			}
-			if !known[k] {
-				unknown = append(unknown, k)
-				continue
-			}
-			wanted[k] = true
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			lg.Exitf(2, "unknown artifact key(s) %s; valid keys: %s",
-				strings.Join(unknown, ", "), strings.Join(keys, ", "))
-		}
-		if len(wanted) == 0 {
-			lg.Exitf(2, "-only selected nothing; valid keys: %s", strings.Join(keys, ", "))
-		}
 	}
 	prepared := core.NewPreparedCache()
 	if *graphCache != "" {
@@ -213,14 +191,16 @@ func main() {
 		prepared = core.NewPreparedCacheDir(*graphCache)
 	}
 	defer prepared.Close()
+	opts.Prepared = prepared
 
 	// Ctrl-C cancels the measurement sweep; nothing is written (a
 	// partial trajectory would poison later comparisons), so the
 	// committed file is only ever replaced atomically and completely.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	opts.Ctx = ctx
 
-	m, err := measure(ctx, prof, *label, *jobs, wanted, prepared, lg, coll, board)
+	m, err := measure(prof, *label, opts, wanted, lg)
 	if m != nil {
 		m.GraphCache = *graphCache != ""
 	}
@@ -274,87 +254,49 @@ func main() {
 	lg.Statusf("wrote %s", *out)
 }
 
-// artifactKeys is the -only vocabulary, in rendering order.
-func artifactKeys(prof core.Profile) []string {
-	var keys []string
-	for _, a := range artifacts(prof, report.Options{}) {
-		keys = append(keys, a.key)
-	}
-	return keys
-}
-
-// artifacts maps artifact keys to their generators, in dvmrepro's
-// rendering order. Table 5 is static text and is not timed.
-func artifacts(prof core.Profile, opts report.Options) []struct {
-	key string
-	fn  func(io.Writer) error
-} {
-	return []struct {
-		key string
-		fn  func(io.Writer) error
-	}{
-		{"table3", func(w io.Writer) error { return report.Table3(prof, w, opts) }},
-		{"fig2", func(w io.Writer) error { return report.Figure2(prof, w, opts) }},
-		{"table1", func(w io.Writer) error { return report.Table1(prof, w, opts) }},
-		{"fig8", func(w io.Writer) error { return report.Figure8And9(prof, w, opts) }},
-		{"table4", func(w io.Writer) error { return report.Table4(w, opts) }},
-		{"fig10", func(w io.Writer) error { return report.Figure10(w, opts) }},
-		{"ablations", func(w io.Writer) error { return report.Ablations(prof, w, opts) }},
-		{"virt", func(w io.Writer) error { return report.Virtualization(w, opts) }},
-	}
-}
-
-// measure runs the suite: every artifact end-to-end at -j jobs (default
-// 1: stable, comparable across runs and against committed files), then
-// the micro-benchmarks (always sequential). A non-nil wanted set
-// restricts the artifacts and skips the micro-benchmarks entirely (a
-// footprint run, not a full trajectory).
-func measure(ctx context.Context, prof core.Profile, label string, jobs int, wanted map[string]bool, prepared *core.PreparedCache, lg *obs.Logger, coll *obs.Collector, board *runner.ProgressBoard) (*Measurement, error) {
-	jobs = runner.DefaultJobs(jobs)
+// measure runs the suite: the wanted artifacts through report.Sweep at
+// opts.Jobs (default 1: stable, comparable across runs and against
+// committed files), each timed and its peak RSS read in the observe
+// hook, then the micro-benchmarks (always sequential). A non-nil wanted
+// set skips the micro-benchmarks entirely (a footprint run, not a full
+// trajectory).
+func measure(prof core.Profile, label string, opts report.Options, wanted map[string]bool, lg *obs.Logger) (*Measurement, error) {
 	m := &Measurement{
 		Label:            label,
 		GoVersion:        runtime.Version(),
 		NumCPU:           runtime.NumCPU(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Jobs:             jobs,
+		Jobs:             opts.Jobs,
 		ArtifactsSeconds: map[string]float64{},
 		Benchmarks:       map[string]BenchResult{},
 	}
-	opts := report.Options{
-		Ctx:      ctx,
-		Jobs:     jobs,
-		Workers:  runner.BudgetFor(jobs),
-		Metrics:  coll,
-		Board:    board,
-		Prepared: prepared,
-	}
-	canReset := resetPeakRSS()
-	if !canReset {
+	if !resetPeakRSS() {
 		lg.Statusf("peak-RSS watermark reset unsupported; per-artifact RSS is the process-lifetime peak")
 	}
-	for _, a := range artifacts(prof, opts) {
-		if wanted != nil && !wanted[a.key] {
-			continue
-		}
+	err := report.Sweep(prof, io.Discard, opts, wanted, func(key string, render func() error) error {
 		resetPeakRSS()
 		start := time.Now()
-		if err := a.fn(io.Discard); err != nil {
-			return nil, fmt.Errorf("dvmbench: %s: %w", a.key, err)
+		if err := render(); err != nil {
+			return err
 		}
 		wall := time.Since(start).Seconds()
-		m.ArtifactsSeconds[a.key] = wall
+		m.ArtifactsSeconds[key] = wall
 		m.EndToEndSeconds += wall
 		rss := peakRSSBytes()
 		if rss > 0 {
 			if m.ArtifactsPeakRSSBytes == nil {
 				m.ArtifactsPeakRSSBytes = map[string]uint64{}
 			}
-			m.ArtifactsPeakRSSBytes[a.key] = rss
+			m.ArtifactsPeakRSSBytes[key] = rss
 			if rss > m.PeakRSSBytes {
 				m.PeakRSSBytes = rss
 			}
 		}
-		lg.Statusf("artifact %s: %.2fs peak RSS %d MiB", a.key, wall, rss>>20)
+		lg.Statusf("artifact %s: %.2fs peak RSS %d MiB", key, wall, rss>>20)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("dvmbench: %w", err)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -562,35 +504,16 @@ func load(path string) (*File, error) {
 	return &f, nil
 }
 
-// write replaces the trajectory file atomically (temp file + rename in
-// the same directory), so an interrupt mid-write can never leave a
-// truncated JSON file behind for the CI gate to choke on.
+// write replaces the trajectory file through durable.WriteFile, so an
+// interrupt mid-write can never leave a truncated JSON file behind for
+// the CI gate to choke on.
 func write(path string, f *File) error {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return durable.WriteFile(path, 0o644, func(out *os.File) error {
+		_, err := out.Write(append(data, '\n'))
 		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	})
 }

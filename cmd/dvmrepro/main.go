@@ -21,9 +21,9 @@
 //
 // Resilience: -checkpoint persists every completed experiment cell to a
 // JSONL file; Ctrl-C (or SIGTERM) cancels the sweep cleanly, flushes the
-// checkpoint plus a partial -metrics snapshot, and exits 130. Rerunning
-// with -resume skips the finished cells and renders final tables
-// byte-identical to an uninterrupted run.
+// checkpoint plus partial -metrics, -trace and -spans exports, and exits
+// 130. Rerunning with -resume skips the finished cells and renders final
+// tables byte-identical to an uninterrupted run.
 //
 // Distribution: -shard k/n runs only the experiment cells whose global
 // index i satisfies i%n == k, writing them to a -checkpoint namespaced
@@ -80,12 +80,7 @@ func main() {
 	jobs := flag.Int("j", 0, "max concurrent experiment cells (0 = one per CPU, 1 = sequential)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.BoolVar(quiet, "q", false, "shorthand for -quiet")
-	metricsPath := flag.String("metrics", "", "write the merged metrics-registry snapshot as JSON to this file")
-	tracePath := flag.String("trace", "", "write a JSONL event trace to this file (see -trace-mask, -trace-cap)")
-	traceMask := flag.String("trace-mask", "all", "comma-separated components to trace: iommu,tlb,pwc,avc,bmcache,bitmap,engine,chaos,block or 'all'")
-	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default 65536; older events are overwritten)")
-	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
-	spansPath := flag.String("spans", "", "write phase spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
+	outs := obs.AddOutputFlags(flag.CommandLine)
 	ckPath := flag.String("checkpoint", "", "persist completed experiment cells to this JSONL file (enables -resume)")
 	resume := flag.Bool("resume", false, "with -checkpoint: skip cells a previous interrupted run completed")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
@@ -119,17 +114,8 @@ func main() {
 
 	coll := &obs.Collector{}
 	board := &runner.ProgressBoard{}
-	var httpSrv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		httpSrv, err = obs.StartHTTP(*httpAddr, lg, obs.HTTPOptions{
-			Metrics:  coll.Snapshot,
-			Volatile: coll.VolatileSnapshot,
-			Progress: board.Probe(),
-		})
-		if err != nil {
-			lg.Exitf(2, "%v", err)
-		}
+	if err := outs.Start(lg, coll, board.Probe()); err != nil {
+		lg.Exitf(2, "%v", err)
 	}
 
 	spec := report.Spec{Profile: *profileName, Modes: *modesName, ChaosRate: *chaosRate, ChaosSeed: *chaosSeed}
@@ -145,13 +131,13 @@ func main() {
 		if *ckPath == "" {
 			lg.Exitf(2, "-shard requires -checkpoint (a shard's only durable output is its checkpoint)")
 		}
-		if *metricsPath != "" {
+		if outs.MetricsPath != "" {
 			lg.Exitf(2, "-shard and -metrics are incompatible: merge the shard checkpoints and render with -resume to get the complete snapshot")
 		}
 		spec.Shard = report.Shard{Index: k, Count: n}
 	}
 
-	opts := report.Options{Jobs: *jobs, Metrics: coll, Workers: runner.BudgetFor(*jobs)}
+	opts := report.Options{Jobs: *jobs, Metrics: coll, Workers: runner.BudgetFor(*jobs), Tracer: outs.Tracer, Spans: outs.Spans}
 	prof, wanted, err := spec.Resolve(&opts)
 	if err != nil {
 		lg.Exitf(2, "%v", err)
@@ -179,24 +165,10 @@ func main() {
 	if !lg.Quiet() {
 		opts.Progress = lg.Statusf
 	}
-	if *httpAddr != "" {
+	if outs.HTTPAddr != "" {
 		// The board feeds /progress; it forces progress accounting on
 		// even under -q (the no-op line sink).
 		opts.Board = board
-	}
-	var spans *obs.SpanRecorder
-	if *spansPath != "" {
-		spans = obs.NewSpanRecorder()
-		opts.Spans = spans
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		mask, err := obs.ParseMask(*traceMask)
-		if err != nil {
-			lg.Exitf(2, "%v", err)
-		}
-		tracer = obs.NewTracer(*traceCap, mask)
-		opts.Tracer = tracer
 	}
 	if *resume && *ckPath == "" {
 		lg.Exitf(2, "-resume requires -checkpoint")
@@ -213,46 +185,20 @@ func main() {
 		}
 	}
 
-	// interrupted is the Ctrl-C epilogue: everything durable is flushed
-	// (completed cells are already on disk in the checkpoint; the partial
-	// metrics/trace snapshots are written now) and the process exits with
-	// the conventional 128+SIGINT status.
+	// interrupted is the Ctrl-C epilogue: completed cells are already on
+	// disk in the checkpoint, the partial exports are flushed now, and the
+	// process exits with the conventional 128+SIGINT status.
 	interrupted := func(name string) {
 		lg.Statusf("interrupted during %s", name)
 		if err := ck.Close(); err != nil {
 			lg.Statusf("checkpoint close: %v", err)
 		}
-		if tracer != nil {
-			// The final drop count is folded in only at flush time: a
-			// tracer is shared across cells, so a mid-sweep reading
-			// would depend on completion order.
-			opts.Metrics.Inc("trace.dropped", tracer.Dropped())
-		}
-		if *metricsPath != "" {
-			if err := writeMetrics(*metricsPath, opts.Metrics); err != nil {
-				lg.Statusf("partial metrics: %v", err)
-			} else {
-				lg.Statusf("partial metrics written to %s", *metricsPath)
-			}
-		}
-		if tracer != nil {
-			if err := writeTrace(*tracePath, tracer); err != nil {
-				lg.Statusf("partial trace: %v", err)
-			}
-		}
-		if spans != nil {
-			if err := writeSpans(*spansPath, spans); err != nil {
-				lg.Statusf("partial spans: %v", err)
-			} else {
-				lg.Statusf("partial spans written to %s", *spansPath)
-			}
+		if err := outs.Flush(lg, coll, true); err != nil {
+			lg.Errorf("%v", err)
 		}
 		if *ckPath != "" {
 			lg.Statusf("%d completed cells checkpointed; rerun with -checkpoint %s -resume to continue", ck.Len(), *ckPath)
 		}
-		// Drain the -http listener so an in-flight /metrics scrape sees a
-		// complete response instead of a connection reset.
-		httpSrv.Shutdown(2 * time.Second)
 		os.Exit(130)
 	}
 
@@ -288,65 +234,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dvmrepro: shard %d/%d complete: %d cells in %s; combine with -merge-shards\n",
 			spec.Shard.Index, spec.Shard.Count, ck.Len(), *ckPath)
 	}
-	if tracer != nil {
-		// Fold the final drop count in at flush time (see interrupted).
-		opts.Metrics.Inc("trace.dropped", tracer.Dropped())
+	if err := outs.Flush(lg, coll, false); err != nil {
+		lg.Exitf(1, "%v", err)
 	}
-	if *metricsPath != "" {
-		if err := writeMetrics(*metricsPath, opts.Metrics); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("metrics written to %s", *metricsPath)
-	}
-	if tracer != nil {
-		if err := writeTrace(*tracePath, tracer); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("trace written to %s (%d events emitted, %d retained)",
-			*tracePath, tracer.Total(), len(tracer.Events()))
-	}
-	if spans != nil {
-		if err := writeSpans(*spansPath, spans); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("spans written to %s (%d recorded, %d dropped); load in ui.perfetto.dev",
-			*spansPath, len(spans.Spans()), spans.Dropped())
-	}
-	httpSrv.Shutdown(2 * time.Second)
-}
-
-func writeMetrics(path string, coll *obs.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := coll.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tr.WriteJSONL(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeSpans(path string, sp *obs.SpanRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sp.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -20,6 +20,7 @@
 // writes phase spans as Chrome trace-event JSON (ui.perfetto.dev); -http
 // serves the live surface (/metrics, /progress, /debug/pprof/).
 // -chaos-rate (a probability in [0, 1]) arms seeded fault injection.
+// Ctrl-C (or SIGTERM) flushes the partial exports and exits 130.
 package main
 
 import (
@@ -48,12 +49,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "graph generation seed")
 	jobs := flag.Int("j", 0, "max concurrent mode runs (0 = one per CPU, 1 = sequential)")
 	quiet := flag.Bool("q", false, "suppress status output")
-	metricsPath := flag.String("metrics", "", "write the merged metrics-registry snapshot as JSON to this file")
-	tracePath := flag.String("trace", "", "write a JSONL event trace to this file (see -trace-mask, -trace-cap)")
-	traceMask := flag.String("trace-mask", "all", "comma-separated components to trace: iommu,tlb,pwc,avc,bmcache,bitmap,engine,chaos,block or 'all'")
-	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default 65536; older events are overwritten)")
-	httpAddr := flag.String("http", "", "serve the live observability surface (/metrics, /progress, /debug/pprof/) on this address (e.g. localhost:6060)")
-	spansPath := flag.String("spans", "", "write phase spans as Chrome trace-event JSON to this file (load in ui.perfetto.dev)")
+	outs := obs.AddOutputFlags(flag.CommandLine)
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (fixed seed = deterministic fault schedule)")
 	flag.Parse()
@@ -61,17 +57,8 @@ func main() {
 	lg := obs.NewLogger(os.Stderr, "dvmsim", *quiet)
 	coll := &obs.Collector{}
 	board := &runner.ProgressBoard{}
-	var httpSrv *obs.Server
-	if *httpAddr != "" {
-		var err error
-		httpSrv, err = obs.StartHTTP(*httpAddr, lg, obs.HTTPOptions{
-			Metrics:  coll.Snapshot,
-			Volatile: coll.VolatileSnapshot,
-			Progress: board.Probe(),
-		})
-		if err != nil {
-			lg.Exitf(2, "%v", err)
-		}
+	if err := outs.Start(lg, coll, board.Probe()); err != nil {
+		lg.Exitf(2, "%v", err)
 	}
 
 	prof, err := core.ProfileByName(*profileName)
@@ -107,26 +94,14 @@ func main() {
 
 	cfg := prof.SystemConfig()
 	cfg.Workers = workers
+	cfg.Tracer = outs.Tracer
+	cfg.Spans = outs.Spans
 	if chaosCfg.Enabled() {
 		cfg.Chaos = chaosCfg
 		lg.Statusf("chaos armed: seed %d rate %g (outputs are not paper artifacts)", *chaosSeed, *chaosRate)
 	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		mask, err := obs.ParseMask(*traceMask)
-		if err != nil {
-			lg.Exitf(2, "%v", err)
-		}
-		tracer = obs.NewTracer(*traceCap, mask)
-		cfg.Tracer = tracer
-	}
-	var spans *obs.SpanRecorder
-	if *spansPath != "" {
-		spans = obs.NewSpanRecorder()
-		cfg.Spans = spans
-	}
-	// Ctrl-C cancels the mode sweep cleanly; the partial metrics
-	// snapshot is still flushed below before exiting 130.
+	// Ctrl-C cancels the mode sweep cleanly; the partial exports are
+	// still flushed below before exiting 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	progress := runner.NewProgress(len(modes), runner.Logf(lg.Statusf))
@@ -150,23 +125,10 @@ func main() {
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			if tracer != nil {
-				coll.Inc("trace.dropped", tracer.Dropped())
-			}
-			if *metricsPath != "" {
-				if werr := writeSnapshot(*metricsPath, coll); werr == nil {
-					lg.Statusf("partial metrics written to %s", *metricsPath)
-				}
-			}
-			if spans != nil {
-				if werr := writeSpans(*spansPath, spans); werr == nil {
-					lg.Statusf("partial spans written to %s", *spansPath)
-				}
-			}
 			lg.Statusf("interrupted")
-			// Drain the -http listener so an in-flight scrape finishes
-			// instead of seeing a connection reset.
-			httpSrv.Shutdown(2 * time.Second)
+			if err := outs.Flush(lg, coll, true); err != nil {
+				lg.Errorf("%v", err)
+			}
 			os.Exit(130)
 		}
 		lg.Exitf(1, "%v", err)
@@ -186,40 +148,9 @@ func main() {
 		lg.Exitf(1, "%v", err)
 	}
 
-	if tracer != nil {
-		// The final drop count is folded in only at flush time: the
-		// tracer is shared across mode runs, so a mid-sweep reading
-		// would depend on completion order.
-		coll.Inc("trace.dropped", tracer.Dropped())
+	if err := outs.Flush(lg, coll, false); err != nil {
+		lg.Exitf(1, "%v", err)
 	}
-	if *metricsPath != "" {
-		if err := writeSnapshot(*metricsPath, coll); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("metrics written to %s", *metricsPath)
-	}
-	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		if err := tracer.WriteJSONL(f); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		if err := f.Close(); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("trace written to %s (%d events emitted, %d retained)",
-			*tracePath, tracer.Total(), len(tracer.Events()))
-	}
-	if spans != nil {
-		if err := writeSpans(*spansPath, spans); err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		lg.Statusf("spans written to %s (%d recorded, %d dropped); load in ui.perfetto.dev",
-			*spansPath, len(spans.Spans()), spans.Dropped())
-	}
-	httpSrv.Shutdown(2 * time.Second)
 }
 
 // parseModes resolves the -mode flag through the backend registry: a
@@ -256,28 +187,4 @@ func parseModes(spec string) ([]core.Mode, error) {
 		}
 	}
 	return modes, nil
-}
-
-func writeSnapshot(path string, coll *obs.Collector) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := coll.Snapshot().WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeSpans(path string, sp *obs.SpanRecorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := sp.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -624,22 +624,17 @@ func buildPETable(proc *osmodel.Process, peFields int) (*pagetable.Table, error)
 
 // RunAll executes the prepared workload under every mode, sequentially.
 func (p *Prepared) RunAll(cfg SystemConfig) (map[Mode]RunResult, error) {
-	return p.RunAllCtx(context.Background(), cfg, 1)
+	return p.RunModesCtx(context.Background(), AllModes, cfg, 1)
 }
 
-// RunAllCtx executes the prepared workload under every mode with up to jobs
-// runs in flight (jobs <= 0 uses one worker per CPU; jobs == 1 reproduces
-// RunAll's sequential behaviour bit-for-bit). Each run builds its own
-// osmodel.System, IOMMU and memory controller, and the shared graph is
-// read-only after Prepare, so concurrent modes never interact; results are
-// keyed by mode, independent of completion order.
-func (p *Prepared) RunAllCtx(ctx context.Context, cfg SystemConfig, jobs int) (map[Mode]RunResult, error) {
-	return p.RunModesCtx(ctx, AllModes, cfg, jobs)
-}
-
-// RunModesCtx is RunAllCtx restricted to an explicit mode list — how the
-// report layer runs extended sets (the seven paper modes plus SPARTA and
-// VBI) without changing the default artifact.
+// RunModesCtx executes the prepared workload under each of modes with up
+// to jobs runs in flight (jobs <= 0 uses one worker per CPU; jobs == 1
+// reproduces RunAll's sequential behaviour bit-for-bit). Each run builds
+// its own osmodel.System, IOMMU and memory controller, and the shared
+// graph is read-only after Prepare, so concurrent modes never interact;
+// results are keyed by mode, independent of completion order. The report
+// layer runs extended sets (the seven paper modes plus SPARTA and VBI)
+// this way without changing the default artifact.
 func (p *Prepared) RunModesCtx(ctx context.Context, modes []Mode, cfg SystemConfig, jobs int) (map[Mode]RunResult, error) {
 	results, err := runner.MapB(ctx, cfg.Workers, jobs, len(modes), func(_ context.Context, i int) (RunResult, error) {
 		m := modes[i]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/graph"
@@ -228,7 +229,7 @@ func TestTLBMissRateVsSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rates, err := TLBMissRateVsSize(p, ProfileTiny.SystemConfig(), []int{2, 16, 4096})
+	rates, err := TLBMissRateVsSizeCtx(context.Background(), p, ProfileTiny.SystemConfig(), []int{2, 16, 4096}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

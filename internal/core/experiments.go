@@ -188,18 +188,13 @@ type Figure8Cell struct {
 
 // Figure8 runs one workload under all modes, sequentially.
 func Figure8(p *Prepared, cfg SystemConfig) (Figure8Cell, error) {
-	return Figure8Ctx(context.Background(), p, cfg, 1)
+	return Figure8ModesCtx(context.Background(), p, AllModes, cfg, 1)
 }
 
-// Figure8Ctx runs one workload under all modes with up to jobs runs in
-// flight; any jobs value yields the exact RunResults of the sequential
-// sweep (enforced by TestFigure8ParallelismIsDeterministic).
-func Figure8Ctx(ctx context.Context, p *Prepared, cfg SystemConfig, jobs int) (Figure8Cell, error) {
-	return Figure8ModesCtx(ctx, p, AllModes, cfg, jobs)
-}
-
-// Figure8ModesCtx is Figure8Ctx over an explicit mode list — extended
-// sweeps add SPARTA/VBI columns this way. The list must include
+// Figure8ModesCtx runs one workload under an explicit mode list with up
+// to jobs runs in flight; any jobs value yields the exact RunResults of
+// the sequential sweep (enforced by TestFigure8ParallelismIsDeterministic).
+// Extended sweeps add SPARTA/VBI columns this way. The list must include
 // ModeIdeal (the normalization baseline).
 func Figure8ModesCtx(ctx context.Context, p *Prepared, modes []Mode, cfg SystemConfig, jobs int) (Figure8Cell, error) {
 	cell := Figure8Cell{
@@ -266,14 +261,9 @@ func Figure9(cell Figure8Cell) (Figure9Cell, error) {
 	return out, nil
 }
 
-// TLBMissRateVsSize sweeps TLB sizes for one workload at 4 KB pages — the
-// sensitivity study behind Figure 2's "128-entry TLB" choice.
-func TLBMissRateVsSize(p *Prepared, cfg SystemConfig, sizes []int) (map[int]float64, error) {
-	return TLBMissRateVsSizeCtx(context.Background(), p, cfg, sizes, 1)
-}
-
-// TLBMissRateVsSizeCtx is TLBMissRateVsSize with up to jobs sizes measured
-// concurrently.
+// TLBMissRateVsSizeCtx sweeps TLB sizes for one workload at 4 KB pages —
+// the sensitivity study behind Figure 2's "128-entry TLB" choice — with
+// up to jobs sizes measured concurrently.
 func TLBMissRateVsSizeCtx(ctx context.Context, p *Prepared, cfg SystemConfig, sizes []int, jobs int) (map[int]float64, error) {
 	rates, err := runner.Map(ctx, jobs, len(sizes), func(_ context.Context, i int) (float64, error) {
 		c := cfg

@@ -129,7 +129,7 @@ func TestSharedSweepMatchesIndependent(t *testing.T) {
 	}
 }
 
-func TestRunAllCtxMatchesRunAll(t *testing.T) {
+func TestRunModesCtxMatchesRunAll(t *testing.T) {
 	fr, err := graph.DatasetByName("FR")
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +143,13 @@ func TestRunAllCtxMatchesRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := p.RunAllCtx(context.Background(), cfg, 4)
+	par, err := p.RunModesCtx(context.Background(), AllModes, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zeroWall(seq)
 	zeroWall(par)
 	if !reflect.DeepEqual(seq, par) {
-		t.Error("RunAllCtx(jobs=4) differs from sequential RunAll")
+		t.Error("RunModesCtx(jobs=4) differs from sequential RunAll")
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"github.com/dvm-sim/dvm/internal/durable"
 )
 
 // Distributed sweeps: `dvmrepro -shard k/n` partitions the cell matrix
@@ -97,40 +98,29 @@ func MergeCheckpoints(dst string, srcs []string) (base string, cells int, missin
 	}
 	sort.Strings(keys)
 
-	tmp, err := os.CreateTemp(filepath.Dir(dst), filepath.Base(dst)+".tmp*")
-	if err != nil {
-		return "", 0, nil, err
-	}
-	defer os.Remove(tmp.Name())
-	write := func(v any) error {
-		b, err := json.Marshal(v)
-		if err != nil {
+	err = durable.WriteFile(dst, 0o600, func(f *os.File) error {
+		write := func(v any) error {
+			b, err := json.Marshal(v)
+			if err != nil {
+				return err
+			}
+			_, err = f.Write(append(b, '\n'))
 			return err
 		}
-		_, err = tmp.Write(append(b, '\n'))
-		return err
-	}
-	err = write(struct {
-		Checkpoint string `json:"checkpoint"`
-		Profile    string `json:"profile"`
-	}{checkpointMagic, base})
-	for _, k := range keys {
-		if err != nil {
-			break
+		err := write(struct {
+			Checkpoint string `json:"checkpoint"`
+			Profile    string `json:"profile"`
+		}{checkpointMagic, base})
+		for _, k := range keys {
+			if err != nil {
+				break
+			}
+			err = write(ckptRec{Key: k, Value: merged[k]})
 		}
-		err = write(ckptRec{Key: k, Value: merged[k]})
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+		return err
+	})
 	if err != nil {
 		return "", 0, nil, fmt.Errorf("core: writing merged checkpoint %s: %w", dst, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		return "", 0, nil, err
 	}
 	return base, len(merged), missing, nil
 }

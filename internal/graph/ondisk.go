@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"syscall"
 	"unsafe"
+
+	"github.com/dvm-sim/dvm/internal/durable"
 )
 
 // On-disk CSR format. The file is a fixed-size little-endian header block
@@ -113,8 +115,9 @@ var hostLittleEndian = func() bool {
 
 func alignPage(n uint64) uint64 { return (n + csrPage - 1) &^ (csrPage - 1) }
 
-// WriteFile serializes g to path in the on-disk CSR format, atomically
-// (temp file + rename). The graph may be weightless (nil Weight).
+// WriteFile serializes g to path in the on-disk CSR format through
+// durable.WriteFile, so a killed builder never publishes a torn file.
+// The graph may be weightless (nil Weight).
 func WriteFile(g *Graph, path string) error {
 	if err := g.Validate(); err != nil {
 		return fmt.Errorf("graph: refusing to write invalid graph: %w", err)
@@ -159,37 +162,30 @@ func WriteFile(g *Graph, path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
+	err := durable.WriteFile(path, 0o600, func(f *os.File) error {
+		write := func(at uint64, b []byte) error {
+			_, err := f.WriteAt(b, int64(at))
+			return err
+		}
+		err := write(0, hdr)
+		if err == nil {
+			err = write(rowPtrOff, u64Bytes(g.RowPtr))
+		}
+		if err == nil {
+			err = write(colOff, u32Bytes(g.Col))
+		}
+		if err == nil && g.Weight != nil {
+			err = write(weightOff, f32Bytes(g.Weight))
+		}
+		if err == nil {
+			err = write(end, []byte(csrTrailer))
+		}
 		return err
-	}
-	defer os.Remove(tmp.Name())
-	write := func(at uint64, b []byte) error {
-		_, err := tmp.WriteAt(b, int64(at))
-		return err
-	}
-	if err := write(0, hdr); err == nil {
-		err = write(rowPtrOff, u64Bytes(g.RowPtr))
-	}
-	if err == nil {
-		err = write(colOff, u32Bytes(g.Col))
-	}
-	if err == nil && g.Weight != nil {
-		err = write(weightOff, f32Bytes(g.Weight))
-	}
-	if err == nil {
-		err = write(end, []byte(csrTrailer))
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
+	})
 	if err != nil {
 		return fmt.Errorf("graph: writing %s: %w", path, err)
 	}
-	return os.Rename(tmp.Name(), path)
+	return nil
 }
 
 // OpenMMap opens an on-disk CSR file read-only and maps it. On

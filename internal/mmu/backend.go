@@ -100,8 +100,7 @@ const (
 // installs it; the mode lists, the report columns and the CLI mode
 // parsers are all derived from the registered set.
 type Descriptor struct {
-	// Mode is the stable identifier. Builtin designs use the package
-	// constants; external registrations take AllocateMode().
+	// Mode is the stable identifier, one of the package constants.
 	Mode Mode
 	// Name is the canonical (paper) name rendered in table headers.
 	Name string
@@ -246,17 +245,6 @@ func ModeByName(name string) (Mode, error) {
 		return m, nil
 	}
 	return 0, fmt.Errorf("mmu: unknown mode %q (registered: %s)", name, strings.Join(ModeNames(), ", "))
-}
-
-// AllocateMode returns an unused mode id for an external registration.
-func AllocateMode() Mode {
-	m := Mode(0)
-	for used := range backendRegistry {
-		if used >= m {
-			m = used + 1
-		}
-	}
-	return m
 }
 
 func init() {

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"github.com/dvm-sim/dvm/internal/durable"
 )
 
 // Store is the durable job store: one directory per job under the
@@ -122,33 +124,13 @@ func (s *Store) WriteResult(id string, tables, metrics []byte) error {
 	return atomicWrite(s.MetricsPath(id), metrics)
 }
 
-// atomicWrite writes data via temp+fsync+rename+dir-fsync.
+// atomicWrite replaces path with data through durable.WriteFile (mode
+// 0600, as the records have always been written).
 func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+	return durable.WriteFile(path, 0o600, func(f *os.File) error {
+		_, err := f.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
+	})
 }
 
 // Get reads one job's durable record, <id>/job.json, and nothing else.
