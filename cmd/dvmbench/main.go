@@ -17,7 +17,7 @@
 // peak_rss_bytes, gated by -against at the same 20% tolerance as the
 // alloc counts. -only restricts the sweep to a comma-separated artifact
 // subset and skips the micro-benchmarks (footprint runs); -graph-cache
-// mmaps on-disk CSR graphs instead of holding private copies, and is
+// mmaps on-disk CSR graphs instead of holding them in the heap, and is
 // recorded in the measurement so footprints gate like against like.
 //
 // The output file holds two sections: "baseline" (the numbers recorded

@@ -218,16 +218,10 @@ func (p *Prepared) machine(cfg SystemConfig) (*machineState, error) {
 	if st, ok := p.state[key]; ok {
 		return st, nil
 	}
-	sys, err := osmodel.NewSystem(cfg.MemBytes)
+	st, err := p.newMachine(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, Seed: cfg.Seed})
-	lay, err := accel.BuildLayout(proc, p.G, p.Prog.PropBytes)
-	if err != nil {
-		return nil, err
-	}
-	st := &machineState{proc: proc, lay: lay, tables: make(map[tableKey]*tableEntry)}
 	if p.state == nil {
 		p.state = make(map[machineKey]*machineState)
 	}
@@ -258,32 +252,11 @@ func (p *Prepared) stateFor(st *machineState, mode Mode, peFields int, spans *ob
 			}
 			key.peFields = peFields
 		}
-		st.mu.Lock()
-		entry, ok := st.tables[key]
-		if !ok {
-			entry = &tableEntry{}
-			st.tables[key] = entry
+		tbl, err := st.table(key, d.Slug, spans)
+		if err != nil {
+			return mmu.State{}, err
 		}
-		st.mu.Unlock()
-		entry.once.Do(func() {
-			// The span is named after the mode whose run arrived first;
-			// sibling modes sharing the table block on the Once and show
-			// no build span of their own.
-			sp := spans.Begin("ptbuild:" + d.Slug)
-			defer sp.End()
-			switch d.Table {
-			case mmu.TableHuge:
-				entry.table, entry.err = st.proc.BuildHugeTable(key.pageSize)
-			case mmu.TablePE:
-				entry.table, entry.err = buildPETable(st.proc, key.peFields)
-			default:
-				entry.table, entry.err = st.proc.BuildCanonicalTable(false)
-			}
-		})
-		if entry.err != nil {
-			return mmu.State{}, entry.err
-		}
-		out.Table = entry.table
+		out.Table = tbl
 	}
 	if d.NeedsBitmap {
 		st.bmOnce.Do(func() {
@@ -304,6 +277,39 @@ func (p *Prepared) stateFor(st *machineState, mode Mode, peFields int, spans *ob
 	return out, nil
 }
 
+// table returns (building on first use) the page table for key. The
+// build span is named after the mode (slug) whose run arrived first;
+// sibling modes sharing the table block on the Once and show no build
+// span of their own. A PE table is derived from the canonical 4K entry,
+// which a PE build that arrives first builds inside its own span.
+func (st *machineState) table(key tableKey, slug string, spans *obs.SpanRecorder) (*pagetable.Table, error) {
+	st.mu.Lock()
+	e, ok := st.tables[key]
+	if !ok {
+		e = &tableEntry{}
+		st.tables[key] = e
+	}
+	st.mu.Unlock()
+	e.once.Do(func() {
+		sp := spans.Begin("ptbuild:" + slug)
+		defer sp.End()
+		switch key.need {
+		case mmu.TableHuge:
+			e.table, e.err = st.proc.BuildHugeTable(key.pageSize)
+		case mmu.TablePE:
+			std, err := st.table(tableKey{need: mmu.TableCanonical}, slug, spans)
+			if err != nil {
+				e.err = err
+				return
+			}
+			e.table, e.err = derivePETable(std, key.peFields)
+		default:
+			e.table, e.err = st.proc.BuildCanonicalTable(false)
+		}
+	})
+	return e.table, e.err
+}
+
 // Prepare generates the dataset once; runs under different modes share it.
 func Prepare(w Workload) (*Prepared, error) {
 	return PrepareB(w, nil)
@@ -320,21 +326,6 @@ func PrepareB(w Workload, b *runner.Budget) (*Prepared, error) {
 		return nil, err
 	}
 	g, err := w.Dataset.GenerateB(w.Scale, w.Seed, b)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{Workload: w, G: g, Prog: prog}, nil
-}
-
-// PrepareWithGraph is Prepare with the dataset already materialized —
-// the out-of-core path, where a PreparedCache shares one (possibly
-// mmap'd) graph across every algorithm that reads the same (dataset,
-// scale, seed). The graph must be the dataset generated at w's scale
-// and seed; indexing RowPtr/Col/Weight is byte-identical regardless of
-// backing, so results match PrepareB's exactly.
-func PrepareWithGraph(w Workload, g *graph.Graph) (*Prepared, error) {
-	w = w.normalized()
-	prog, err := w.check()
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +418,7 @@ func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 		// Chaos runs build a private machine: injected allocation
 		// failures change the layout and shared tables must never see
 		// injected state.
-		st, err = p.chaosMachine(cfg, inj)
+		st, err = p.newMachine(cfg, inj)
 	} else {
 		st, err = p.machine(cfg)
 	}
@@ -508,12 +499,12 @@ func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 	return res, nil
 }
 
-// chaosMachine builds a fresh, private machine for a fault-injected
-// run. It mirrors machine() but installs the injector into the OS model
+// newMachine builds a fresh machine for cfg: the OS process and heap
+// layout. A chaos run passes its injector, installed into the OS model
 // before the layout is built, so injected identity-allocation failures
-// reshape this run's address space (exercising the DAV fallback and
-// preload-squash paths) without touching the shared cache.
-func (p *Prepared) chaosMachine(cfg SystemConfig, inj *chaos.Injector) (*machineState, error) {
+// reshape that run's private address space (exercising the DAV fallback
+// and preload-squash paths) without touching the shared cache.
+func (p *Prepared) newMachine(cfg SystemConfig, inj *chaos.Injector) (*machineState, error) {
 	sys, err := osmodel.NewSystem(cfg.MemBytes)
 	if err != nil {
 		return nil, err
@@ -593,18 +584,16 @@ func CrossCheck(r RunResult) error {
 	return checkHist("accel.mlp.occupancy", r.Stats.Accesses, 0, false)
 }
 
-// buildPETable builds the canonical table with a custom PE fan-out.
-func buildPETable(proc *osmodel.Process, peFields int) (*pagetable.Table, error) {
-	if peFields == 0 || peFields == pagetable.DefaultPEFields {
-		return proc.BuildCanonicalTable(true)
+// derivePETable compacts the canonical 4K table std into the PE table
+// at the given fan-out. The default fan-out is std's own, so that table
+// is std.Compacted(): the same nodes at the same simulated PAs as
+// building and compacting a second 4K table. Any other fan-out needs a
+// table configured with it, filled from std's pages and then compacted.
+func derivePETable(std *pagetable.Table, peFields int) (*pagetable.Table, error) {
+	if peFields == std.Config().PEFields {
+		return std.Compacted(), nil
 	}
-	// Rebuild at the requested fan-out: materialize the canonical state
-	// into a table configured with PEFields, then compact.
 	tbl, err := pagetable.New(pagetable.Config{PEFields: peFields})
-	if err != nil {
-		return nil, err
-	}
-	std, err := proc.BuildCanonicalTable(false)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,16 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 
+	"github.com/dvm-sim/dvm/internal/accel"
+	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/graph"
+	"github.com/dvm-sim/dvm/internal/obs"
+	"github.com/dvm-sim/dvm/internal/osmodel"
+	"github.com/dvm-sim/dvm/internal/pagetable"
 )
 
 func wikiTiny() Workload {
@@ -182,6 +189,158 @@ func TestTable1Shape(t *testing.T) {
 	// scale the PE table must already collapse to a handful of nodes.
 	if row.PEBytes > 64<<10 {
 		t.Errorf("PE table = %d B, want tens of KB", row.PEBytes)
+	}
+}
+
+// table1Fresh is Table1 on a private machine: its own system, layout
+// and 4K table per call, the reference TestTable1OnCachedMachine holds
+// the cached-machine Table1 to.
+func table1Fresh(p *Prepared, cfg SystemConfig) (Table1Row, error) {
+	cfg = cfg.withDefaults()
+	row := Table1Row{Input: p.G.Name}
+	sys, err := osmodel.NewSystem(cfg.MemBytes)
+	if err != nil {
+		return row, err
+	}
+	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, Seed: cfg.Seed})
+	if _, err := accel.BuildLayout(proc, p.G, p.Prog.PropBytes); err != nil {
+		return row, err
+	}
+	std, err := proc.BuildCanonicalTable(false)
+	if err != nil {
+		return row, err
+	}
+	stdStats := std.SizeStats()
+	row.StdBytes = stdStats.Bytes
+	row.L1Fraction = stdStats.L1Fraction
+	row.PEBytes = std.Compacted().SizeStats().Bytes
+	return row, nil
+}
+
+// TestTable1OnCachedMachine: for every tiny Table 1 workload, Table1
+// read off the cached machine's tables equals the fresh-machine
+// reference, and a second call builds no table.
+func TestTable1OnCachedMachine(t *testing.T) {
+	n := 0
+	for _, w := range ProfileTiny.Workloads() {
+		if w.Algorithm != "PageRank" && w.Algorithm != "CF" {
+			continue
+		}
+		n++
+		p, err := Prepare(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := table1Fresh(p, ProfileTiny.SystemConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call, wantBuilds := range []bool{true, false} {
+			cfg := ProfileTiny.SystemConfig()
+			cfg.Spans = obs.NewSpanRecorder()
+			got, err := Table1(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s call %d: Table1 = %+v, fresh machine %+v", w.Dataset.Name, call+1, got, want)
+			}
+			builds := 0
+			for _, sp := range cfg.Spans.Spans() {
+				if strings.HasPrefix(sp.Name, "ptbuild:") {
+					builds++
+				}
+			}
+			if (builds > 0) != wantBuilds {
+				t.Errorf("%s call %d recorded %d ptbuild spans, want builds=%v", w.Dataset.Name, call+1, builds, wantBuilds)
+			}
+		}
+	}
+	if n != 7 {
+		t.Errorf("%d Table 1 workloads, want 7", n)
+	}
+}
+
+// peTableRebuild is the PE table built without the cached 4K table: a
+// second canonical build, compacted in place at the default fan-out or
+// copied page by page into a table at any other.
+func peTableRebuild(proc *osmodel.Process, peFields int) (*pagetable.Table, error) {
+	if peFields == pagetable.DefaultPEFields {
+		return proc.BuildCanonicalTable(true)
+	}
+	tbl, err := pagetable.New(pagetable.Config{PEFields: peFields})
+	if err != nil {
+		return nil, err
+	}
+	std, err := proc.BuildCanonicalTable(false)
+	if err != nil {
+		return nil, err
+	}
+	var mapErr error
+	std.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+		if mapErr == nil {
+			mapErr = tbl.Map(va, pa, perm, addr.PageSize4K)
+		}
+	})
+	if mapErr != nil {
+		return nil, mapErr
+	}
+	tbl.Compact()
+	return tbl, nil
+}
+
+// TestDerivedPETableMatchesBuild: the PE table a cached machine derives
+// from its 4K table equals a second build compacted in place, node for
+// node (simulated PAs and the node allocator included), for all 15 tiny
+// workloads at the default fan-out and for the ablation fan-outs on
+// Figure 8's first workload; deriving leaves the shared 4K table as
+// built. The pagetable package's TestCompactedMatchesInPlaceTinyWorkloads
+// runs its Compacted checks on the same 4K tables.
+func TestDerivedPETableMatchesBuild(t *testing.T) {
+	cfg := ProfileTiny.SystemConfig().withDefaults()
+	for i, w := range ProfileTiny.Workloads() {
+		p, err := Prepare(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.machine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fanouts := []int{pagetable.DefaultPEFields}
+		if i == 0 {
+			fanouts = append(fanouts, 4, 8, 32, 64)
+		}
+		for _, fields := range fanouts {
+			got, err := p.stateFor(st, ModeDVMPE, fields, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := peTableRebuild(st.proc, fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Table, want) {
+				t.Errorf("%s/%s fan-out %d: derived PE table differs from a rebuild: %+v, want %+v",
+					w.Algorithm, w.Dataset.Name, fields, got.Table.SizeStats(), want.SizeStats())
+			}
+		}
+		// Deriving needed the 4K table, so it is cached for Conv4K and
+		// Table 1, unchanged: one 4K build per machine.
+		if n := len(st.tables); n != len(fanouts)+1 {
+			t.Errorf("%s/%s: machine caches %d tables, want %d PE tables and one 4K", w.Algorithm, w.Dataset.Name, n, len(fanouts))
+		}
+		std, err := p.stateFor(st, ModeConv4K, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := st.proc.BuildCanonicalTable(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(std.Table, want) {
+			t.Errorf("%s/%s: the cached 4K table changed when the PE tables were derived from it", w.Algorithm, w.Dataset.Name)
+		}
 	}
 }
 

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/dvm-sim/dvm/internal/accel"
 	"github.com/dvm-sim/dvm/internal/graph"
 	"github.com/dvm-sim/dvm/internal/obs"
-	"github.com/dvm-sim/dvm/internal/osmodel"
 	"github.com/dvm-sim/dvm/internal/runner"
 )
 
@@ -149,26 +147,27 @@ type Table1Row struct {
 }
 
 // Table1 computes page-table footprints for one prepared workload (the
-// paper reports PageRank and CF heaps).
+// paper reports PageRank and CF heaps): the cached machine's 4K and PE
+// tables, the ones its Conv4K and DVM-PE runs walk.
 func Table1(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	cfg = cfg.withDefaults()
 	row := Table1Row{Input: p.G.Name}
-	sys, err := osmodel.NewSystem(cfg.MemBytes)
+	st, err := p.machine(cfg)
 	if err != nil {
 		return row, err
 	}
-	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, Seed: cfg.Seed})
-	if _, err := accel.BuildLayout(proc, p.G, p.Prog.PropBytes); err != nil {
-		return row, err
-	}
-	std, err := proc.BuildCanonicalTable(false)
+	std, err := p.stateFor(st, ModeConv4K, 0, cfg.Spans)
 	if err != nil {
 		return row, err
 	}
-	stdStats := std.SizeStats()
+	pe, err := p.stateFor(st, ModeDVMPE, 0, cfg.Spans)
+	if err != nil {
+		return row, err
+	}
+	stdStats := std.Table.SizeStats()
 	row.StdBytes = stdStats.Bytes
 	row.L1Fraction = stdStats.L1Fraction
-	row.PEBytes = std.Compacted().SizeStats().Bytes
+	row.PEBytes = pe.Table.SizeStats().Bytes
 	return row, nil
 }
 

@@ -21,19 +21,20 @@ import (
 // keys the map directly. Entries are never evicted: the cache's lifetime
 // is one report run, and the tiny/full matrices are small and bounded.
 //
-// A cache built with NewPreparedCacheDir additionally shares graphs
-// out-of-core: each (dataset, scale, seed) is generated once, serialized
-// to dir as an on-disk CSR, and memory-mapped read-only — so the three
-// algorithms reading S24 share one physical copy (Workload keys include
-// Algorithm, so the in-memory path generates three), and separate
-// processes (shards, repeat runs) share it through the page cache.
+// Graphs are shared one level down: each (dataset, scale, seed) is
+// generated once, so the three algorithms reading S24 share one
+// *graph.Graph (Workload keys include Algorithm; graph keys do not),
+// and Table 3 reads the same graphs through Graph. A cache built with
+// NewPreparedCacheDir also serializes each graph to dir as an on-disk
+// CSR and memory-maps it read-only, so separate processes (shards,
+// repeat runs) share it through the page cache.
 type PreparedCache struct {
-	mu sync.Mutex
-	m  map[Workload]*prepEntry
+	mu     sync.Mutex
+	m      map[Workload]*prepEntry
+	graphs map[graphKey]*graphEntry
 
 	// dir, when non-empty, enables the on-disk graph cache.
-	dir    string
-	graphs map[graphKey]*graphEntry
+	dir string
 }
 
 type prepEntry struct {
@@ -42,10 +43,10 @@ type prepEntry struct {
 	err  error
 }
 
-// graphKey identifies one generated dataset instance: the registry spec
-// is fixed per name, so (name, scale, seed) pins the exact bit pattern.
+// graphKey identifies one generated dataset instance: (spec, scale,
+// seed) pins the exact bit pattern.
 type graphKey struct {
-	dataset string
+	dataset graph.DatasetSpec
 	scale   float64
 	seed    int64
 }
@@ -59,7 +60,7 @@ type graphEntry struct {
 // NewPreparedCache returns an empty cache (in-memory graphs, the
 // default path).
 func NewPreparedCache() *PreparedCache {
-	return &PreparedCache{m: make(map[Workload]*prepEntry)}
+	return &PreparedCache{m: make(map[Workload]*prepEntry), graphs: make(map[graphKey]*graphEntry)}
 }
 
 // NewPreparedCacheDir returns a cache that backs graphs with on-disk
@@ -70,7 +71,6 @@ func NewPreparedCache() *PreparedCache {
 func NewPreparedCacheDir(dir string) *PreparedCache {
 	c := NewPreparedCache()
 	c.dir = dir
-	c.graphs = make(map[graphKey]*graphEntry)
 	return c
 }
 
@@ -97,29 +97,36 @@ func (c *PreparedCache) PrepareB(w Workload, b *runner.Budget) (*Prepared, error
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		if c.dir == "" {
-			e.p, e.err = PrepareB(w, b)
-			return
-		}
 		nw := w.normalized()
-		if _, err := nw.check(); err != nil {
-			e.err = err
-			return
-		}
-		g, err := c.graphFor(nw, b)
+		prog, err := nw.check()
 		if err != nil {
 			e.err = err
 			return
 		}
-		e.p, e.err = PrepareWithGraph(nw, g)
+		g, err := c.graphFor(nw.Dataset, nw.Scale, nw.Seed, b)
+		if err != nil {
+			e.err = err
+			return
+		}
+		e.p = &Prepared{Workload: nw, G: g, Prog: prog}
 	})
 	return e.p, e.err
 }
 
-// graphFor resolves the shared graph for w's (dataset, scale, seed),
-// single-flight across algorithms and workers.
-func (c *PreparedCache) graphFor(w Workload, b *runner.Budget) (*graph.Graph, error) {
-	key := graphKey{dataset: w.Dataset.Name, scale: w.Scale, seed: w.Seed}
+// Graph returns dataset d generated at (scale, seed): the graph every
+// prepared workload of that dataset reads, generated on first use. A
+// nil receiver degrades to d.Generate (no sharing).
+func (c *PreparedCache) Graph(d graph.DatasetSpec, scale float64, seed int64) (*graph.Graph, error) {
+	if c == nil {
+		return d.Generate(scale, seed)
+	}
+	return c.graphFor(d, scale, seed, nil)
+}
+
+// graphFor resolves the shared graph for (d, scale, seed), single-flight
+// across algorithms and workers.
+func (c *PreparedCache) graphFor(d graph.DatasetSpec, scale float64, seed int64, b *runner.Budget) (*graph.Graph, error) {
+	key := graphKey{dataset: d, scale: scale, seed: seed}
 	c.mu.Lock()
 	e, ok := c.graphs[key]
 	if !ok {
@@ -127,21 +134,25 @@ func (c *PreparedCache) graphFor(w Workload, b *runner.Budget) (*graph.Graph, er
 		c.graphs[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.g, e.err = c.loadGraph(w, b) })
+	e.once.Do(func() { e.g, e.err = c.loadGraph(key, b) })
 	return e.g, e.err
 }
 
-// loadGraph opens the dataset's cached on-disk CSR, generating and
-// serializing it first on a cache miss. Cache failures (unwritable dir,
+// loadGraph generates the graph for key, in memory or, with a cache
+// dir, through the dataset's on-disk CSR: opened if present, generated
+// and serialized first on a miss. Cache failures (unwritable dir,
 // damaged file that also fails to rewrite) fall back to the generated
 // in-memory graph so a broken cache can slow a run but never change or
 // fail it.
-func (c *PreparedCache) loadGraph(w Workload, b *runner.Budget) (*graph.Graph, error) {
-	path := filepath.Join(c.dir, fmt.Sprintf("%s_s%g_seed%d.dvmcsr", w.Dataset.Name, w.Scale, w.Seed))
+func (c *PreparedCache) loadGraph(key graphKey, b *runner.Budget) (*graph.Graph, error) {
+	if c.dir == "" {
+		return key.dataset.GenerateB(key.scale, key.seed, b)
+	}
+	path := filepath.Join(c.dir, fmt.Sprintf("%s_s%g_seed%d.dvmcsr", key.dataset.Name, key.scale, key.seed))
 	if g, err := graph.OpenMMap(path); err == nil {
 		return g, nil
 	}
-	built, err := w.Dataset.GenerateB(w.Scale, w.Seed, b)
+	built, err := key.dataset.GenerateB(key.scale, key.seed, b)
 	if err != nil {
 		return nil, err
 	}

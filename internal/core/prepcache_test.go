@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/graph"
+	"github.com/dvm-sim/dvm/internal/pagetable"
 )
 
 // TestPreparedCacheDirMatchesInMemory runs the same workloads through
@@ -74,43 +76,121 @@ func TestPreparedCacheDirMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestPreparedCacheDirSharesGraphAcrossAlgorithms pins the footprint
-// mechanism: with the dir-backed cache, BFS and PageRank preparations of
-// the same dataset share one mmap'd *graph.Graph; the in-memory cache
-// builds a private copy per algorithm (Workload keys include Algorithm).
-func TestPreparedCacheDirSharesGraphAcrossAlgorithms(t *testing.T) {
-	d, err := graph.DatasetByName("FR")
+// TestPreparedCacheSharesGraphAcrossAlgorithms pins the footprint
+// mechanism: in both backings, the BFS, PageRank and SSSP preparations
+// of each dataset share one *graph.Graph (Workload keys include
+// Algorithm; graph keys do not), and dir-backed graphs are mmap'd.
+func TestPreparedCacheSharesGraphAcrossAlgorithms(t *testing.T) {
+	disk := NewPreparedCacheDir(t.TempDir())
+	defer disk.Close()
+	for _, c := range []struct {
+		name    string
+		cache   *PreparedCache
+		backing graph.Backing
+	}{{"in-memory", NewPreparedCache(), graph.InMemory}, {"dir-backed", disk, graph.MMap}} {
+		for _, d := range graph.GraphDatasets() {
+			var g *graph.Graph
+			for _, alg := range []string{"BFS", "PageRank", "SSSP"} {
+				p, err := c.cache.Prepare(Workload{Algorithm: alg, Dataset: d, Scale: ProfileTiny.Scale, Seed: 42})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g == nil {
+					g = p.G
+				} else if p.G != g {
+					t.Errorf("%s cache built a separate %s graph for %s", c.name, d.Name, alg)
+				}
+			}
+			if b := g.Backing(); b != c.backing {
+				t.Errorf("%s %s graph backing = %v, want %v", c.name, d.Name, b, c.backing)
+			}
+		}
+	}
+}
+
+// TestPreparedCacheConcurrentSharing races the cache the way -j
+// workers and daemon jobs do: every algorithm of one dataset and Table
+// 3's Graph readers resolve one graph, and Table 1 races the Conv4K and
+// DVM-PE table requests on one fresh machine, where the PE entry builds
+// the 4K entry it derives from. Every caller must see the same graph
+// and the same tables.
+func TestPreparedCacheConcurrentSharing(t *testing.T) {
+	d, err := graph.DatasetByName("Wiki")
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := NewPreparedCacheDir(t.TempDir())
-	defer disk.Close()
-	var got [2]*Prepared
-	for i, alg := range []string{"BFS", "PageRank"} {
-		p, err := disk.Prepare(Workload{Algorithm: alg, Dataset: d, Scale: ProfileTiny.Scale, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
+	c := NewPreparedCache()
+	const callers = 4
+	var wg sync.WaitGroup
+	graphs := make([]*graph.Graph, 4*callers)
+	for i := range graphs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if alg := i % 4; alg == 3 {
+				graphs[i], err = c.Graph(d, ProfileTiny.Scale, 42)
+			} else {
+				var p *Prepared
+				p, err = c.Prepare(Workload{Algorithm: []string{"BFS", "PageRank", "SSSP"}[alg], Dataset: d, Scale: ProfileTiny.Scale, Seed: 42})
+				if err == nil {
+					graphs[i] = p.G
+				}
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range graphs {
+		if g != graphs[0] {
+			t.Fatalf("caller %d got a separate graph", i)
 		}
-		got[i] = p
-	}
-	if got[0].G != got[1].G {
-		t.Errorf("dir-backed cache built separate graphs for BFS and PageRank")
-	}
-	if b := got[0].G.Backing(); b != graph.MMap {
-		t.Errorf("dir-backed graph backing = %v, want MMap", b)
 	}
 
-	mem := NewPreparedCache()
-	var memGot [2]*Prepared
-	for i, alg := range []string{"BFS", "PageRank"} {
-		p, err := mem.Prepare(Workload{Algorithm: alg, Dataset: d, Scale: ProfileTiny.Scale, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
-		memGot[i] = p
+	p, err := c.Prepare(Workload{Algorithm: "PageRank", Dataset: d, Scale: ProfileTiny.Scale, PageRankIters: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if memGot[0].G == memGot[1].G {
-		t.Errorf("in-memory cache unexpectedly shares graphs across algorithms (update this test and the footprint docs)")
+	cfg := ProfileTiny.SystemConfig().withDefaults()
+	st, err := p.machine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]*pagetable.Table, 2*callers)
+	rows := make([]Table1Row, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(3)
+		go func(i int) {
+			defer wg.Done()
+			var err error
+			if rows[i], err = Table1(p, cfg); err != nil {
+				t.Error(err)
+			}
+		}(i)
+		for j, mode := range []Mode{ModeConv4K, ModeDVMPE} {
+			go func(slot int, mode Mode) {
+				defer wg.Done()
+				s, err := p.stateFor(st, mode, 0, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				tables[slot] = s.Table
+			}(2*i+j, mode)
+		}
+	}
+	wg.Wait()
+	for i := range tables {
+		if tables[i] != tables[i%2] {
+			t.Errorf("table request %d got a separate table", i)
+		}
+	}
+	for i, row := range rows {
+		if row != rows[0] || row.StdBytes != tables[0].SizeStats().Bytes || row.PEBytes != tables[1].SizeStats().Bytes {
+			t.Errorf("Table1 call %d = %+v, tables hold %d and %d bytes", i, row, tables[0].SizeStats().Bytes, tables[1].SizeStats().Bytes)
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/dvm-sim/dvm/internal/accel"
 	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/cpu"
 	"github.com/dvm-sim/dvm/internal/osmodel"
 	"github.com/dvm-sim/dvm/internal/pagetable"
@@ -44,6 +46,43 @@ func TestCompactedMatchesInPlaceCPUWorkloads(t *testing.T) {
 			}
 			tbl.ForEachPage(func(va addr.VA, _ addr.PA, _ addr.Perm) {
 				if va < heap.Start && rng.Intn(64) == 0 {
+					probes = append(probes, va+addr.VA(rng.Intn(4096)))
+				}
+			})
+			pagetable.CheckCompacted(t, tbl, probes)
+		})
+	}
+}
+
+// TestCompactedMatchesInPlaceTinyWorkloads runs the Compacted checks on
+// the canonical 4 KB tables of the 15 tiny-profile accelerator
+// workloads, laid out the way core's cached machine lays them out (32 GB
+// system, identity-mapped heap): core derives each DVM-PE table as the
+// Compacted copy of that table instead of building a second one and
+// compacting it in place.
+func TestCompactedMatchesInPlaceTinyWorkloads(t *testing.T) {
+	for i, w := range core.ProfileTiny.Workloads() {
+		t.Run(w.Algorithm+"/"+w.Dataset.Name, func(t *testing.T) {
+			p, err := core.Prepare(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := osmodel.NewSystem(32 << 30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true})
+			if _, err := accel.BuildLayout(proc, p.G, p.Prog.PropBytes); err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := proc.BuildCanonicalTable(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(i)))
+			var probes []addr.VA
+			tbl.ForEachPage(func(va addr.VA, _ addr.PA, _ addr.Perm) {
+				if rng.Intn(16) == 0 {
 					probes = append(probes, va+addr.VA(rng.Intn(4096)))
 				}
 			})

@@ -361,7 +361,8 @@ func Table1(prof core.Profile, w io.Writer, opts Options) error {
 }
 
 // Table3 prints the dataset registry (paper-scale sizes plus the sizes
-// generated at the profile's scale).
+// generated at the profile's scale), reading each dataset's graph from
+// the shared cache when one is configured.
 func Table3(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Table 3: graph datasets (paper scale, generated at scale %.4g for profile %s)", prof.Scale, prof.Name),
@@ -375,7 +376,7 @@ func Table3(prof core.Profile, w io.Writer, opts Options) error {
 		}
 		d := graph.Datasets[i]
 		row, err := checkpointed(opts, "table3/"+d.Name, func() (scaled, error) {
-			g, err := d.Generate(prof.Scale, 42)
+			g, err := opts.Prepared.Graph(d, prof.Scale, 42)
 			if err != nil {
 				return scaled{}, err
 			}

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +26,9 @@ func TestTable5(t *testing.T) {
 	}
 }
 
+// TestTable3 renders the dataset table without a cache and from a cache
+// Table 1 warmed: the output is byte-identical, and the cache serves
+// Table 3 the very graphs the PageRank and CF workloads hold.
 func TestTable3(t *testing.T) {
 	var b strings.Builder
 	if err := Table3(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
@@ -34,6 +38,36 @@ func TestTable3(t *testing.T) {
 	for _, ds := range []string{"FR", "Wiki", "LJ", "S24", "NF", "Bip1", "Bip2"} {
 		if !strings.Contains(out, ds) {
 			t.Errorf("Table 3 missing %s:\n%s", ds, out)
+		}
+	}
+
+	cache := core.NewPreparedCache()
+	defer cache.Close()
+	opts := Options{Jobs: 2, Prepared: cache}
+	if err := Table1(core.ProfileTiny, io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	var warm strings.Builder
+	if err := Table3(core.ProfileTiny, &warm, opts); err != nil {
+		t.Fatal(err)
+	}
+	if warm.String() != out {
+		t.Errorf("Table 3 from a warm cache differs from a nil-cache run:\n%s\nwant:\n%s", warm.String(), out)
+	}
+	for _, w := range core.ProfileTiny.Workloads() {
+		if w.Algorithm != "PageRank" && w.Algorithm != "CF" {
+			continue
+		}
+		p, err := cache.Prepare(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := cache.Graph(w.Dataset, w.Scale, w.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g != p.G {
+			t.Errorf("%s: cache.Graph is not the graph %s/%s holds", w.Dataset.Name, w.Algorithm, w.Dataset.Name)
 		}
 	}
 }
