@@ -1,6 +1,10 @@
 package pagetable
 
-import "github.com/dvm-sim/dvm/internal/addr"
+import (
+	"slices"
+
+	"github.com/dvm-sim/dvm/internal/addr"
+)
 
 // entrySummary is the bottom-up analysis result for one entry, used by
 // Compact to decide where Permission Entries can replace subtrees.
@@ -35,7 +39,7 @@ func (t *Table) Compact() int {
 }
 
 // Compacted returns the table Compact would leave, built on a copy: t is
-// not modified and shares no node or PEPerms slice with the result.
+// not modified and shares no node or PE field slice with the result.
 // Every surviving node keeps its simulated PA and the copy continues
 // t's node allocator, so walks of the copy touch exactly the entry
 // addresses walks of t.Compact() would — the physically indexed PWC and
@@ -53,30 +57,32 @@ func (t *Table) Compacted() *Table {
 // virtual address is base, and returns the node that now holds them: n
 // itself in place, or with clone a copy of n, leaving n untouched. A
 // level-1 child has nothing beneath it to fold, so it is summarized
-// where it is and, with clone, copied only if it survives.
+// where it is and, with clone, copied only if it survives. A folded or
+// emptied entry clears its kids slot, so the subtree it dropped is
+// garbage even when n is compacted in place.
 func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *Node {
 	if clone {
 		n = cloneNode(n)
 	}
 	span := entrySpan(n.Level)
-	for i := 0; i < EntriesPerNode; i++ {
-		e := &n.Entries[i]
-		if e.Kind != EntryTable {
+	for i := range n.Entries {
+		e := n.Entries[i]
+		if e.Kind() != EntryTable {
 			continue
 		}
 		eBase := base + addr.VA(uint64(i)*span)
-		child := e.Next
+		child := n.child(e)
 		if child.Level > 1 {
 			child = t.compactNode(child, eBase, clone, created)
 		}
 		s := t.nodeSummaryAt(child, eBase)
 		if s.empty {
-			*e = Entry{}
+			n.set(i, 0)
 			continue
 		}
 		if s.identity && n.Level >= 2 {
 			if perms, ok := t.groupPerms(child, eBase); ok {
-				*e = Entry{Kind: EntryPE, PEPerms: perms}
+				n.setPE(i, perms)
 				*created++
 				continue
 			}
@@ -84,40 +90,42 @@ func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *No
 		if clone && child.Level == 1 {
 			child = cloneNode(child)
 		}
-		e.Next = child
+		n.kids[e.slot()] = child
 	}
 	return n
 }
 
-// cloneNode returns a copy of n with its own PEPerms slices. Table
-// links still point at n's children; compactNode relinks them.
+// cloneNode returns a copy of n with its own kids and PE field slices.
+// Its kids still point at n's children; compactNode relinks them.
 func cloneNode(n *Node) *Node {
 	c := *n
-	for i := range c.Entries {
-		if e := &c.Entries[i]; e.PEPerms != nil {
-			e.PEPerms = append([]addr.Perm(nil), e.PEPerms...)
-		}
+	c.kids = slices.Clone(n.kids)
+	c.pes = slices.Clone(n.pes)
+	for k, perms := range c.pes {
+		c.pes[k] = slices.Clone(perms)
 	}
 	return &c
 }
 
-// summarize produces the summary for a single entry at the given level.
-func (t *Table) summarize(e *Entry, level int, baseVA addr.VA) entrySummary {
-	switch e.Kind {
+// summarize produces the summary for entry e of node n, whose base
+// virtual address is baseVA.
+func (t *Table) summarize(n *Node, e Entry, baseVA addr.VA) entrySummary {
+	switch e.Kind() {
 	case EntryEmpty:
 		return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
 	case EntryLeaf:
-		if e.Perm == addr.NoPerm {
+		if e.Perm() == addr.NoPerm {
 			return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
 		}
-		span := entrySpan(level)
-		ident := e.PFN*span == uint64(baseVA)
-		return entrySummary{identity: ident, uniform: true, perm: e.Perm}
+		span := entrySpan(n.Level)
+		ident := e.PFN()*span == uint64(baseVA)
+		return entrySummary{identity: ident, uniform: true, perm: e.Perm()}
 	case EntryPE:
-		first := e.PEPerms[0]
+		perms := n.fields(e)
+		first := perms[0]
 		uniform := true
 		empty := first == addr.NoPerm
-		for _, p := range e.PEPerms[1:] {
+		for _, p := range perms[1:] {
 			if p != first {
 				uniform = false
 			}
@@ -127,7 +135,7 @@ func (t *Table) summarize(e *Entry, level int, baseVA addr.VA) entrySummary {
 		}
 		return entrySummary{identity: true, uniform: uniform, perm: first, empty: empty}
 	case EntryTable:
-		return t.nodeSummaryAt(e.Next, baseVA)
+		return t.nodeSummaryAt(n.child(e), baseVA)
 	default:
 		return entrySummary{}
 	}
@@ -139,8 +147,8 @@ func (t *Table) nodeSummaryAt(n *Node, base addr.VA) entrySummary {
 	span := entrySpan(n.Level)
 	agg := entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
 	first := true
-	for i := 0; i < EntriesPerNode; i++ {
-		s := t.summarize(&n.Entries[i], n.Level, base+addr.VA(uint64(i)*span))
+	for i, e := range &n.Entries {
+		s := t.summarize(n, e, base+addr.VA(uint64(i)*span))
 		if !s.identity {
 			agg.identity = false
 		}
@@ -172,7 +180,7 @@ func (t *Table) groupPerms(n *Node, base addr.VA) ([]addr.Perm, bool) {
 		firstSet := false
 		for k := 0; k < group; k++ {
 			i := g*group + k
-			s := t.summarize(&n.Entries[i], n.Level, base+addr.VA(uint64(i)*span))
+			s := t.summarize(n, n.Entries[i], base+addr.VA(uint64(i)*span))
 			if !s.identity || !s.uniform {
 				return nil, false
 			}

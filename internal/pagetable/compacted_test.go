@@ -3,6 +3,7 @@ package pagetable
 import (
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -21,26 +22,26 @@ func (t *Table) refCompact() int {
 
 func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
 	span := entrySpan(n.Level)
-	for i := 0; i < EntriesPerNode; i++ {
-		e := &n.Entries[i]
-		if e.Kind != EntryTable {
+	for i, e := range &n.Entries {
+		if e.Kind() != EntryTable {
 			continue
 		}
 		eBase := base + addr.VA(uint64(i)*span)
-		t.refCompactNode(e.Next, eBase, created)
-		s := t.nodeSummaryAt(e.Next, eBase)
+		child := n.child(e)
+		t.refCompactNode(child, eBase, created)
+		s := t.nodeSummaryAt(child, eBase)
 		if s.empty {
-			*e = Entry{}
+			n.set(i, 0)
 			continue
 		}
 		if !s.identity || n.Level < 2 {
 			continue
 		}
-		perms, ok := t.groupPerms(e.Next, eBase)
+		perms, ok := t.groupPerms(child, eBase)
 		if !ok {
 			continue
 		}
-		*e = Entry{Kind: EntryPE, PEPerms: perms}
+		n.setPE(i, perms)
 		*created++
 	}
 }
@@ -49,17 +50,13 @@ func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
 func (t *Table) deepClone() *Table {
 	var cp func(n *Node) *Node
 	cp = func(n *Node) *Node {
-		c := *n
-		for i := range c.Entries {
-			e := &c.Entries[i]
-			if e.PEPerms != nil {
-				e.PEPerms = append([]addr.Perm(nil), e.PEPerms...)
-			}
-			if e.Kind == EntryTable {
-				e.Next = cp(e.Next)
+		c := cloneNode(n)
+		for k, kid := range c.kids {
+			if kid != nil {
+				c.kids[k] = cp(kid)
 			}
 		}
-		return &c
+		return c
 	}
 	return &Table{cfg: t.cfg, root: cp(t.root), nextPA: t.nextPA}
 }
@@ -135,9 +132,11 @@ func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
 		t.Errorf("Compact created %d PEs, reference %d", n, refN)
 	}
 	diffViews(t, "in-place Compact", viewOf(inPlace, probes), want, probes)
+	checkNoDeadKids(t, "in-place Compact", inPlace)
 
 	got := src.Compacted()
 	diffViews(t, "Compacted", viewOf(got, probes), want, probes)
+	checkNoDeadKids(t, "Compacted", got)
 	diffViews(t, "source after Compacted", viewOf(src, probes), before, probes)
 
 	// Mutate the copy through every kind of entry it holds: whole PE
@@ -160,6 +159,27 @@ func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
 		}
 	}
 	diffViews(t, "source after mutating its Compacted copy", viewOf(src, probes), before, probes)
+}
+
+// checkNoDeadKids checks that every child slot still holding a node
+// belongs to a live table entry: the non-nil kids reachable from the
+// root are exactly the table's nodes below it, so a subtree folded into
+// a PE or pruned as empty is no longer kept alive.
+func checkNoDeadKids(t testing.TB, what string, tbl *Table) {
+	t.Helper()
+	var count func(n *Node) int
+	count = func(n *Node) int {
+		c := 0
+		for _, kid := range n.kids {
+			if kid != nil {
+				c += 1 + count(kid)
+			}
+		}
+		return c
+	}
+	if got, want := count(tbl.root), tbl.SizeStats().Nodes-1; got != want {
+		t.Errorf("%s: %d non-nil kids reachable from the root, want %d (one per node below it)", what, got, want)
+	}
 }
 
 func TestCompactedMatchesInPlace(t *testing.T) {
@@ -207,7 +227,37 @@ func TestCompactedMatchesInPlace(t *testing.T) {
 }
 
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(Entry{}); got != 48 {
-		t.Errorf("unsafe.Sizeof(Entry{}) = %d, want 48", got)
+	if got := unsafe.Sizeof(Entry(0)); got != EntryBytes {
+		t.Errorf("unsafe.Sizeof(Entry(0)) = %d, want EntryBytes = %d", got, EntryBytes)
+	}
+}
+
+// TestNodeFootprint pins what a simulated 4 KB page-table page costs on
+// the Go heap: the entry words plus the node header, in the 4,864-byte
+// size class, with the pointer-holding side slices ahead of the entries
+// so the collector scans only their headers. The runtime and the test
+// framework allocate a few KB of their own now and then, which only adds
+// to TotalAlloc, so the table's cost is the least of three builds.
+func TestNodeFootprint(t *testing.T) {
+	if off := unsafe.Offsetof(Node{}.Entries); off > 64 {
+		t.Errorf("Node.Entries at offset %d, want <= 64 (pointer words first)", off)
+	}
+	const sizeClass = 4864
+	var perNode uint64
+	for trial := 0; trial < 3; trial++ {
+		tbl := MustNew(Config{})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := tbl.MapRange(addr.VRange{Start: 0, Size: 1 << 30}, 0, addr.ReadWrite, addr.PageSize4K); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / uint64(tbl.SizeStats().Nodes)
+		if trial == 0 || got < perNode {
+			perNode = got
+		}
+	}
+	if perNode > sizeClass {
+		t.Errorf("mapping 1 GB at 4 KB allocated %d B per page-table node, want <= %d", perNode, sizeClass)
 	}
 }

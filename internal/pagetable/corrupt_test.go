@@ -85,13 +85,13 @@ func TestChaosPEPermBitsRejected(t *testing.T) {
 	peVA := addr.VA(0x6000_0000)
 	n := tb.Root()
 	for n.Level > 2 {
-		n = n.Entries[indexAt(peVA, n.Level)].Next
+		n = n.child(n.Entries[indexAt(peVA, n.Level)])
 	}
-	e := &n.Entries[indexAt(peVA, 2)]
-	if e.Kind != EntryPE {
-		t.Fatalf("expected PE at level 2, got %v", e.Kind)
+	e := n.Entries[indexAt(peVA, 2)]
+	if e.Kind() != EntryPE {
+		t.Fatalf("expected PE at level 2, got %v", e.Kind())
 	}
-	e.PEPerms[4] = addr.Perm(0b101)
+	n.fields(e)[4] = addr.Perm(0b101)
 	span := entrySpan(2)
 	field := span / uint64(tb.Config().PEFields)
 	r := tb.Walk(peVA + addr.VA(4*field))
@@ -130,5 +130,21 @@ func TestWalkFaultKindBaseline(t *testing.T) {
 	}
 	if r := tb.Walk(0xdead_0000_0000); r.Outcome != WalkFault || r.Fault != FaultUnmapped {
 		t.Fatalf("unmapped walk = %v/%v, want fault/unmapped", r.Outcome, r.Fault)
+	}
+}
+
+// Protect and Unmap stop at an entry of unknown kind with an error
+// rather than descending through it.
+func TestChaosMutateOverUnknownKind(t *testing.T) {
+	tb := corruptTestTable(t)
+	if err := tb.CorruptEntry(0x1000, 2, 5); err != nil {
+		t.Fatal(err)
+	}
+	page := addr.VRange{Start: 0x1000, Size: addr.PageSize4K}
+	if err := tb.Protect(page, addr.ReadOnly); err == nil {
+		t.Error("Protect over an unknown-kind entry succeeded")
+	}
+	if err := tb.Unmap(page); err == nil {
+		t.Error("Unmap over an unknown-kind entry succeeded")
 	}
 }

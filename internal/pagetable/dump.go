@@ -50,29 +50,28 @@ func (t *Table) dumpNode(n *Node, base addr.VA, b *strings.Builder) {
 			addr.VRange{Start: open.start, Size: open.size}, open.perm)
 		open = nil
 	}
-	for i := 0; i < EntriesPerNode; i++ {
-		e := &n.Entries[i]
+	for i, e := range &n.Entries {
 		eBase := base + addr.VA(uint64(i)*span)
-		switch e.Kind {
+		switch e.Kind() {
 		case EntryEmpty:
 			flush()
 		case EntryTable:
 			flush()
 			fmt.Fprintf(b, "%sL%d table          %v\n", indent(t.cfg.Levels-n.Level), n.Level,
 				addr.VRange{Start: eBase, Size: span})
-			t.dumpNode(e.Next, eBase, b)
+			t.dumpNode(n.child(e), eBase, b)
 		case EntryPE:
 			flush()
 			fmt.Fprintf(b, "%sL%d PE             %v fields[%s]\n", indent(t.cfg.Levels-n.Level), n.Level,
-				addr.VRange{Start: eBase, Size: span}, peFieldString(e.PEPerms))
+				addr.VRange{Start: eBase, Size: span}, peFieldString(n.fields(e)))
 		case EntryLeaf:
-			ident := e.PFN*span == uint64(eBase)
-			if open != nil && open.perm == e.Perm && open.ident == ident && open.start+addr.VA(open.size) == eBase {
+			ident := e.PFN()*span == uint64(eBase)
+			if open != nil && open.perm == e.Perm() && open.ident == ident && open.start+addr.VA(open.size) == eBase {
 				open.size += span
 				continue
 			}
 			flush()
-			open = &run{start: eBase, size: span, perm: e.Perm, ident: ident}
+			open = &run{start: eBase, size: span, perm: e.Perm(), ident: ident}
 		}
 	}
 	flush()

@@ -126,19 +126,103 @@ func FuzzPEPermDecode(f *testing.F) {
 		// corrupted table would.
 		n := tab.Root()
 		for n.Level > 2 {
-			n = n.Entries[indexAt(0x6000_0000, n.Level)].Next
+			n = n.child(n.Entries[indexAt(0x6000_0000, n.Level)])
 		}
-		e := &n.Entries[indexAt(0x6000_0000, 2)]
 		perms := make([]addr.Perm, nfields%65)
 		for i := range perms {
 			perms[i] = addr.Perm(rawPerms >> (3 * uint(i) % 63) & 0x7)
 		}
-		*e = Entry{Kind: EntryPE, PEPerms: perms}
+		n.setPE(indexAt(0x6000_0000, 2), perms)
 		checkWalkSane(t, tab, addr.VA(probe))
 		base := uint64(0x6000_0000)
 		span := entrySpan(2)
 		for off := uint64(0); off < span; off += span / 16 {
 			checkWalkSane(t, tab, addr.VA(base+off))
+		}
+	})
+}
+
+// FuzzEntryWord checks the entry word layout. Every kind 0-7, every
+// permission 0-15 and every payload below 2^52 must round-trip, and
+// CorruptEntry must decode a raw word to the kind, permission, frame
+// number and PE field count it gave when entries were structs.
+func FuzzEntryWord(f *testing.F) {
+	f.Add(uint8(EntryLeaf), uint8(addr.ReadWrite), uint64(1)<<52-1, uint64(EntryLeaf)|5<<8|1<<12, uint8(0))
+	f.Add(uint8(7), uint8(15), uint64(0), uint64(5), uint8(0))
+	f.Add(uint8(EntryTable), uint8(0), uint64(511), uint64(EntryTable)|1<<3, uint8(1))
+	f.Add(uint8(EntryTable), uint8(0), uint64(3), uint64(EntryTable)|2<<3, uint8(2))
+	f.Add(uint8(EntryTable), uint8(0), uint64(3), uint64(EntryTable)|3<<3, uint8(0))
+	f.Add(uint8(EntryPE), uint8(0), uint64(9), uint64(EntryPE)|16<<3|0x249249<<9, uint8(1))
+	f.Add(uint8(EntryLeaf), uint8(1), uint64(1)<<40, uint64(EntryLeaf)|1<<8|1<<57, uint8(3))
+	f.Fuzz(func(t *testing.T, kind, perm uint8, payload, raw uint64, level uint8) {
+		k, p, pl := EntryKind(kind&7), addr.Perm(perm&0xF), payload&(1<<52-1)
+		if e := makeEntry(k, p, pl); e.Kind() != k || e.Perm() != p || e.PFN() != pl {
+			t.Fatalf("makeEntry(%d, %d, %#x) decodes to (%d, %d, %#x)", k, p, pl, e.Kind(), e.Perm(), e.PFN())
+		}
+
+		// 0x1000 has a subtree at every level of fuzzTable.
+		const va = addr.VA(0x1000)
+		tab := fuzzTable(t)
+		lvl := int(level%4) + 1
+		n := tab.Root()
+		for n.Level > lvl {
+			n = n.child(n.Entries[indexAt(va, n.Level)])
+		}
+		nextPA := tab.nextPA
+		if err := tab.CorruptEntry(va, lvl, raw); err != nil {
+			t.Fatal(err)
+		}
+		e := n.Entries[indexAt(va, lvl)]
+		if e.Kind() != EntryKind(raw&7) {
+			t.Fatalf("raw %#x: kind %d, want raw&7 = %d", raw, e.Kind(), raw&7)
+		}
+		// The struct rules: a leaf takes its 4 permission bits from raw
+		// bits 8-11 and its frame number from bits 12-63; every other
+		// kind has permission 0; empty and unknown kinds hold nothing.
+		switch e.Kind() {
+		case EntryLeaf:
+			if e.Perm() != addr.Perm(raw>>8&0xF) || e.PFN() != raw>>12 {
+				t.Fatalf("raw %#x: leaf perm %d pfn %#x, want %d %#x", raw, e.Perm(), e.PFN(), raw>>8&0xF, raw>>12)
+			}
+		case EntryTable:
+			// Bits 3-4 choose the link: none, the node itself, a
+			// same-level node at the same PA, or a fresh empty child
+			// one level down (none at level 1).
+			child := n.child(e)
+			var ok bool
+			switch raw >> 3 & 3 {
+			case 0:
+				ok = child == nil
+			case 1:
+				ok = child == n
+			case 2:
+				ok = child != nil && child != n && child.Level == n.Level && child.PA == n.PA
+			case 3:
+				if n.Level < 2 {
+					ok = child == nil
+				} else {
+					ok = child != nil && child.Level == n.Level-1 && uint64(child.PA) == nextPA && child.Entries == [EntriesPerNode]Entry{}
+				}
+			}
+			if !ok || e.Perm() != addr.NoPerm {
+				t.Fatalf("raw %#x at level %d: table link %p (perm %d) breaks variant %d", raw, n.Level, child, e.Perm(), raw>>3&3)
+			}
+		case EntryPE:
+			// Bits 3-8 give the field count; field fi is the 3 bits of
+			// raw at 9 + fi%48.
+			perms := n.fields(e)
+			if len(perms) != int(raw>>3&0x3F) || e.Perm() != addr.NoPerm {
+				t.Fatalf("raw %#x: PE with %d fields (perm %d), want %d", raw, len(perms), e.Perm(), raw>>3&0x3F)
+			}
+			for fi, got := range perms {
+				if want := addr.Perm(raw >> (9 + uint(fi)%48) & 0x7); got != want {
+					t.Fatalf("raw %#x: PE field %d = %d, want %d", raw, fi, got, want)
+				}
+			}
+		default:
+			if e != Entry(raw&7) {
+				t.Fatalf("raw %#x: %v entry word %#x, want %#x", raw, e.Kind(), uint64(e), raw&7)
+			}
 		}
 	})
 }

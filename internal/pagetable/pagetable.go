@@ -73,27 +73,63 @@ func (k EntryKind) String() string {
 	}
 }
 
-// Entry is one slot of a page-table node. Architecturally it occupies
-// EntryBytes; the struct form is a simulation convenience. The two
-// byte-sized fields sit together after the word-sized ones, so an Entry
-// is 48 bytes rather than 56 and every node ~14% smaller.
-type Entry struct {
-	// Next is the child node for EntryTable entries.
-	Next *Node
-	// PFN is the physical page number, in units of the page size mapped
-	// at this level, for EntryLeaf entries.
-	PFN uint64
-	// PEPerms holds the per-sub-region permissions for EntryPE entries;
-	// its length equals the table's PEFields setting.
-	PEPerms []addr.Perm
-	// Kind classifies the entry and selects which fields are valid.
-	Kind EntryKind
-	// Perm is the page permission for EntryLeaf entries.
-	Perm addr.Perm
+// Entry is one slot of a page-table node: one 64-bit word laid out like
+// a hardware PTE, so a node is the 4 KB page it simulates.
+//
+//	bits 0-2   kind (EntryKind; 4-7 are invalid and fault)
+//	bits 3-6   leaf permission (addr.Perm; values above ReadExecute fault)
+//	bits 12-63 payload
+//
+// The payload is the frame number for EntryLeaf, in units of the page
+// size mapped at the entry's level. For EntryTable it is the index of
+// the child in its node's kids, for EntryPE the index of the permission
+// fields in its node's pes: the simulator keeps those Go pointers beside
+// the entries rather than in them, so the entries hold no pointers.
+type Entry uint64
+
+// Entry word layout.
+const (
+	entryKindMask    = 0x7
+	entryPermShift   = 3
+	entryPermMask    = 0xF
+	entryPayloadBits = 12 // the payload is the top 52 bits
+)
+
+// makeEntry packs an entry word. perm and payload are truncated to
+// their fields.
+func makeEntry(kind EntryKind, perm addr.Perm, payload uint64) Entry {
+	return Entry(uint64(kind)&entryKindMask |
+		uint64(perm)&entryPermMask<<entryPermShift |
+		payload<<entryPayloadBits)
 }
 
-// Node is one page-table page: 512 entries.
+// Kind classifies the entry and selects what its payload means.
+func (e Entry) Kind() EntryKind { return EntryKind(e & entryKindMask) }
+
+// Perm is the page permission of an EntryLeaf entry.
+func (e Entry) Perm() addr.Perm { return addr.Perm(e >> entryPermShift & entryPermMask) }
+
+// PFN is the physical page number of an EntryLeaf entry, in units of
+// the page size mapped at its level.
+func (e Entry) PFN() uint64 { return uint64(e) >> entryPayloadBits }
+
+// slot is the side-slice index of an EntryTable or EntryPE entry: the
+// same payload bits a leaf uses for its frame number.
+func (e Entry) slot() uint64 { return uint64(e) >> entryPayloadBits }
+
+// Node is one page-table page: 512 entry words. The Go pointers a node
+// needs — its children and its PEs' permission fields — sit in two side
+// slices ahead of the entries, so the collector scans two slice headers
+// and not the 4 KB page. Level-1 nodes have neither.
 type Node struct {
+	// kids holds the children of EntryTable entries, indexed by the
+	// entry's payload. A slot whose entry is overwritten is cleared,
+	// so only reachable subtrees stay alive.
+	kids []*Node
+	// pes holds the permission fields of EntryPE entries, indexed by
+	// the entry's payload; each has the table's PEFields elements.
+	pes [][]addr.Perm
+	// Entries are the page's entry words.
 	Entries [EntriesPerNode]Entry
 	// Level of this node's entries: 1 (leaf page table, 4 KB per entry)
 	// through the table's root level.
@@ -102,6 +138,60 @@ type Node struct {
 	// PWC and AVC are physically indexed, so walker steps carry entry
 	// addresses derived from it.
 	PA addr.PA
+}
+
+// child returns the subtree of the EntryTable entry e, or nil when e's
+// payload names no child.
+func (n *Node) child(e Entry) *Node {
+	if k := e.slot(); k < uint64(len(n.kids)) {
+		return n.kids[k]
+	}
+	return nil
+}
+
+// fields returns the permission fields of the EntryPE entry e, or nil
+// when e's payload names none.
+func (n *Node) fields(e Entry) []addr.Perm {
+	if k := e.slot(); k < uint64(len(n.pes)) {
+		return n.pes[k]
+	}
+	return nil
+}
+
+// set overwrites entry i with e, first clearing the side slot of the
+// entry it replaces.
+func (n *Node) set(i int, e Entry) {
+	switch old := n.Entries[i]; old.Kind() {
+	case EntryTable:
+		if k := old.slot(); k < uint64(len(n.kids)) {
+			n.kids[k] = nil
+		}
+	case EntryPE:
+		if k := old.slot(); k < uint64(len(n.pes)) {
+			n.pes[k] = nil
+		}
+	}
+	n.Entries[i] = e
+}
+
+// setTable makes entry i an EntryTable entry linking child (nil for a
+// truncated, corrupt link).
+func (n *Node) setTable(i int, child *Node) {
+	if n.kids == nil && n.Level == 2 {
+		// Level-2 children are the level-1 pages, nearly all of a
+		// dense table's nodes: allocate their slots once, for the full
+		// fan-out, rather than regrowing the slice ten times.
+		n.kids = make([]*Node, 0, EntriesPerNode)
+	}
+	n.set(i, makeEntry(EntryTable, addr.NoPerm, uint64(len(n.kids))))
+	n.kids = append(n.kids, child)
+}
+
+// setPE makes entry i a Permission Entry with the given fields, which
+// the node takes ownership of.
+func (n *Node) setPE(i int, perms []addr.Perm) {
+	n.set(i, makeEntry(EntryPE, addr.NoPerm, uint64(len(n.pes))))
+	n.pes = append(n.pes, perms)
 }
 
 // EntryPA returns the simulated physical address of entry i, i.e. the
@@ -237,17 +327,15 @@ func (t *Table) descendFor(va addr.VA, leafLevel int) (*Node, error) {
 	n := t.root
 	for n.Level > leafLevel {
 		i := indexAt(va, n.Level)
-		e := &n.Entries[i]
-		switch e.Kind {
+		switch n.Entries[i].Kind() {
 		case EntryEmpty:
-			child := t.newNode(n.Level - 1)
-			*e = Entry{Kind: EntryTable, Next: child}
+			n.setTable(i, t.newNode(n.Level-1))
 		case EntryPE:
 			t.expandPE(n, i)
 		case EntryLeaf:
 			return nil, fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), n.Level)
 		}
-		n = n.Entries[i].Next
+		n = n.child(n.Entries[i])
 	}
 	return n, nil
 }
@@ -256,8 +344,7 @@ func (t *Table) descendFor(va addr.VA, leafLevel int) (*Node, error) {
 // leaf level).
 func (t *Table) installLeaf(n *Node, va addr.VA, pa addr.PA, perm addr.Perm, leafLevel int, pageSize uint64) error {
 	i := indexAt(va, leafLevel)
-	e := &n.Entries[i]
-	switch e.Kind {
+	switch n.Entries[i].Kind() {
 	case EntryTable:
 		return fmt.Errorf("pagetable: %#x has a subtree below level %d; unmap first", uint64(va), leafLevel)
 	case EntryPE:
@@ -265,7 +352,7 @@ func (t *Table) installLeaf(n *Node, va addr.VA, pa addr.PA, perm addr.Perm, lea
 		// new mapping; expanding a level-1 PE is meaningless, reject.
 		return fmt.Errorf("pagetable: %#x covered by a level-%d PE", uint64(va), leafLevel)
 	}
-	*e = Entry{Kind: EntryLeaf, PFN: uint64(pa) / pageSize, Perm: perm}
+	n.Entries[i] = makeEntry(EntryLeaf, perm, uint64(pa)/pageSize)
 	return nil
 }
 
@@ -323,8 +410,8 @@ func (t *Table) MapRange(r addr.VRange, pa addr.PA, perm addr.Perm, pageSize uin
 // bytes each, so a field (1/16th of the entry span) covers exactly
 // EntriesPerNode/PEFields consecutive child entries.
 func (t *Table) expandPE(n *Node, i int) {
-	e := &n.Entries[i]
-	if e.Kind != EntryPE {
+	e := n.Entries[i]
+	if e.Kind() != EntryPE {
 		panic("pagetable: expandPE on non-PE entry")
 	}
 	if n.Level < 2 {
@@ -334,15 +421,16 @@ func (t *Table) expandPE(n *Node, i int) {
 	base := t.entryBaseVA(n, i)
 	childSpan := entrySpan(n.Level - 1)
 	group := EntriesPerNode / t.cfg.PEFields
+	perms := n.fields(e)
 	for ci := 0; ci < EntriesPerNode; ci++ {
-		perm := e.PEPerms[ci/group]
+		perm := perms[ci/group]
 		if perm == addr.NoPerm {
 			continue
 		}
 		cva := base + addr.VA(uint64(ci)*childSpan)
-		child.Entries[ci] = Entry{Kind: EntryLeaf, PFN: uint64(cva) / childSpan, Perm: perm}
+		child.Entries[ci] = makeEntry(EntryLeaf, perm, uint64(cva)/childSpan)
 	}
-	*e = Entry{Kind: EntryTable, Next: child}
+	n.setTable(i, child)
 }
 
 // entryBaseVA reconstructs the base virtual address mapped by entry i of
@@ -360,12 +448,11 @@ func (t *Table) findNodeBase(cur, target *Node, base addr.VA) (addr.VA, bool) {
 		return base, true
 	}
 	span := entrySpan(cur.Level)
-	for i := range cur.Entries {
-		e := &cur.Entries[i]
-		if e.Kind != EntryTable {
+	for i, e := range &cur.Entries {
+		if e.Kind() != EntryTable {
 			continue
 		}
-		if b, ok := t.findNodeBase(e.Next, target, base+addr.VA(uint64(i)*span)); ok {
+		if b, ok := t.findNodeBase(cur.child(e), target, base+addr.VA(uint64(i)*span)); ok {
 			return b, true
 		}
 	}
@@ -389,19 +476,15 @@ func (t *Table) SetPE(va addr.VA, level int, perms []addr.Perm) error {
 	n := t.root
 	for n.Level > level {
 		i := indexAt(va, n.Level)
-		e := &n.Entries[i]
-		switch e.Kind {
+		switch n.Entries[i].Kind() {
 		case EntryEmpty:
-			child := t.newNode(n.Level - 1)
-			*e = Entry{Kind: EntryTable, Next: child}
+			n.setTable(i, t.newNode(n.Level-1))
 		case EntryLeaf, EntryPE:
 			return fmt.Errorf("pagetable: %#x already mapped at level %d", uint64(va), n.Level)
 		}
-		n = n.Entries[indexAt(va, n.Level)].Next
+		n = n.child(n.Entries[i])
 	}
-	p := make([]addr.Perm, len(perms))
-	copy(p, perms)
-	n.Entries[indexAt(va, level)] = Entry{Kind: EntryPE, PEPerms: p}
+	n.setPE(indexAt(va, level), append([]addr.Perm(nil), perms...))
 	return nil
 }
 
@@ -423,39 +506,39 @@ func (t *Table) CorruptEntry(va addr.VA, level int, raw uint64) error {
 	}
 	n := t.root
 	for n.Level > level {
-		e := &n.Entries[indexAt(va, n.Level)]
-		if e.Kind != EntryTable || e.Next == nil {
+		e := n.Entries[indexAt(va, n.Level)]
+		if e.Kind() != EntryTable || n.child(e) == nil {
 			return fmt.Errorf("pagetable: no subtree at level %d for %#x", n.Level, uint64(va))
 		}
-		n = e.Next
+		n = n.child(e)
 	}
 	i := indexAt(va, level)
-	e := Entry{Kind: EntryKind(raw & 7)} // kinds 4-7 do not exist: unknown-kind corruption
-	switch e.Kind {
+	switch kind := EntryKind(raw & 7); kind { // kinds 4-7 do not exist: unknown-kind corruption
 	case EntryTable:
+		var next *Node // nil subtree pointer (truncated table)
 		switch (raw >> 3) & 3 {
-		case 0:
-			// nil subtree pointer (truncated table)
 		case 1:
-			e.Next = n // self-link: a cycle
+			next = n // self-link: a cycle
 		case 2:
-			e.Next = &Node{Level: n.Level, PA: n.PA} // mis-leveled cross-link
+			next = &Node{Level: n.Level, PA: n.PA} // mis-leveled cross-link
 		case 3:
 			if n.Level >= 2 {
-				e.Next = t.newNode(n.Level - 1) // valid but empty subtree
+				next = t.newNode(n.Level - 1) // valid but empty subtree
 			}
 		}
+		n.setTable(i, next)
 	case EntryLeaf:
-		e.Perm = addr.Perm(raw >> 8 & 0xF) // 4 bits: half the values are invalid
-		e.PFN = raw >> 12
+		// 4 permission bits: half the values are invalid.
+		n.set(i, makeEntry(EntryLeaf, addr.Perm(raw>>8&0xF), raw>>12))
 	case EntryPE:
-		nf := int(raw >> 3 & 0x3F) // field count 0-63: usually != PEFields
-		e.PEPerms = make([]addr.Perm, nf)
-		for fi := range e.PEPerms {
-			e.PEPerms[fi] = addr.Perm(raw >> (9 + uint(fi)%48) & 0x7)
+		perms := make([]addr.Perm, raw>>3&0x3F) // field count 0-63: usually != PEFields
+		for fi := range perms {
+			perms[fi] = addr.Perm(raw >> (9 + uint(fi)%48) & 0x7)
 		}
+		n.setPE(i, perms)
+	default:
+		n.set(i, makeEntry(kind, addr.NoPerm, 0))
 	}
-	n.Entries[i] = e
 	return nil
 }
 
@@ -480,59 +563,53 @@ func (t *Table) clearPage(va addr.VA) error {
 	n := t.root
 	for {
 		i := indexAt(va, n.Level)
-		e := &n.Entries[i]
-		switch e.Kind {
+		e := n.Entries[i]
+		switch e.Kind() {
 		case EntryEmpty:
 			return nil
 		case EntryPE:
 			span := entrySpan(n.Level)
 			field := span / uint64(t.cfg.PEFields)
 			fi := (uint64(va) % span) / field
-			if e.PEPerms[fi] == addr.NoPerm {
+			perms := n.fields(e)
+			if perms[fi] == addr.NoPerm {
 				return nil
 			}
 			if addr.PageSize4K == field {
-				e.PEPerms[fi] = addr.NoPerm
+				perms[fi] = addr.NoPerm
 				return nil
 			}
 			t.expandPE(n, i)
-			n = n.Entries[i].Next
-			continue
 		case EntryLeaf:
 			if n.Level == 1 {
-				*e = Entry{}
+				n.Entries[i] = 0
 				return nil
 			}
 			// Partially unmapping a huge leaf: split into the
 			// child level first.
 			t.splitLeaf(n, i)
-			n = n.Entries[i].Next
-			continue
 		case EntryTable:
-			n = e.Next
-			continue
+		default:
+			return fmt.Errorf("pagetable: corrupt level-%d entry covers %#x", n.Level, uint64(va))
 		}
+		n = n.child(n.Entries[i])
 	}
 }
 
 // splitLeaf splits a huge leaf entry into a child node of next-smaller
 // leaves covering the same range with the same permissions.
 func (t *Table) splitLeaf(n *Node, i int) {
-	e := &n.Entries[i]
-	if e.Kind != EntryLeaf || n.Level < 2 {
+	e := n.Entries[i]
+	if e.Kind() != EntryLeaf || n.Level < 2 {
 		panic("pagetable: splitLeaf on non-huge leaf")
 	}
 	child := t.newNode(n.Level - 1)
 	childSpan := entrySpan(n.Level - 1)
-	basePA := e.PFN * entrySpan(n.Level)
+	basePA := e.PFN() * entrySpan(n.Level)
 	for ci := 0; ci < EntriesPerNode; ci++ {
-		child.Entries[ci] = Entry{
-			Kind: EntryLeaf,
-			PFN:  (basePA + uint64(ci)*childSpan) / childSpan,
-			Perm: e.Perm,
-		}
+		child.Entries[ci] = makeEntry(EntryLeaf, e.Perm(), (basePA+uint64(ci)*childSpan)/childSpan)
 	}
-	*e = Entry{Kind: EntryTable, Next: child}
+	n.setTable(i, child)
 }
 
 // Protect sets the permission of every mapped 4 KB page in r to perm.
@@ -554,44 +631,38 @@ func (t *Table) protectPage(va addr.VA, perm addr.Perm, whole addr.VRange) error
 	n := t.root
 	for {
 		i := indexAt(va, n.Level)
-		e := &n.Entries[i]
-		switch e.Kind {
+		e := n.Entries[i]
+		switch e.Kind() {
 		case EntryEmpty:
 			return nil
 		case EntryPE:
 			span := entrySpan(n.Level)
 			field := span / uint64(t.cfg.PEFields)
 			fi := (uint64(va) % span) / field
-			if e.PEPerms[fi] == addr.NoPerm {
+			perms := n.fields(e)
+			if perms[fi] == addr.NoPerm {
 				return nil
 			}
 			fieldBase := addr.VA(addr.AlignDown(uint64(va), field))
 			fieldRange := addr.VRange{Start: fieldBase, Size: field}
 			if whole.Contains(fieldRange.Start) && whole.Contains(fieldRange.End()-1) {
-				e.PEPerms[fi] = perm
+				perms[fi] = perm
 				return nil
 			}
 			t.expandPE(n, i)
-			n = n.Entries[i].Next
-			continue
 		case EntryLeaf:
-			if n.Level == 1 {
-				e.Perm = perm
-				return nil
-			}
 			span := entrySpan(n.Level)
 			leafBase := addr.VA(addr.AlignDown(uint64(va), span))
 			leafRange := addr.VRange{Start: leafBase, Size: span}
-			if whole.Contains(leafRange.Start) && whole.Contains(leafRange.End()-1) {
-				e.Perm = perm
+			if n.Level == 1 || whole.Contains(leafRange.Start) && whole.Contains(leafRange.End()-1) {
+				n.Entries[i] = makeEntry(EntryLeaf, perm, e.PFN())
 				return nil
 			}
 			t.splitLeaf(n, i)
-			n = n.Entries[i].Next
-			continue
 		case EntryTable:
-			n = e.Next
-			continue
+		default:
+			return fmt.Errorf("pagetable: corrupt level-%d entry covers %#x", n.Level, uint64(va))
 		}
+		n = n.child(n.Entries[i])
 	}
 }

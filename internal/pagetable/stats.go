@@ -42,26 +42,25 @@ func (t *Table) statsNode(n *Node, base addr.VA, s *SizeStats) {
 	s.Nodes++
 	s.NodesPerLevel[n.Level]++
 	span := entrySpan(n.Level)
-	for i := 0; i < EntriesPerNode; i++ {
-		e := &n.Entries[i]
+	for i, e := range &n.Entries {
 		eBase := base + addr.VA(uint64(i)*span)
-		switch e.Kind {
+		switch e.Kind() {
 		case EntryTable:
-			t.statsNode(e.Next, eBase, s)
+			t.statsNode(n.child(e), eBase, s)
 		case EntryLeaf:
-			if e.Perm == addr.NoPerm {
+			if e.Perm() == addr.NoPerm {
 				continue
 			}
 			s.LeafCount++
 			pages := span / addr.PageSize4K
 			s.MappedPages += pages
-			if e.PFN*span == uint64(eBase) {
+			if e.PFN()*span == uint64(eBase) {
 				s.IdentityPages += pages
 			}
 		case EntryPE:
 			s.PECount++
 			field := span / uint64(t.cfg.PEFields)
-			for _, p := range e.PEPerms {
+			for _, p := range n.fields(e) {
 				if p == addr.NoPerm {
 					continue
 				}

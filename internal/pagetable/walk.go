@@ -139,46 +139,49 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 	n := t.root
 	for {
 		i := indexAt(va, n.Level)
-		e := &n.Entries[i]
-		res.Steps = append(res.Steps, WalkStep{Level: n.Level, EntryPA: n.EntryPA(i), Kind: e.Kind})
-		switch e.Kind {
+		e := n.Entries[i]
+		res.Steps = append(res.Steps, WalkStep{Level: n.Level, EntryPA: n.EntryPA(i), Kind: e.Kind()})
+		switch e.Kind() {
 		case EntryEmpty:
 			return
 		case EntryTable:
 			// A structurally valid child exists and sits exactly one
-			// level down. Anything else — nil pointer, self-link,
+			// level down. Anything else — no child, self-link,
 			// cross-link, or a "table" below the last level — is
 			// corruption; the level check also bounds the walk to
 			// Levels steps, so a cyclic table cannot hang the walker.
-			if n.Level <= 1 || e.Next == nil || e.Next.Level != n.Level-1 {
+			next := n.child(e)
+			if n.Level <= 1 || next == nil || next.Level != n.Level-1 {
 				res.Fault = FaultCorrupt
 				return
 			}
-			n = e.Next
+			n = next
 			continue
 		case EntryLeaf:
 			// Spans are powers of two, so the frame bound, the frame's
 			// base and the offset are shifts and masks.
 			shift := levelShift(n.Level)
 			off := uint64(va) & (uint64(1)<<shift - 1)
-			if e.Perm > addr.ReadExecute || e.PFN >= maxPA>>shift {
+			perm, pfn := e.Perm(), e.PFN()
+			if perm > addr.ReadExecute || pfn >= maxPA>>shift {
 				res.Fault = FaultCorrupt
 				return
 			}
-			pa := addr.PA(e.PFN<<shift + off)
-			if e.Perm == addr.NoPerm {
+			pa := addr.PA(pfn<<shift + off)
+			if perm == addr.NoPerm {
 				return
 			}
 			res.Outcome = WalkLeaf
 			res.Fault = FaultNone
 			res.PA = pa
-			res.Perm = e.Perm
+			res.Perm = perm
 			res.Identity = uint64(pa) == uint64(va)
 			res.MapBase = va - addr.VA(off)
 			res.MapSize = uint64(1) << shift
 			return
 		case EntryPE:
-			if n.Level < 2 || len(e.PEPerms) != t.cfg.PEFields {
+			perms := n.fields(e)
+			if n.Level < 2 || len(perms) != t.cfg.PEFields {
 				res.Fault = FaultBadPE
 				return
 			}
@@ -187,7 +190,7 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 			shift := levelShift(n.Level)
 			fieldShift := shift - uint(bits.TrailingZeros(uint(t.cfg.PEFields)))
 			fi := (uint64(va) & (uint64(1)<<shift - 1)) >> fieldShift
-			perm := e.PEPerms[fi]
+			perm := perms[fi]
 			if perm > addr.ReadExecute {
 				res.Fault = FaultBadPE
 				return
@@ -229,23 +232,21 @@ func (t *Table) ForEachPage(fn func(va addr.VA, pa addr.PA, perm addr.Perm)) {
 
 func (t *Table) forEachPage(n *Node, base addr.VA, fn func(addr.VA, addr.PA, addr.Perm)) {
 	span := entrySpan(n.Level)
-	for i := 0; i < EntriesPerNode; i++ {
-		e := &n.Entries[i]
+	for i, e := range &n.Entries {
 		eBase := base + addr.VA(uint64(i)*span)
-		switch e.Kind {
+		switch e.Kind() {
 		case EntryTable:
-			t.forEachPage(e.Next, eBase, fn)
+			t.forEachPage(n.child(e), eBase, fn)
 		case EntryLeaf:
-			if e.Perm == addr.NoPerm {
+			if e.Perm() == addr.NoPerm {
 				continue
 			}
 			for off := uint64(0); off < span; off += addr.PageSize4K {
-				fn(eBase+addr.VA(off), addr.PA(e.PFN*span+off), e.Perm)
+				fn(eBase+addr.VA(off), addr.PA(e.PFN()*span+off), e.Perm())
 			}
 		case EntryPE:
 			field := span / uint64(t.cfg.PEFields)
-			for fi := 0; fi < t.cfg.PEFields; fi++ {
-				perm := e.PEPerms[fi]
+			for fi, perm := range n.fields(e) {
 				if perm == addr.NoPerm {
 					continue
 				}
