@@ -7,7 +7,7 @@
 // Usage:
 //
 //	dvmserved -addr localhost:8080 -dir /var/lib/dvmserved [-j N]
-//	          [-cell-timeout 5m] [-retries 3] [-sync-every 1] [-q]
+//	          [-cell-timeout 5m] [-sync-every 1] [-q]
 //
 // Submit a job (its sweep fields — profile, artifacts, modes,
 // chaos_rate, chaos_seed — are a report.Spec, the same description
@@ -60,9 +60,6 @@ func main() {
 	dir := flag.String("dir", "dvmserved-jobs", "durable job store directory")
 	jobs := flag.Int("j", 0, "max concurrent experiment cells across all jobs (0 = one per CPU)")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell watchdog (0 = none); a wedged cell fails its job instead of hanging the daemon")
-	retries := flag.Int("retries", 3, "attempts per transient-failing cell (1 = no retry; panics and timeouts never retry)")
-	retryBackoff := flag.Duration("retry-backoff", 10*time.Millisecond, "first retry delay (doubles per attempt, capped at 1s, jittered)")
-	retrySeed := flag.Uint64("retry-seed", 0, "retry jitter seed (0 = fixed default; any value is deterministic)")
 	syncEvery := flag.Int("sync-every", 1, "checkpoint fsync cadence in cells (1 = every cell; raise for sweeps of thousands of cheap cells)")
 	quiet := flag.Bool("q", false, "suppress status output")
 	flag.Parse()
@@ -75,14 +72,11 @@ func main() {
 		lg.Exitf(1, "%v", err)
 	}
 	sched, err := serve.NewScheduler(store, serve.Config{
-		Jobs:          *jobs,
-		CellTimeout:   *cellTimeout,
-		RetryAttempts: *retries,
-		RetryBackoff:  *retryBackoff,
-		RetrySeed:     *retrySeed,
-		SyncEvery:     *syncEvery,
-		Metrics:       coll,
-		Logf:          lg.Statusf,
+		Jobs:        *jobs,
+		CellTimeout: *cellTimeout,
+		SyncEvery:   *syncEvery,
+		Metrics:     coll,
+		Logf:        lg.Statusf,
 	})
 	if err != nil {
 		lg.Exitf(1, "%v", err)

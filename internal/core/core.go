@@ -625,7 +625,7 @@ func (p *Prepared) RunAll(cfg SystemConfig) (map[Mode]RunResult, error) {
 // layer runs extended sets (the seven paper modes plus SPARTA and VBI)
 // this way without changing the default artifact.
 func (p *Prepared) RunModesCtx(ctx context.Context, modes []Mode, cfg SystemConfig, jobs int) (map[Mode]RunResult, error) {
-	results, err := runner.MapB(ctx, cfg.Workers, jobs, len(modes), func(_ context.Context, i int) (RunResult, error) {
+	results, err := runner.Map(ctx, runner.Options{Jobs: jobs, Budget: cfg.Workers}, len(modes), func(_ context.Context, i int) (RunResult, error) {
 		m := modes[i]
 		r, err := p.Run(m, cfg)
 		if err != nil {

@@ -264,7 +264,7 @@ func Figure9(cell Figure8Cell) (Figure9Cell, error) {
 // the sensitivity study behind Figure 2's "128-entry TLB" choice — with
 // up to jobs sizes measured concurrently.
 func TLBMissRateVsSizeCtx(ctx context.Context, p *Prepared, cfg SystemConfig, sizes []int, jobs int) (map[int]float64, error) {
-	rates, err := runner.Map(ctx, jobs, len(sizes), func(_ context.Context, i int) (float64, error) {
+	rates, err := runner.Map(ctx, runner.Options{Jobs: jobs}, len(sizes), func(_ context.Context, i int) (float64, error) {
 		c := cfg
 		c.TLBEntries = sizes[i]
 		r, err := p.Run(ModeConv4K, c)

@@ -281,14 +281,6 @@ func (u *IOMMU) AVC() *PTECache {
 	return nil
 }
 
-// BMCache returns the bitmap cache (nil unless ModeDVMBM).
-func (u *IOMMU) BMCache() *TLB {
-	if b, ok := u.be.(*bmBackend); ok {
-		return b.bmCache
-	}
-	return nil
-}
-
 // RegisterMetrics publishes the IOMMU's activity counters and those of
 // every structure the backend owns into reg, under the repository's
 // standard names (iommu.*, then the backend's namespace: mmu.tlb.*,

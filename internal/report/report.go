@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"github.com/dvm-sim/dvm/internal/chaos"
@@ -73,7 +72,7 @@ type Options struct {
 	Prepared *core.PreparedCache
 	// Workers, when non-nil, is the shared extra-worker pool bounding
 	// *all* concurrency of the invocation: cell-level workers hold its
-	// tokens (via runner.MapB) and parallel CSR builds borrow from the
+	// tokens (via runner.Map) and parallel CSR builds borrow from the
 	// same pool — so one -j value never oversubscribes the machine. Nil preserves the plain per-level Jobs
 	// semantics; results are byte-identical either way. Commands set it
 	// to runner.BudgetFor(jobs).
@@ -129,13 +128,6 @@ type Options struct {
 	// historical default) lets cells run unbounded. The service tier
 	// sets it so one wedged simulation cannot hang a daemon job forever.
 	CellTimeout time.Duration
-	// Retry re-runs cells whose error the policy classifies transient
-	// (runner.IsTransient by default), with capped exponential backoff
-	// and optional seeded jitter. The zero value (the historical
-	// default) disables retry. Retry is safe here because a cell's side
-	// effects (metrics fold, progress, checkpoint record) all run after
-	// the compute returns success — a failed attempt leaves no residue.
-	Retry runner.RetryPolicy
 }
 
 // Shard identifies one member of a distributed sweep fleet: cell i of
@@ -172,16 +164,13 @@ func (o Options) ctx() context.Context {
 }
 
 // mapCells fans an artifact's cells out on the worker pool under the
-// options' full resilience policy (budget, watchdog, retry). With
-// CellTimeout and Retry at their zero values it is exactly the
-// historical runner.MapB path, so tables stay byte-identical at every
-// Jobs value.
+// options' budget and cell watchdog. Results are collected by cell
+// index, so tables stay byte-identical at every Jobs value.
 func mapCells[T any](o Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return runner.MapOpts(o.ctx(), runner.Options{
+	return runner.Map(o.ctx(), runner.Options{
 		Jobs:        o.Jobs,
 		Budget:      o.Workers,
 		CellTimeout: o.CellTimeout,
-		Retry:       o.Retry,
 	}, n, fn)
 }
 
@@ -872,9 +861,4 @@ func Virtualization(w io.Writer, opts Options) error {
 // with the given minimum cacheable level.
 func mmuPTECacheConfig(minLevel int) mmu.PTECacheConfig {
 	return mmu.PTECacheConfig{CapacityBytes: 1 << 10, BlockBytes: 64, Ways: 4, MinLevel: minLevel}
-}
-
-// sortModes is kept for deterministic map iteration in future renderers.
-func sortModes(ms []core.Mode) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 }

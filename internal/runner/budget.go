@@ -5,7 +5,7 @@ import "sync/atomic"
 // Budget is the shared worker-token pool that makes one -j value govern
 // *all* parallelism of a harness invocation. The paper harness has two
 // nested levels of concurrency: cell-level workers (independent
-// simulations of the evaluation matrix, fanned out by MapB) and the
+// simulations of the evaluation matrix, fanned out by Map) and the
 // parallel CSR build of workload preparation. Both draw "extra worker"
 // tokens from the same Budget, so a -j 8 sweep never runs more than 8
 // compute goroutines at once: when the matrix is wide the tokens are

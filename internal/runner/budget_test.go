@@ -89,19 +89,20 @@ func TestBudgetConservation(t *testing.T) {
 	}
 }
 
-// TestMapBMatchesMap: MapB must produce byte-identical results to Map for
-// any budget population, including an empty pool (inline sequential).
+// TestMapBMatchesMap: Map with a Budget must produce byte-identical
+// results to a sequential Map for any budget population, including an
+// empty pool (inline sequential).
 func TestMapBMatchesMap(t *testing.T) {
 	ctx := context.Background()
 	fn := func(_ context.Context, i int) (string, error) {
 		return fmt.Sprintf("cell-%02d", i*i), nil
 	}
-	want, err := Map(ctx, 1, 20, fn)
+	want, err := Map(ctx, Options{Jobs: 1}, 20, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tokens := range []int{0, 1, 3, 50} {
-		got, err := MapB(ctx, NewBudget(tokens), 8, 20, fn)
+		got, err := Map(ctx, Options{Jobs: 8, Budget: NewBudget(tokens)}, 20, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,21 +112,21 @@ func TestMapBMatchesMap(t *testing.T) {
 	}
 }
 
-// TestMapBReleasesTokens: after MapB returns, every borrowed token is back.
+// TestMapBReleasesTokens: after Map returns, every borrowed token is back.
 func TestMapBReleasesTokens(t *testing.T) {
 	b := NewBudget(4)
-	_, err := MapB(context.Background(), b, 8, 32, func(_ context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), Options{Jobs: 8, Budget: b}, 32, func(_ context.Context, i int) (int, error) {
 		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := b.Free(); got != 4 {
-		t.Errorf("budget has %d tokens after MapB, want 4", got)
+		t.Errorf("budget has %d tokens after Map, want 4", got)
 	}
 }
 
-// TestMapBNestedSharing: nested MapB calls drawing on one pool must never
+// TestMapBNestedSharing: nested Map calls drawing on one pool must never
 // exceed the pool's worker cap (1 outer caller + tokens extras).
 func TestMapBNestedSharing(t *testing.T) {
 	const tokens = 3
@@ -145,8 +146,8 @@ func TestMapBNestedSharing(t *testing.T) {
 		running.Add(-1)
 		return 0, nil
 	}
-	_, err := MapB(context.Background(), b, 8, 6, func(ctx context.Context, i int) (int, error) {
-		_, err := MapB(ctx, b, 8, 10, body)
+	_, err := Map(context.Background(), Options{Jobs: 8, Budget: b}, 6, func(ctx context.Context, i int) (int, error) {
+		_, err := Map(ctx, Options{Jobs: 8, Budget: b}, 10, body)
 		return 0, err
 	})
 	if err != nil {
@@ -158,7 +159,7 @@ func TestMapBNestedSharing(t *testing.T) {
 		t.Errorf("saw %d concurrent bodies, cap is %d", m, tokens+1)
 	}
 	if got := b.Free(); got != tokens {
-		t.Errorf("budget has %d tokens after nested MapB, want %d", got, tokens)
+		t.Errorf("budget has %d tokens after nested Map, want %d", got, tokens)
 	}
 }
 

@@ -2,13 +2,12 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/debug"
 	"time"
 )
 
-// CellError is the failure of one cell of a Map/MapOpts matrix. The
+// CellError is the failure of one cell of a Map matrix. The
 // runner guarantees every panic and every watchdog timeout surfaces as
 // a *CellError naming the cell index, so a sweep failure always says
 // which simulation broke — essential when a 105-cell sweep dies nine
@@ -37,68 +36,12 @@ func (e *CellError) Error() string {
 // Unwrap exposes the underlying error to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
 
-// transientError marks an error as transient for retry classification.
-type transientError struct{ err error }
-
-func (t *transientError) Error() string { return t.err.Error() }
-func (t *transientError) Unwrap() error { return t.err }
-
-// MarkTransient wraps err so IsTransient reports true: the failure is
-// a fault-class the caller believes a retry can clear (an injected
-// fault, a flaky external resource), as opposed to a deterministic
-// simulation error that will recur on every attempt.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked
-// with MarkTransient. It is the default retry classifier: deliberately
-// conservative, since retrying a deterministic failure only multiplies
-// the wall-clock cost of reporting it.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-// RetryPolicy controls per-cell retry of classified-transient failures.
-// The zero value disables retry.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per cell (<= 1 means a
-	// single attempt, i.e. no retry).
-	MaxAttempts int
-	// Backoff is the delay before the first retry (default 10ms),
-	// doubling per attempt.
-	Backoff time.Duration
-	// MaxBackoff caps the doubling (default 1s).
-	MaxBackoff time.Duration
-	// Classify decides whether an error is worth retrying; nil means
-	// IsTransient. Panics and watchdog timeouts are never retried —
-	// a cell that crashed or hung once has forfeited determinism.
-	Classify func(error) bool
-	// Seed arms deterministic backoff jitter: when nonzero, every delay
-	// is scaled into [1/2, 1) of its nominal value by a splitmix64 hash
-	// of (Seed, cell index, attempt) — the same discipline as
-	// internal/chaos. A fleet of workers retrying the same transient
-	// fault therefore de-synchronizes instead of thundering back in
-	// lockstep, while a fixed seed keeps every delay (and so every test)
-	// reproducible. Zero preserves the exact exponential schedule.
-	Seed uint64
-	// OnRetry, when non-nil, observes every retry the policy grants:
-	// the cell index, the attempt that just failed (1-based), its error
-	// and the jittered delay about to be slept. It runs on the worker
-	// goroutine, so sinks must be goroutine-safe (a metrics counter).
-	OnRetry func(cell, attempt int, err error, delay time.Duration)
-}
-
-// Options configures MapOpts beyond the plain MapB knobs.
+// Options configures Map.
 type Options struct {
 	// Jobs bounds concurrent cells (<= 0: one per CPU).
 	Jobs int
-	// Budget is the shared extra-worker token pool (nil: unbounded, as
-	// plain Map).
+	// Budget is the shared extra-worker token pool (nil: every
+	// requested worker runs).
 	Budget *Budget
 	// CellTimeout, when positive, puts every cell under a watchdog: a
 	// cell running longer is abandoned and reported as a *CellError
@@ -107,8 +50,6 @@ type Options struct {
 	// cannot preempt it — but its result is discarded and its worker
 	// slot moves on.
 	CellTimeout time.Duration
-	// Retry re-runs cells whose error the policy classifies transient.
-	Retry RetryPolicy
 }
 
 // callCell invokes fn for one cell, converting a panic into a
@@ -130,9 +71,10 @@ func callCell[T any](ctx context.Context, i int, fn func(ctx context.Context, i 
 	return fn(ctx, i)
 }
 
-// runCellOnce executes one attempt of cell i, under the watchdog when a
-// CellTimeout is set.
-func runCellOnce[T any](ctx context.Context, opts Options, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
+// runCell executes cell i, under the watchdog when a CellTimeout is
+// set. Cells run exactly once: a cell is a deterministic function of
+// its inputs, so a retry would fail the same way again.
+func runCell[T any](ctx context.Context, opts Options, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
 	if opts.CellTimeout <= 0 {
 		return callCell(ctx, i, fn)
 	}
@@ -164,84 +106,4 @@ func runCellOnce[T any](ctx context.Context, opts Options, i int, fn func(ctx co
 			Err:   fmt.Errorf("cell exceeded %v watchdog: %w", opts.CellTimeout, context.DeadlineExceeded),
 		}
 	}
-}
-
-// runCell executes cell i under the full policy: watchdog per attempt,
-// classified retry with capped exponential backoff between attempts.
-func runCell[T any](ctx context.Context, opts Options, i int, fn func(ctx context.Context, i int) (T, error)) (T, error) {
-	attempts := opts.Retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	classify := opts.Retry.Classify
-	if classify == nil {
-		classify = IsTransient
-	}
-	backoff := opts.Retry.Backoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
-	maxBackoff := opts.Retry.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = time.Second
-	}
-	for attempt := 1; ; attempt++ {
-		r, err := runCellOnce(ctx, opts, i, fn)
-		if err == nil || attempt >= attempts || ctx.Err() != nil {
-			return r, err
-		}
-		var ce *CellError
-		if errors.As(err, &ce) && (ce.Panicked || errors.Is(ce.Err, context.DeadlineExceeded)) {
-			// Crashed or hung: not retryable by policy.
-			return r, err
-		}
-		if !classify(err) {
-			return r, err
-		}
-		delay := backoff
-		if opts.Retry.Seed != 0 {
-			delay = jitter(opts.Retry.Seed, i, attempt, backoff)
-		}
-		if opts.Retry.OnRetry != nil {
-			opts.Retry.OnRetry(i, attempt, err, delay)
-		}
-		select {
-		case <-time.After(delay):
-		case <-ctx.Done():
-			return r, err
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// jitter maps (seed, cell, attempt) to a delay in [d/2, d): full
-// determinism for a fixed seed, full decorrelation across cells and
-// attempts. The mixer is SplitMix64 (the internal/chaos discipline):
-// two dependent rounds diffuse the low-entropy inputs.
-func jitter(seed uint64, cell, attempt int, d time.Duration) time.Duration {
-	x := splitmix64(seed ^ uint64(cell)*0x9e3779b97f4a7c15)
-	x = splitmix64(x ^ uint64(attempt))
-	half := d / 2
-	// 53 high bits -> uniform fraction in [0, 1).
-	frac := float64(x>>11) / (1 << 53)
-	return half + time.Duration(float64(half)*frac)
-}
-
-// splitmix64 is the SplitMix64 mixer: tiny state, excellent diffusion.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// MapOpts is MapB with the full resilience policy: per-cell panic
-// isolation (always on), a per-cell watchdog deadline and classified
-// retry when Options asks for them. Results are collected by cell
-// index; output is byte-identical at every Jobs value and budget
-// population, exactly as Map/MapB.
-func MapOpts[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return mapCells(ctx, opts, n, fn)
 }

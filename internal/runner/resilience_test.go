@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,7 +14,7 @@ import (
 func TestChaosMapPanicIsolation(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("jobs%d", jobs), func(t *testing.T) {
-			_, err := Map(context.Background(), jobs, 16, func(_ context.Context, i int) (int, error) {
+			_, err := Map(context.Background(), Options{Jobs: jobs}, 16, func(_ context.Context, i int) (int, error) {
 				if i == 7 {
 					panic("simulated cell explosion")
 				}
@@ -43,7 +41,7 @@ func TestChaosMapPanicIsolation(t *testing.T) {
 // the reported failure is deterministic.
 func TestChaosMapPanicSmallestIndexWins(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
-		_, err := Map(context.Background(), 8, 32, func(_ context.Context, i int) (int, error) {
+		_, err := Map(context.Background(), Options{Jobs: 8}, 32, func(_ context.Context, i int) (int, error) {
 			if i%3 == 2 { // cells 2, 5, 8, ...
 				panic(i)
 			}
@@ -64,7 +62,7 @@ func TestChaosCellWatchdogTimeout(t *testing.T) {
 	hung := make(chan struct{})
 	defer close(hung)
 	start := time.Now()
-	_, err := MapOpts(context.Background(), Options{Jobs: 2, CellTimeout: 30 * time.Millisecond}, 4,
+	_, err := Map(context.Background(), Options{Jobs: 2, CellTimeout: 30 * time.Millisecond}, 4,
 		func(ctx context.Context, i int) (int, error) {
 			if i == 1 {
 				select {
@@ -86,60 +84,7 @@ func TestChaosCellWatchdogTimeout(t *testing.T) {
 	}
 }
 
-// Transient failures retry up to MaxAttempts with backoff; the cell
-// succeeds once the fault clears. Deterministic failures never retry.
-func TestChaosRetryPolicy(t *testing.T) {
-	var attempts atomic.Int64
-	out, err := MapOpts(context.Background(),
-		Options{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}}, 2,
-		func(_ context.Context, i int) (int, error) {
-			if i == 1 && attempts.Add(1) < 3 {
-				return 0, MarkTransient(errors.New("injected transient fault"))
-			}
-			return i * 10, nil
-		})
-	if err != nil {
-		t.Fatalf("transient fault not cleared by retry: %v", err)
-	}
-	if out[1] != 10 || attempts.Load() != 3 {
-		t.Fatalf("out[1]=%d attempts=%d, want 10 after 3 attempts", out[1], attempts.Load())
-	}
-
-	attempts.Store(0)
-	permanent := errors.New("deterministic simulation error")
-	_, err = MapOpts(context.Background(),
-		Options{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 5, Backoff: time.Millisecond}}, 1,
-		func(_ context.Context, i int) (int, error) {
-			attempts.Add(1)
-			return 0, permanent
-		})
-	if !errors.Is(err, permanent) {
-		t.Fatalf("err = %v, want the permanent error", err)
-	}
-	if attempts.Load() != 1 {
-		t.Fatalf("unclassified error was attempted %d times, want 1", attempts.Load())
-	}
-}
-
-// Retry caps attempts: a fault that never clears fails with the last
-// error after MaxAttempts tries.
-func TestChaosRetryExhaustion(t *testing.T) {
-	var attempts atomic.Int64
-	_, err := MapOpts(context.Background(),
-		Options{Jobs: 1, Retry: RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond}}, 1,
-		func(_ context.Context, i int) (int, error) {
-			attempts.Add(1)
-			return 0, MarkTransient(errors.New("never clears"))
-		})
-	if err == nil || !IsTransient(err) {
-		t.Fatalf("err = %v, want the final transient error", err)
-	}
-	if attempts.Load() != 3 {
-		t.Fatalf("attempts = %d, want 3", attempts.Load())
-	}
-}
-
-// The budget-leak regression test: hammer MapB's error, panic, timeout
+// The budget-leak regression test: hammer Map's error, panic, timeout
 // and cancellation paths concurrently and assert every borrowed token
 // comes home. Run with -race.
 func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
@@ -147,7 +92,7 @@ func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
 	b := NewBudget(tokens)
 	scenarios := []func(trial int) error{
 		func(trial int) error { // plain cell error
-			_, err := MapB(context.Background(), b, 4, 24, func(_ context.Context, i int) (int, error) {
+			_, err := Map(context.Background(), Options{Jobs: 4, Budget: b}, 24, func(_ context.Context, i int) (int, error) {
 				if i == trial%24 {
 					return 0, errors.New("boom")
 				}
@@ -156,7 +101,7 @@ func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
 			return err
 		},
 		func(trial int) error { // panic
-			_, err := MapB(context.Background(), b, 4, 24, func(_ context.Context, i int) (int, error) {
+			_, err := Map(context.Background(), Options{Jobs: 4, Budget: b}, 24, func(_ context.Context, i int) (int, error) {
 				if i == trial%24 {
 					panic("boom")
 				}
@@ -166,7 +111,7 @@ func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
 		},
 		func(trial int) error { // cancellation mid-sweep
 			ctx, cancel := context.WithCancel(context.Background())
-			_, err := MapB(ctx, b, 4, 24, func(_ context.Context, i int) (int, error) {
+			_, err := Map(ctx, Options{Jobs: 4, Budget: b}, 24, func(_ context.Context, i int) (int, error) {
 				if i == trial%24 {
 					cancel()
 				}
@@ -176,7 +121,7 @@ func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
 			return err
 		},
 		func(trial int) error { // watchdog timeout
-			_, err := MapOpts(context.Background(),
+			_, err := Map(context.Background(),
 				Options{Jobs: 4, Budget: b, CellTimeout: 5 * time.Millisecond}, 8,
 				func(ctx context.Context, i int) (int, error) {
 					if i == trial%8 {
@@ -201,13 +146,13 @@ func TestChaosBudgetNeverLeaksOnFailure(t *testing.T) {
 	}
 }
 
-// Nested MapB panics propagate outward as CellErrors at each level and
+// Nested Map panics propagate outward as CellErrors at each level and
 // release both levels' tokens.
 func TestChaosNestedMapBudgetOnPanic(t *testing.T) {
 	const tokens = 4
 	b := NewBudget(tokens)
-	_, err := MapB(context.Background(), b, 2, 4, func(ctx context.Context, i int) (int, error) {
-		inner, err := MapB(ctx, b, 2, 4, func(_ context.Context, j int) (int, error) {
+	_, err := Map(context.Background(), Options{Jobs: 2, Budget: b}, 4, func(ctx context.Context, i int) (int, error) {
+		inner, err := Map(ctx, Options{Jobs: 2, Budget: b}, 4, func(_ context.Context, j int) (int, error) {
 			if i == 2 && j == 3 {
 				panic("inner boom")
 			}
@@ -224,80 +169,5 @@ func TestChaosNestedMapBudgetOnPanic(t *testing.T) {
 	}
 	if got := b.Free(); got != tokens {
 		t.Fatalf("budget leaked across nesting: %d/%d free", got, tokens)
-	}
-}
-
-func TestChaosRetryJitterDeterministic(t *testing.T) {
-	const base = 100 * time.Millisecond
-	for _, cell := range []int{0, 1, 17} {
-		for attempt := 1; attempt <= 4; attempt++ {
-			a := jitter(42, cell, attempt, base)
-			b := jitter(42, cell, attempt, base)
-			if a != b {
-				t.Fatalf("jitter(42, %d, %d) not deterministic: %v vs %v", cell, attempt, a, b)
-			}
-			if a < base/2 || a >= base {
-				t.Fatalf("jitter(42, %d, %d) = %v, want in [%v, %v)", cell, attempt, a, base/2, base)
-			}
-		}
-	}
-	// Different cells (the fleet case) must de-synchronize: across a
-	// spread of cells the delays cannot all collapse to one value.
-	seen := map[time.Duration]bool{}
-	for cell := 0; cell < 16; cell++ {
-		seen[jitter(7, cell, 1, base)] = true
-	}
-	if len(seen) < 8 {
-		t.Fatalf("jitter over 16 cells produced only %d distinct delays", len(seen))
-	}
-	// And a different seed reschedules everything.
-	if jitter(1, 3, 1, base) == jitter(2, 3, 1, base) {
-		t.Fatal("jitter ignores the seed")
-	}
-}
-
-func TestChaosRetryOnRetryHook(t *testing.T) {
-	var mu sync.Mutex
-	type evt struct {
-		cell, attempt int
-		delay         time.Duration
-	}
-	var events []evt
-	var calls atomic.Int64
-	_, err := MapOpts(context.Background(), Options{
-		Jobs: 2,
-		Retry: RetryPolicy{
-			MaxAttempts: 3,
-			Backoff:     time.Millisecond,
-			Seed:        99,
-			OnRetry: func(cell, attempt int, err error, delay time.Duration) {
-				calls.Add(1)
-				mu.Lock()
-				events = append(events, evt{cell, attempt, delay})
-				mu.Unlock()
-			},
-		},
-	}, 3, func(_ context.Context, i int) (int, error) {
-		if i == 1 && calls.Load() < 2 {
-			return 0, MarkTransient(errors.New("flaky"))
-		}
-		return i, nil
-	})
-	if err != nil {
-		t.Fatalf("MapOpts: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
-		t.Fatal("OnRetry never fired for a retried transient failure")
-	}
-	for _, e := range events {
-		if e.cell != 1 {
-			t.Fatalf("OnRetry fired for cell %d, only cell 1 failed", e.cell)
-		}
-		nominal := time.Millisecond << (e.attempt - 1)
-		if e.delay < nominal/2 || e.delay >= nominal {
-			t.Fatalf("attempt %d delay %v outside jitter window [%v, %v)", e.attempt, e.delay, nominal/2, nominal)
-		}
 	}
 }

@@ -28,42 +28,33 @@ func DefaultJobs(jobs int) int {
 	return jobs
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) using at most jobs concurrent
-// workers and returns the n results in index order. jobs <= 0 uses
-// runtime.GOMAXPROCS(0); jobs == 1 runs inline on the calling goroutine in
-// strict index order, reproducing a plain sequential loop bit-for-bit
-// (including stopping at the first error).
+// Map runs fn(ctx, i) for every i in [0, n) and returns the n results
+// in index order — never completion order — so the output is
+// byte-identical at every Jobs value and every budget population.
 //
-// With jobs > 1, the first error cancels the derived context so workers
-// stop claiming new indices; in-flight calls are left to finish. When
-// several workers fail concurrently, the error of the smallest index is
-// returned, so the reported failure is deterministic across runs.
-func Map[T any](ctx context.Context, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return MapB(ctx, nil, jobs, n, fn)
-}
-
-// MapB is Map drawing its workers beyond the first from the shared
-// Budget: one worker always runs (on its own goroutine, claiming cells
-// in index order), and one extra worker is spawned per token available —
-// up to jobs-1 — each returning its token when it runs out of cells, so
-// tail-end tokens migrate to whatever still needs them (other artifacts,
-// or parallel graph builds). A nil budget grants
-// every requested worker, reproducing plain Map.
+// At most opts.Jobs cells run at once (<= 0: runtime.GOMAXPROCS(0)).
+// The first worker needs no token; with a Budget, each further worker
+// (up to Jobs-1) is spawned per token available and returns its token
+// when it runs out of cells, so tail-end tokens migrate to whatever
+// still needs them (other artifacts, or parallel graph builds). A nil
+// Budget grants every requested worker. When only one worker runs,
+// cells run inline on the calling goroutine in strict index order,
+// reproducing a plain sequential loop bit-for-bit (including stopping
+// at the first error).
 //
-// Results are collected by cell index, never by completion order, so —
-// like Map — the output is byte-identical at every jobs value and every
-// budget population.
-func MapB[T any](ctx context.Context, b *Budget, jobs, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return mapCells(ctx, Options{Jobs: jobs, Budget: b}, n, fn)
-}
-
-// mapCells is the worker-pool core shared by Map, MapB and MapOpts.
+// With several workers, the first error cancels the derived context so
+// workers stop claiming new indices; in-flight calls are left to
+// finish. When several cells fail concurrently, the error of the
+// smallest index is returned, so the reported failure is deterministic
+// across runs.
+//
 // Every cell runs through runCell, so panic isolation holds on every
 // path: a panicking cell becomes a *CellError carrying its index and
 // stack, the worker's budget-token release defer completes normally
 // (no token is ever leaked by a failed, cancelled or panicking cell),
 // and the remaining in-flight cells finish before the error returns.
-func mapCells[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// A positive CellTimeout puts every cell under a watchdog.
+func Map[T any](ctx context.Context, opts Options, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("runner: negative cell count %d", n)
 	}
@@ -269,27 +260,22 @@ func (p *Progress) Count() int {
 	return p.done
 }
 
-// ProgressState is a point-in-time view of a sweep's progress — what
-// the /progress HTTP endpoint serves. Eta is zero when unknown (no
-// cells done yet, or nothing left).
-type ProgressState struct {
-	Done    int
-	Total   int
-	Elapsed time.Duration
-	Eta     time.Duration
-}
-
-// State returns the live progress view.
-func (p *Progress) State() ProgressState {
+// State returns the live progress view: cells done and total, the
+// percentage, and elapsed and ETA seconds. The ETA is zero when
+// unknown (no cells done yet, or nothing left).
+func (p *Progress) State() obs.ProgressState {
 	if p == nil {
-		return ProgressState{}
+		return obs.ProgressState{}
 	}
 	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := ProgressState{Done: p.done, Total: p.total, Elapsed: now.Sub(p.start)}
+	st := obs.ProgressState{Done: p.done, Total: p.total, ElapsedSeconds: now.Sub(p.start).Seconds()}
+	if p.total > 0 {
+		st.Percent = 100 * float64(p.done) / float64(p.total)
+	}
 	if left := p.total - p.done; left > 0 && p.done > 0 {
-		st.Eta = p.eta(now, left)
+		st.EtaSeconds = p.eta(now, left).Seconds()
 	}
 	return st
 }
@@ -330,16 +316,6 @@ func (b *ProgressBoard) Probe() func() (obs.ProgressState, bool) {
 		if p == nil {
 			return obs.ProgressState{}, false
 		}
-		st := p.State()
-		out := obs.ProgressState{
-			Done:           st.Done,
-			Total:          st.Total,
-			ElapsedSeconds: st.Elapsed.Seconds(),
-			EtaSeconds:     st.Eta.Seconds(),
-		}
-		if st.Total > 0 {
-			out.Percent = 100 * float64(st.Done) / float64(st.Total)
-		}
-		return out, true
+		return p.State(), true
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
 	for _, jobs := range []int{1, 2, 8, 0} {
-		got, err := Map(context.Background(), jobs, 50, func(_ context.Context, i int) (int, error) {
+		got, err := Map(context.Background(), Options{Jobs: jobs}, 50, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -33,7 +33,7 @@ func TestMapBoundsConcurrency(t *testing.T) {
 	const jobs = 3
 	var inFlight, peak int64
 	var mu sync.Mutex
-	_, err := Map(context.Background(), jobs, 40, func(_ context.Context, i int) (struct{}, error) {
+	_, err := Map(context.Background(), Options{Jobs: jobs}, 40, func(_ context.Context, i int) (struct{}, error) {
 		cur := atomic.AddInt64(&inFlight, 1)
 		mu.Lock()
 		if cur > peak {
@@ -54,7 +54,9 @@ func TestMapBoundsConcurrency(t *testing.T) {
 func TestMapReturnsSmallestIndexError(t *testing.T) {
 	errs := map[int]error{3: errors.New("cell 3"), 7: errors.New("cell 7")}
 	for _, jobs := range []int{1, 4} {
-		_, err := Map(context.Background(), jobs, 10, func(_ context.Context, i int) (int, error) {
+		var calls [10]atomic.Int64
+		_, err := Map(context.Background(), Options{Jobs: jobs}, 10, func(_ context.Context, i int) (int, error) {
+			calls[i].Add(1)
 			if e, ok := errs[i]; ok {
 				return 0, e
 			}
@@ -67,8 +69,18 @@ func TestMapReturnsSmallestIndexError(t *testing.T) {
 		// prefer the smallest failing index among those it observed. With
 		// every cell before 3 succeeding instantly, index 3's error must
 		// win in both cases.
-		if err.Error() != "cell 3" {
+		if !errors.Is(err, errs[3]) {
 			t.Errorf("jobs=%d: err = %q, want %q", jobs, err, "cell 3")
+		}
+		// Cells are deterministic, so none is ever re-run: the failing
+		// cell ran exactly once, every other cell at most once.
+		if n := calls[3].Load(); n != 1 {
+			t.Errorf("jobs=%d: failing cell 3 ran %d times, want 1", jobs, n)
+		}
+		for i := range calls {
+			if n := calls[i].Load(); n > 1 {
+				t.Errorf("jobs=%d: cell %d ran %d times", jobs, i, n)
+			}
 		}
 	}
 }
@@ -76,7 +88,7 @@ func TestMapReturnsSmallestIndexError(t *testing.T) {
 func TestMapErrorCancelsRemainingWork(t *testing.T) {
 	var started int64
 	boom := errors.New("boom")
-	_, err := Map(context.Background(), 2, 1000, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), Options{Jobs: 2}, 1000, func(ctx context.Context, i int) (int, error) {
 		atomic.AddInt64(&started, 1)
 		if i == 0 {
 			return 0, boom
@@ -95,7 +107,7 @@ func TestMapHonorsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, jobs := range []int{1, 4} {
-		_, err := Map(ctx, jobs, 10, func(_ context.Context, i int) (int, error) {
+		_, err := Map(ctx, Options{Jobs: jobs}, 10, func(_ context.Context, i int) (int, error) {
 			return i, nil
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -105,7 +117,7 @@ func TestMapHonorsParentCancellation(t *testing.T) {
 }
 
 func TestMapZeroCells(t *testing.T) {
-	got, err := Map(context.Background(), 4, 0, func(_ context.Context, i int) (int, error) {
+	got, err := Map(context.Background(), Options{Jobs: 4}, 0, func(_ context.Context, i int) (int, error) {
 		t.Error("fn called for empty matrix")
 		return 0, nil
 	})

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSpanEmissionFromBudgetWorkers hammers concurrent span emission in
-// the shape token-borrowing callers (MapB cells, parallel CSR builds)
+// the shape token-borrowing callers (Map cells, parallel CSR builds)
 // use it: each round, the caller acquires whatever extra-worker tokens
 // the Budget will give, spawns a worker goroutine per token that opens
 // and closes a span, and does one inline span itself. Run under -race in CI this exercises the

@@ -23,8 +23,7 @@ var ErrDraining = errors.New("serve: daemon is draining; resubmit after restart"
 var ErrNotFound = errors.New("serve: no such job")
 
 // Config tunes the scheduler. The zero value is usable: one worker per
-// CPU, cell watchdog off, three attempts per transient failure,
-// fsync-per-cell durability.
+// CPU, cell watchdog off, fsync-per-cell durability.
 type Config struct {
 	// Jobs bounds the daemon's total concurrent experiment cells, the
 	// service analog of dvmrepro -j (0: one per CPU). All jobs share
@@ -34,22 +33,12 @@ type Config struct {
 	// CellTimeout puts every cell under a watchdog (0: none). A wedged
 	// simulation fails its job instead of hanging the daemon forever.
 	CellTimeout time.Duration
-	// RetryAttempts is the total tries per transient-failing cell
-	// (<= 1: no retry). Panics and watchdog timeouts never retry.
-	RetryAttempts int
-	// RetryBackoff is the first retry delay (default 10ms), doubling
-	// per attempt and capped at 1s, jittered by RetrySeed.
-	RetryBackoff time.Duration
-	// RetrySeed arms deterministic backoff jitter (0: a fixed default
-	// seed — the service always jitters so a fleet of retrying cells
-	// de-synchronizes).
-	RetrySeed uint64
 	// SyncEvery is the checkpoint fsync cadence in cells (0: every
 	// cell — the service tier defaults to maximum durability; raise it
 	// for sweeps of thousands of cheap cells).
 	SyncEvery int
 	// Metrics, when non-nil, receives the daemon's serve.* counters
-	// (jobs submitted/done/failed/resumed, cell retries).
+	// (jobs submitted/done/failed/cancelled/resumed).
 	Metrics *obs.Collector
 	// Logf, when non-nil, receives daemon status lines.
 	Logf func(format string, args ...interface{})
@@ -64,7 +53,6 @@ type Scheduler struct {
 	budget   *runner.Budget
 	tokens   int
 	prepared *core.PreparedCache
-	retry    runner.RetryPolicy
 
 	mu       sync.Mutex
 	jobs     map[string]*jobRun
@@ -108,12 +96,6 @@ type jobRun struct {
 // their checkpoints intact, so the daemon picks up within one cell of
 // where it died.
 func NewScheduler(store *Store, cfg Config) (*Scheduler, error) {
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 10 * time.Millisecond
-	}
-	if cfg.RetrySeed == 0 {
-		cfg.RetrySeed = 0xd5a11a5 // the service always jitters
-	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 1
 	}
@@ -126,15 +108,6 @@ func NewScheduler(store *Store, cfg Config) (*Scheduler, error) {
 		prepared: core.NewPreparedCache(),
 		jobs:     map[string]*jobRun{},
 		tenants:  map[string]*tenant{},
-	}
-	s.retry = runner.RetryPolicy{
-		MaxAttempts: cfg.RetryAttempts,
-		Backoff:     cfg.RetryBackoff,
-		Seed:        cfg.RetrySeed,
-		OnRetry: func(cell, attempt int, err error, delay time.Duration) {
-			s.cfg.Metrics.Inc("serve.cells.retried", 1)
-			s.logf("cell %d attempt %d failed transiently (%v); retrying in %v", cell, attempt, err, delay)
-		},
 	}
 	jobs, damaged, err := store.Scan()
 	if err != nil {
@@ -334,11 +307,6 @@ func (s *Scheduler) run(ctx context.Context, r *jobRun) {
 	defer s.releaseTenant(j.Spec.Client)
 
 	coll := &obs.Collector{}
-	retry := s.retry
-	if n, ok := idSeq(j.ID); ok {
-		// Decorrelate retry schedules across jobs, deterministically.
-		retry.Seed ^= uint64(n) * 0x9e3779b97f4a7c15
-	}
 	opts.Jobs = s.cfg.Jobs
 	opts.Workers = pool
 	opts.Ctx = ctx
@@ -347,7 +315,6 @@ func (s *Scheduler) run(ctx context.Context, r *jobRun) {
 	opts.Checkpoint = ck
 	opts.Board = r.board
 	opts.CellTimeout = s.cfg.CellTimeout
-	opts.Retry = retry
 	if s.testCellSink != nil {
 		opts.Progress = func(string, ...interface{}) { s.testCellSink(j.ID, ctx) }
 	}

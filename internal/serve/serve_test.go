@@ -437,10 +437,9 @@ func TestServeDrainKeepsTerminalRecord(t *testing.T) {
 	}
 }
 
-// TestServeDeadline fails a job that exceeds its wall-clock budget,
-// without retrying the timeout.
+// TestServeDeadline fails a job that exceeds its wall-clock budget.
 func TestServeDeadline(t *testing.T) {
-	_, sched := newTestScheduler(t, t.TempDir(), Config{Jobs: 2, RetryAttempts: 3})
+	_, sched := newTestScheduler(t, t.TempDir(), Config{Jobs: 2})
 	defer sched.Close()
 	var cells atomic.Int32
 	sched.testCellSink = func(_ string, ctx context.Context) {
