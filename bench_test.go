@@ -337,32 +337,3 @@ func BenchmarkMemsysAccess(b *testing.B) {
 		now = ctl.Access(dvm.PA(uint64(i)<<6), now)
 	}
 }
-
-// BenchmarkIdentityReestablish measures the §4.3.1 reclaim path: break an
-// identity mapping, swap it out, fault back in and re-establish identity.
-func BenchmarkIdentityReestablish(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sys, err := dvm.NewSystem(256 << 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		proc := sys.NewProcess(dvm.Policy{IdentityMapHeap: true})
-		r, _, err := proc.Mmap(16<<20, dvm.ReadWrite)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := proc.BreakIdentity(r); err != nil {
-			b.Fatal(err)
-		}
-		if err := proc.SwapOut(r); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := proc.Touch(r.Start, dvm.Write); err != nil {
-			b.Fatal(err)
-		}
-		ok, err := proc.ReestablishIdentity(r)
-		if err != nil || !ok {
-			b.Fatalf("reestablish: ok=%v err=%v", ok, err)
-		}
-	}
-}

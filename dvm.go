@@ -15,8 +15,7 @@
 // The package re-exports the simulator's layers:
 //
 //   - System / Process / Policy: the OS model (buddy allocator, identity
-//     mapping with demand-paging fallback, fork/CoW, page-table
-//     construction).
+//     mapping with demand-paging fallback, page-table construction).
 //   - Mode and the IOMMU configurations: the seven memory-management
 //     schemes of the paper's evaluation (conventional 4K/2M/1G paging,
 //     DVM-BM, DVM-PE, DVM-PE+ and Ideal), plus two registered extra

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/accel"
 	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/chaos"
 	"github.com/dvm-sim/dvm/internal/graph"
 	"github.com/dvm-sim/dvm/internal/obs"
 	"github.com/dvm-sim/dvm/internal/osmodel"
@@ -448,5 +451,91 @@ func TestRunResultPlausibility(t *testing.T) {
 	// DRAM traffic includes both data and walker references.
 	if r.DRAM.Accesses < r.IOMMU.WalkMemRefs {
 		t.Errorf("DRAM %d < walker refs %d", r.DRAM.Accesses, r.IOMMU.WalkMemRefs)
+	}
+}
+
+// tableFingerprint is what a run could observe of a page table: its size
+// statistics, a digest of every mapped page and the walks at probe VAs.
+type tableFingerprint struct {
+	stats pagetable.SizeStats
+	pages uint64 // FNV-1a digest of ForEachPage's (va, pa, perm) stream
+	walks []pagetable.WalkResult
+}
+
+func fingerprint(tbl *pagetable.Table, probes []addr.VA) tableFingerprint {
+	f := tableFingerprint{stats: tbl.SizeStats()}
+	h := fnv.New64a()
+	var buf [17]byte
+	tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(va))
+		binary.LittleEndian.PutUint64(buf[8:16], uint64(pa))
+		buf[16] = byte(perm)
+		h.Write(buf[:])
+	})
+	f.pages = h.Sum64()
+	for _, va := range probes {
+		f.walks = append(f.walks, tbl.Walk(va))
+	}
+	return f
+}
+
+// TestRunsLeaveCachedTablesUnchanged guards the design rule that an
+// address space is fixed once laid out: running every registered mode on
+// one Prepared, clean and with chaos armed, leaves each table the
+// machine cached — 4K, PE, 2M and 1G — exactly as it was built, by size,
+// by every mapped page and by the walks at the first, middle and last
+// byte of each mapping and just past it.
+func TestRunsLeaveCachedTablesUnchanged(t *testing.T) {
+	p, err := Prepare(wikiTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ProfileTiny.SystemConfig()
+	runAll := func(cfg SystemConfig) {
+		t.Helper()
+		for _, m := range RegisteredModes() {
+			if _, err := p.Run(m, cfg); err != nil {
+				t.Fatalf("%v: %v", m, err)
+			}
+		}
+	}
+	runAll(cfg)
+	st, err := p.machine(cfg.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var probes []addr.VA
+	for _, v := range st.proc.VMAs() {
+		probes = append(probes, v.R.Start, v.R.Start+addr.VA(v.R.Size/2), v.R.End()-1, v.R.End())
+	}
+	built := make(map[tableKey]*pagetable.Table)
+	want := make(map[tableKey]tableFingerprint)
+	for key, e := range st.tables {
+		built[key] = e.table
+		want[key] = fingerprint(e.table, probes)
+	}
+	if len(built) != 4 {
+		t.Fatalf("machine caches %d tables, want 4 (4K, PE, 2M, 1G)", len(built))
+	}
+
+	chaosCfg := cfg
+	chaosCfg.Chaos = &chaos.Config{Seed: 11, Rate: 0.05}
+	for _, run := range []struct {
+		name string
+		cfg  SystemConfig
+	}{{"clean", cfg}, {"chaos", chaosCfg}} {
+		runAll(run.cfg)
+		if len(st.tables) != len(built) {
+			t.Errorf("after %s runs the machine caches %d tables, want %d", run.name, len(st.tables), len(built))
+		}
+		for key, tbl := range built {
+			if e := st.tables[key]; e == nil || e.table != tbl {
+				t.Errorf("after %s runs table %+v was replaced", run.name, key)
+				continue
+			}
+			if got := fingerprint(tbl, probes); !reflect.DeepEqual(got, want[key]) {
+				t.Errorf("after %s runs table %+v changed: %+v, want %+v", run.name, key, got.stats, want[key].stats)
+			}
+		}
 	}
 }

@@ -303,7 +303,7 @@ func TestBackendSwitchContextIsolation(t *testing.T) {
 					}
 				}
 			}
-			if err := u.SwitchContextState(State{Table: tblB, Bitmap: bmB, Blocks: btB}); err != nil {
+			if err := u.SwitchContext(State{Table: tblB, Bitmap: bmB, Blocks: btB}); err != nil {
 				t.Fatal(err)
 			}
 			if u.Counters().ContextSwitches != 1 {
@@ -388,10 +388,10 @@ func TestVBIStateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := u.SwitchContextState(State{Table: st.Table}); err == nil {
+	if err := u.SwitchContext(State{Table: st.Table}); err == nil {
 		t.Error("VBI context switch without a block table accepted")
 	}
-	if err := u.SwitchContextState(State{Blocks: st.Blocks}); err == nil {
+	if err := u.SwitchContext(State{Blocks: st.Blocks}); err == nil {
 		t.Error("VBI context switch without a page table accepted")
 	}
 	if u.Counters().ContextSwitches != 0 {

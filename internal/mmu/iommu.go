@@ -319,20 +319,13 @@ func (u *IOMMU) SetTracer(tr *obs.Tracer) {
 // SwitchContext retargets the IOMMU at another process's translation state
 // — the accelerator-multiplexing path ("similar protection guarantees are
 // needed when accelerators are multiplexed among multiple processes",
-// §1). Designs needing more state than a table and a bitmap (VBI) switch
-// via SwitchContextState.
-func (u *IOMMU) SwitchContext(table *pagetable.Table, bm *PermBitmap) error {
-	return u.SwitchContextState(State{Table: table, Bitmap: bm})
-}
-
-// SwitchContextState retargets the IOMMU at another address space. The
-// backend validates the state and flushes exactly its per-address-space
-// structures (the TLBs and the bitmap/block caches); physically indexed
-// and tagged caches (PWC/AVC, shard walker caches) keep their contents —
-// lines of the old table are harmlessly distinct from the new table's
-// and need no invalidation, one of the AVC's quiet advantages on context
-// switches.
-func (u *IOMMU) SwitchContextState(st State) error {
+// §1). The backend validates the state and flushes exactly its
+// per-address-space structures (the TLBs and the bitmap/block caches);
+// physically indexed and tagged caches (PWC/AVC, shard walker caches)
+// keep their contents — lines of the old table are harmlessly distinct
+// from the new table's and need no invalidation, one of the AVC's quiet
+// advantages on context switches.
+func (u *IOMMU) SwitchContext(st State) error {
 	if err := u.be.SwitchContext(st); err != nil {
 		return err
 	}

@@ -526,7 +526,7 @@ func TestSwitchContextIsolation(t *testing.T) {
 	if p := u.Translate(addr.VA(baseA), addr.Read); p.Fault {
 		t.Fatal("A's mapping should work under A's context")
 	}
-	if err := u.SwitchContext(tblB, nil); err != nil {
+	if err := u.SwitchContext(State{Table: tblB}); err != nil {
 		t.Fatal(err)
 	}
 	// A's address must fault now, even though it was TLB-resident.
@@ -549,7 +549,7 @@ func TestSwitchContextPEModesKeepAVC(t *testing.T) {
 	tblB := buildIdentityTable(t, baseB, 2<<20, addr.PageSize4K, true)
 	u := MustNew(Config{Mode: ModeDVMPE}, tblA, nil)
 	u.Translate(addr.VA(baseA), addr.Read) // warm AVC with A's lines
-	if err := u.SwitchContext(tblB, nil); err != nil {
+	if err := u.SwitchContext(State{Table: tblB}); err != nil {
 		t.Fatal(err)
 	}
 	if p := u.Translate(addr.VA(baseA), addr.Read); !p.Fault {
@@ -560,7 +560,7 @@ func TestSwitchContextPEModesKeepAVC(t *testing.T) {
 	}
 	// Switch back: A's AVC lines may still be warm (physically tagged) —
 	// the walk must succeed either way.
-	if err := u.SwitchContext(tblA, nil); err != nil {
+	if err := u.SwitchContext(State{Table: tblA}); err != nil {
 		t.Fatal(err)
 	}
 	if p := u.Translate(addr.VA(baseA), addr.Read); p.Fault {
@@ -571,11 +571,11 @@ func TestSwitchContextPEModesKeepAVC(t *testing.T) {
 func TestSwitchContextValidation(t *testing.T) {
 	tbl := buildIdentityTable(t, uint64(addr.PageSize1G), 1<<20, addr.PageSize4K, false)
 	u := MustNew(Config{Mode: ModeConv4K}, tbl, nil)
-	if err := u.SwitchContext(nil, nil); err == nil {
+	if err := u.SwitchContext(State{}); err == nil {
 		t.Error("nil table accepted")
 	}
 	bmU := MustNew(Config{Mode: ModeDVMBM}, tbl, NewPermBitmap())
-	if err := bmU.SwitchContext(tbl, nil); err == nil {
+	if err := bmU.SwitchContext(State{Table: tbl}); err == nil {
 		t.Error("DVM-BM switch without bitmap accepted")
 	}
 }

@@ -228,9 +228,6 @@ func (c *PTECache) Lookups() uint64 { return c.Snapshot().Lookups() }
 // HitRate returns hits/lookups, or 0 with no lookups.
 func (c *PTECache) HitRate() float64 { return c.Snapshot().HitRate() }
 
-// ResetStats is the historical name for Reset.
-func (c *PTECache) ResetStats() { c.Reset() }
-
 // RegisterMetrics publishes the cache's counters under prefix (e.g.
 // "mmu.avc" yields mmu.avc.hits / mmu.avc.misses) at no hot-path cost.
 func (c *PTECache) RegisterMetrics(reg *obs.Registry, prefix string) {

@@ -13,8 +13,6 @@ package mmu
 //     recency would perturb the very replacement behaviour being
 //     measured. Counters registered with an obs.Registry observe the
 //     reset — a snapshot taken afterwards starts from zero.
-//
-// The historical ResetStats methods remain as aliases of Reset.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64

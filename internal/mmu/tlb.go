@@ -198,9 +198,6 @@ func (t *TLB) Lookups() uint64 { return t.Snapshot().Lookups() }
 // MissRate returns misses / lookups, or 0 with no lookups.
 func (t *TLB) MissRate() float64 { return t.Snapshot().MissRate() }
 
-// ResetStats is the historical name for Reset.
-func (t *TLB) ResetStats() { t.Reset() }
-
 // RegisterMetrics publishes the TLB's counters under prefix (e.g.
 // "mmu.tlb" yields mmu.tlb.hits / mmu.tlb.misses). The registry reads
 // the same fields Lookup increments, so registration adds no hot-path

@@ -222,8 +222,8 @@ func TestTLBStatsConsistency(t *testing.T) {
 	if tlb.MissRate() < 0 || tlb.MissRate() > 1 {
 		t.Errorf("MissRate = %v", tlb.MissRate())
 	}
-	tlb.ResetStats()
+	tlb.Reset()
 	if tlb.Lookups() != 0 {
-		t.Error("ResetStats did not clear counters")
+		t.Error("Reset did not clear counters")
 	}
 }

@@ -15,8 +15,6 @@ func (p *Process) DumpLayout(w io.Writer) error {
 		backing := "demand"
 		if v.Identity {
 			backing = "identity"
-		} else if v.cow {
-			backing = "demand+cow"
 		}
 		fmt.Fprintf(&b, "  %-6s %v %v %-10s %d/%d pages backed\n",
 			v.Kind, v.R, v.Perm, backing, v.Pages(), v.R.Size/4096)

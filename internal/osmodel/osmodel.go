@@ -9,11 +9,11 @@
 // conventional demand paging, preserving the VM abstraction.
 //
 // The package also models the flexible address space (segments may live
-// anywhere, as identity mapping dictates), fork with copy-on-write (which
-// breaks identity mapping for the copied page, as the paper discusses in
-// Section 5), process exit, and the construction of the page tables the
-// simulated IOMMU/MMU walks — including compacted tables with Permission
-// Entries, and the DVM-BM permission bitmap view.
+// anywhere, as identity mapping dictates) and the construction of the
+// page tables the simulated IOMMU/MMU walks — including compacted tables
+// with Permission Entries, and the DVM-BM permission bitmap view. A
+// process's layout is built first and its tables are built from the
+// final layout; nothing changes a built table.
 package osmodel
 
 import (
@@ -129,10 +129,6 @@ type VMA struct {
 	// pages maps page index within the VMA -> backing frame for
 	// demand-paged VMAs; a page is absent until first touch.
 	pages map[uint64]addr.PA
-	// cow marks the VMA copy-on-write; origPerm is restored on the
-	// first write fault.
-	cow      bool
-	origPerm addr.Perm
 }
 
 // Pages returns how many 4 KB pages of the VMA are currently backed.
@@ -143,12 +139,11 @@ func (v *VMA) Pages() uint64 {
 	return uint64(len(v.pages))
 }
 
-// System is the machine-wide OS state: physical memory plus processes.
+// System is the machine-wide OS state: physical memory and the next
+// process id, which seeds each process's address-space randomization.
 type System struct {
-	mem      *phys.Memory
-	procs    map[int]*Process
-	nextPID  int
-	frameRef map[addr.PA]int // CoW share counts for individual frames
+	mem     *phys.Memory
+	nextPID int
 	// inj, when non-nil, injects identity-allocation failures
 	// (simulated fragmentation pressure) into mmapSeg.
 	inj *chaos.Injector
@@ -177,7 +172,7 @@ func NewSystem(memBytes uint64) (*System, error) {
 	if _, err := mem.AllocAt(0, KernelReserved); err != nil {
 		return nil, err
 	}
-	return &System{mem: mem, procs: make(map[int]*Process), nextPID: 1, frameRef: make(map[addr.PA]int)}, nil
+	return &System{mem: mem, nextPID: 1}, nil
 }
 
 // MustNewSystem is NewSystem that panics on error.
@@ -204,7 +199,6 @@ func (s *System) NewProcess(pol Policy) *Process {
 	// ASLR: randomize the top of the demand-paged mmap area (28 bits of
 	// entropy at page granularity, as in Linux).
 	p.mmapTop -= addr.VA(uint64(p.rng.Int63n(1<<28)) * addr.PageSize4K / 16)
-	s.procs[p.pid] = p
 	s.nextPID++
 	return p
 }
@@ -218,7 +212,6 @@ type Process struct {
 	rng     *rand.Rand
 	mmapTop addr.VA
 	stats   ProcStats
-	exited  bool
 }
 
 // ProcStats counts identity-mapping outcomes for a process (Table 4's
@@ -231,9 +224,6 @@ type ProcStats struct {
 	// IdentityFailures counts allocations that fell back to demand
 	// paging (no contiguous PM, or VA range collision).
 	IdentityFailures uint64
-	// CowBreaks counts pages whose identity mapping was broken by a
-	// copy-on-write fault.
-	CowBreaks uint64
 }
 
 // PID returns the process id.
@@ -317,9 +307,6 @@ func (p *Process) Mmap(size uint64, perm addr.Perm) (addr.VRange, bool, error) {
 }
 
 func (p *Process) mmapSeg(size uint64, perm addr.Perm, kind SegmentKind, identity bool) (addr.VRange, bool, error) {
-	if p.exited {
-		return addr.VRange{}, false, fmt.Errorf("osmodel: process %d has exited", p.pid)
-	}
 	if size == 0 {
 		return addr.VRange{}, false, fmt.Errorf("osmodel: zero-size mapping")
 	}
@@ -379,7 +366,10 @@ func (p *Process) Munmap(r addr.VRange) error {
 		p.vmas = append(p.vmas[:i], p.vmas[i+1:]...)
 		if v.Identity {
 			p.stats.IdentityBytes -= v.R.Size
-			return p.sys.releaseIdentityBacking(v)
+			// FreeRange rather than Free because segment splitting
+			// (LoadProgram) can leave a VMA backed by a sub-range of
+			// its original block.
+			return p.sys.mem.FreeRange(v.Backing)
 		}
 		p.stats.DemandBytes -= v.R.Size
 		return p.sys.releasePages(v)
@@ -387,70 +377,15 @@ func (p *Process) Munmap(r addr.VRange) error {
 	return fmt.Errorf("osmodel: Munmap(%v): no such mapping", r)
 }
 
-// releaseFrame drops one process's reference to a 4 KB frame. frameRef
-// holds the number of referencing processes for shared frames (always >= 2
-// when present); an absent entry means a single owner, whose release frees
-// the frame.
-func (s *System) releaseFrame(pa addr.PA) error {
-	if n, shared := s.frameRef[pa]; shared {
-		if n > 2 {
-			s.frameRef[pa] = n - 1
-		} else {
-			delete(s.frameRef, pa) // one holder remains; not freed yet
-		}
-		return nil
-	}
-	return s.mem.FreeRange(addr.PRange{Start: pa, Size: addr.PageSize4K})
-}
-
-// releasePages drops the demand-paged frames of v, honouring CoW sharing.
+// releasePages frees the demand-paged frames of v.
 func (s *System) releasePages(v *VMA) error {
 	for _, pa := range v.pages {
-		if err := s.releaseFrame(pa); err != nil {
+		if err := s.mem.FreeRange(addr.PRange{Start: pa, Size: addr.PageSize4K}); err != nil {
 			return err
 		}
 	}
 	v.pages = nil
 	return nil
-}
-
-// releaseIdentityBacking frees the eager contiguous backing of an identity
-// VMA, leaving CoW-shared frames to their remaining holders.
-func (s *System) releaseIdentityBacking(v *VMA) error {
-	if len(s.frameRef) == 0 {
-		// Fast path: no sharing anywhere in the system. FreeRange
-		// rather than Free because segment splitting (LoadProgram) can
-		// leave a VMA backed by a sub-range of its original block.
-		return s.mem.FreeRange(v.Backing)
-	}
-	var runStart addr.PA
-	var runLen uint64
-	flush := func() error {
-		if runLen == 0 {
-			return nil
-		}
-		err := s.mem.FreeRange(addr.PRange{Start: runStart, Size: runLen})
-		runLen = 0
-		return err
-	}
-	for pa := v.Backing.Start; pa < v.Backing.End(); pa += addr.PA(addr.PageSize4K) {
-		if n, shared := s.frameRef[pa]; shared {
-			if err := flush(); err != nil {
-				return err
-			}
-			if n > 2 {
-				s.frameRef[pa] = n - 1
-			} else {
-				delete(s.frameRef, pa)
-			}
-			continue
-		}
-		if runLen == 0 {
-			runStart = pa
-		}
-		runLen += addr.PageSize4K
-	}
-	return flush()
 }
 
 // Mprotect changes the permission of a whole VMA.
@@ -472,11 +407,7 @@ func (p *Process) Touch(va addr.VA, kind addr.AccessKind) (addr.PA, error) {
 	if v == nil {
 		return 0, fmt.Errorf("osmodel: segfault at %#x (no mapping)", uint64(va))
 	}
-	if v.cow && kind == addr.Write {
-		if err := p.cowFault(v, va); err != nil {
-			return 0, err
-		}
-	} else if !v.Perm.Allows(kind) {
+	if !v.Perm.Allows(kind) {
 		return 0, fmt.Errorf("osmodel: %v access to %#x denied (%v)", kind, uint64(va), v.Perm)
 	}
 	if v.Identity {
@@ -519,118 +450,4 @@ func (p *Process) Translate(va addr.VA) (addr.PA, bool) {
 		return 0, false
 	}
 	return pa + addr.PA(uint64(va)%addr.PageSize4K), true
-}
-
-// cowFault resolves a write to a CoW page: allocate a private copy. The
-// copy cannot be identity mapped — its VA is fixed and the matching PA
-// belongs to the original data (paper Section 5) — so the VMA degrades to
-// demand paging for that page.
-func (p *Process) cowFault(v *VMA, va addr.VA) error {
-	idx := uint64(va-v.R.Start) / addr.PageSize4K
-	// Determine the currently shared frame.
-	var shared addr.PA
-	if v.Identity {
-		// Writing process was the identity owner: it keeps the frame;
-		// nothing to copy for it. Restore write permission lazily at
-		// page granularity is not supported for identity VMAs — the
-		// owner keeps the whole VMA, so just restore the permission.
-		v.Perm = v.origPerm
-		v.cow = false
-		return nil
-	}
-	shared = v.pages[idx]
-	newPA, err := p.sys.mem.AllocFrame()
-	if err != nil {
-		return fmt.Errorf("osmodel: out of memory for CoW copy: %w", err)
-	}
-	if err := p.sys.releaseFrame(shared); err != nil {
-		return err
-	}
-	v.pages[idx] = newPA
-	p.stats.CowBreaks++
-	// The page is now private: restore the original permission for the
-	// whole VMA once all of it has been copied; for simplicity restore
-	// per-VMA on first write (page-granular CoW bookkeeping is not
-	// needed for the experiments).
-	v.Perm = v.origPerm
-	v.cow = false
-	return nil
-}
-
-// Fork creates a child process whose address space is a copy-on-write copy
-// of p's (paper Section 5). Identity VMAs remain identity in the parent;
-// the child aliases the same frames *without* identity (its pages map
-// records PA==VA aliases that break on first write). Both sides drop to
-// read-only until a write fault.
-func (p *Process) Fork() (*Process, error) {
-	if p.exited {
-		return nil, fmt.Errorf("osmodel: fork from exited process")
-	}
-	child := p.sys.NewProcess(p.policy)
-	for _, v := range p.vmas {
-		cv := &VMA{
-			Kind:     v.Kind,
-			R:        v.R,
-			Perm:     addr.ReadOnly,
-			pages:    make(map[uint64]addr.PA),
-			cow:      true,
-			origPerm: v.Perm,
-		}
-		if v.Perm == addr.ReadExecute {
-			cv.Perm = addr.ReadExecute // code stays executable
-		}
-		share := func(idx uint64, pa addr.PA) {
-			cv.pages[idx] = pa
-			n := p.sys.frameRef[pa]
-			if n == 0 {
-				n = 1 // the existing sole owner
-			}
-			p.sys.frameRef[pa] = n + 1
-		}
-		if v.Identity {
-			for idx := uint64(0); idx < v.R.Size/addr.PageSize4K; idx++ {
-				share(idx, v.Backing.Start+addr.PA(idx*addr.PageSize4K))
-			}
-		} else {
-			for idx, pa := range v.pages {
-				share(idx, pa)
-			}
-		}
-		child.insertVMA(cv)
-		child.stats.DemandBytes += v.R.Size
-		// Parent also becomes CoW (writes must not leak to the child).
-		if v.Perm == addr.ReadWrite {
-			v.cow = true
-			v.origPerm = v.Perm
-			v.Perm = addr.ReadOnly
-		}
-	}
-	return child, nil
-}
-
-// Spawn models posix_spawn (fork+exec without copying): a fresh process
-// with the same policy — the paper's recommended way to create processes
-// after identity-mapped structures exist.
-func (p *Process) Spawn() *Process { return p.sys.NewProcess(p.policy) }
-
-// Exit tears the process down, releasing all backing memory.
-func (p *Process) Exit() error {
-	if p.exited {
-		return nil
-	}
-	p.exited = true
-	for _, v := range p.vmas {
-		if v.Identity {
-			if err := p.sys.releaseIdentityBacking(v); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := p.sys.releasePages(v); err != nil {
-			return err
-		}
-	}
-	p.vmas = nil
-	delete(p.sys.procs, p.pid)
-	return nil
 }

@@ -119,7 +119,7 @@ func diffViews(t testing.TB, what string, got, want tableView, probes []addr.VA)
 // checkCompacted checks src.Compacted() against cloning src and running
 // the reference compaction on the clone, checks that in-place Compact on
 // another clone agrees, and that neither src nor its walks change — not
-// even when the derived copy is then protected and unmapped.
+// even when entries of the derived copy are then overwritten.
 func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
 	t.Helper()
 	before := viewOf(src, probes)
@@ -139,24 +139,22 @@ func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
 	checkNoDeadKids(t, "Compacted", got)
 	diffViews(t, "source after Compacted", viewOf(src, probes), before, probes)
 
-	// Mutate the copy through every kind of entry it holds: whole PE
-	// fields and huge leaves are updated in place, partial ones expand,
-	// 4 KB leaves change in their (copied) leaf nodes.
-	for i, va := range probes {
-		switch i % 3 {
-		case 0:
-			if err := got.Protect(addr.VRange{Start: addr.VA(addr.AlignDown(uint64(va), 1<<17)), Size: 1 << 17}, addr.ReadExecute); err != nil {
-				t.Fatal(err)
-			}
-		case 1:
-			if err := got.Protect(addr.VRange{Start: va.PageDown(), Size: addr.PageSize4K}, addr.ReadExecute); err != nil {
-				t.Fatal(err)
-			}
-		case 2:
-			if err := got.Unmap(addr.VRange{Start: va.PageDown(), Size: addr.PageSize4K}); err != nil {
-				t.Fatal(err)
+	// Overwrite entries of the copy with CorruptEntry, the one mutator
+	// a built table has, level by level from the leaves up (so no later
+	// descent crosses an entry already overwritten): every kind of entry
+	// the copy holds is replaced, in nodes and side slices that must be
+	// the copy's own.
+	overwritten := 0
+	for level := 1; level <= src.cfg.Levels; level++ {
+		for i, va := range probes {
+			raw := (uint64(i)<<3 | uint64(level)) * 0x9E3779B97F4A7C15
+			if got.CorruptEntry(va, level, raw) == nil {
+				overwritten++
 			}
 		}
+	}
+	if overwritten == 0 {
+		t.Error("no entry of the Compacted copy was overwritten")
 	}
 	diffViews(t, "source after mutating its Compacted copy", viewOf(src, probes), before, probes)
 }

@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/addr"
@@ -133,18 +134,38 @@ func TestWalkFaultKindBaseline(t *testing.T) {
 	}
 }
 
-// Protect and Unmap stop at an entry of unknown kind with an error
-// rather than descending through it.
+// Map, MapRange and SetPE stop at an entry of unknown kind, or at a
+// table link with no subtree, with an error rather than descending
+// through it, and leave the table as it was.
 func TestChaosMutateOverUnknownKind(t *testing.T) {
-	tb := corruptTestTable(t)
-	if err := tb.CorruptEntry(0x1000, 2, 5); err != nil {
-		t.Fatal(err)
-	}
-	page := addr.VRange{Start: 0x1000, Size: addr.PageSize4K}
-	if err := tb.Protect(page, addr.ReadOnly); err == nil {
-		t.Error("Protect over an unknown-kind entry succeeded")
-	}
-	if err := tb.Unmap(page); err == nil {
-		t.Error("Unmap over an unknown-kind entry succeeded")
+	probes := []addr.VA{0x1000, 0x2000, 0x4000_0000, 0x6000_0000, 0x8000_0000}
+	for _, raw := range []uint64{5, uint64(EntryTable)} { // unknown kind; truncated link
+		tb := corruptTestTable(t)
+		if err := tb.CorruptEntry(0x1000, 2, raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.CorruptEntry(0x8000_0000, 3, raw); err != nil {
+			t.Fatal(err)
+		}
+		walks := func() []WalkResult {
+			var w []WalkResult
+			for _, va := range probes {
+				w = append(w, tb.Walk(va))
+			}
+			return w
+		}
+		before, nextPA := walks(), tb.nextPA
+		if err := tb.Map(0x2000, 0x2000, addr.ReadOnly, addr.PageSize4K); err == nil {
+			t.Errorf("raw %#x: Map below a corrupt entry succeeded", raw)
+		}
+		if err := tb.MapRange(addr.VRange{Start: 0x2000, Size: 2 * addr.PageSize4K}, 0x2000, addr.ReadOnly, addr.PageSize4K); err == nil {
+			t.Errorf("raw %#x: MapRange below a corrupt entry succeeded", raw)
+		}
+		if err := tb.SetPE(0x8000_0000, 2, make([]addr.Perm, DefaultPEFields)); err == nil {
+			t.Errorf("raw %#x: SetPE below a corrupt entry succeeded", raw)
+		}
+		if tb.nextPA != nextPA || !reflect.DeepEqual(walks(), before) {
+			t.Errorf("raw %#x: rejected mutations changed the table", raw)
+		}
 	}
 }

@@ -300,8 +300,10 @@ func leafLevelFor(pageSize uint64) int {
 }
 
 // Map installs a leaf mapping of the given page size for va -> pa. Both
-// addresses must be aligned to pageSize. If the target range is covered by
-// a Permission Entry, the PE is first expanded back into a subtree.
+// addresses must be aligned to pageSize. A table is built by mapping
+// every page first and compacting last, and is never changed once built,
+// so mapping into a range a Permission Entry (or a larger leaf) already
+// covers is an error that leaves the table as it was.
 func (t *Table) Map(va addr.VA, pa addr.PA, perm addr.Perm, pageSize uint64) error {
 	leafLevel := leafLevelFor(pageSize)
 	if leafLevel == 0 {
@@ -321,19 +323,21 @@ func (t *Table) Map(va addr.VA, pa addr.PA, perm addr.Perm, pageSize uint64) err
 }
 
 // descendFor returns the node at leafLevel covering va, creating missing
-// interior nodes and expanding covering PEs exactly as a mapping walk
-// does.
+// interior nodes. Any entry above leafLevel other than an empty slot or a
+// table link already covers va, and mapping beneath it is an error.
 func (t *Table) descendFor(va addr.VA, leafLevel int) (*Node, error) {
 	n := t.root
 	for n.Level > leafLevel {
 		i := indexAt(va, n.Level)
-		switch n.Entries[i].Kind() {
+		switch e := n.Entries[i]; e.Kind() {
 		case EntryEmpty:
 			n.setTable(i, t.newNode(n.Level-1))
-		case EntryPE:
-			t.expandPE(n, i)
-		case EntryLeaf:
-			return nil, fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), n.Level)
+		case EntryTable:
+			if n.child(e) == nil {
+				return nil, fmt.Errorf("pagetable: %#x: level-%d table entry has no subtree", uint64(va), n.Level)
+			}
+		default:
+			return nil, fmt.Errorf("pagetable: %#x already covered by a level-%d %v entry", uint64(va), n.Level, e.Kind())
 		}
 		n = n.child(n.Entries[i])
 	}
@@ -346,10 +350,8 @@ func (t *Table) installLeaf(n *Node, va addr.VA, pa addr.PA, perm addr.Perm, lea
 	i := indexAt(va, leafLevel)
 	switch n.Entries[i].Kind() {
 	case EntryTable:
-		return fmt.Errorf("pagetable: %#x has a subtree below level %d; unmap first", uint64(va), leafLevel)
+		return fmt.Errorf("pagetable: %#x already has a subtree below level %d", uint64(va), leafLevel)
 	case EntryPE:
-		// A PE at the leaf level for this page size would alias the
-		// new mapping; expanding a level-1 PE is meaningless, reject.
 		return fmt.Errorf("pagetable: %#x covered by a level-%d PE", uint64(va), leafLevel)
 	}
 	n.Entries[i] = makeEntry(EntryLeaf, perm, uint64(pa)/pageSize)
@@ -404,65 +406,10 @@ func (t *Table) MapRange(r addr.VRange, pa addr.PA, perm addr.Perm, pageSize uin
 	return nil
 }
 
-// expandPE converts the PE at n.Entries[i] back into an EntryTable with an
-// explicit child node of identity leaf mappings, one child-level leaf per
-// mapped sub-region page. The child level's leaves map entrySpan(level-1)
-// bytes each, so a field (1/16th of the entry span) covers exactly
-// EntriesPerNode/PEFields consecutive child entries.
-func (t *Table) expandPE(n *Node, i int) {
-	e := n.Entries[i]
-	if e.Kind() != EntryPE {
-		panic("pagetable: expandPE on non-PE entry")
-	}
-	if n.Level < 2 {
-		panic("pagetable: PE at level 1 cannot be expanded")
-	}
-	child := t.newNode(n.Level - 1)
-	base := t.entryBaseVA(n, i)
-	childSpan := entrySpan(n.Level - 1)
-	group := EntriesPerNode / t.cfg.PEFields
-	perms := n.fields(e)
-	for ci := 0; ci < EntriesPerNode; ci++ {
-		perm := perms[ci/group]
-		if perm == addr.NoPerm {
-			continue
-		}
-		cva := base + addr.VA(uint64(ci)*childSpan)
-		child.Entries[ci] = makeEntry(EntryLeaf, perm, uint64(cva)/childSpan)
-	}
-	n.setTable(i, child)
-}
-
-// entryBaseVA reconstructs the base virtual address mapped by entry i of
-// node n. Nodes do not store their base VA, so this walks from the root.
-func (t *Table) entryBaseVA(n *Node, i int) addr.VA {
-	base, ok := t.findNodeBase(t.root, n, 0)
-	if !ok {
-		panic("pagetable: node not reachable from root")
-	}
-	return base + addr.VA(uint64(i)*entrySpan(n.Level))
-}
-
-func (t *Table) findNodeBase(cur, target *Node, base addr.VA) (addr.VA, bool) {
-	if cur == target {
-		return base, true
-	}
-	span := entrySpan(cur.Level)
-	for i, e := range &cur.Entries {
-		if e.Kind() != EntryTable {
-			continue
-		}
-		if b, ok := t.findNodeBase(cur.child(e), target, base+addr.VA(uint64(i)*span)); ok {
-			return b, true
-		}
-	}
-	return 0, false
-}
-
 // SetPE installs a Permission Entry directly at the entry covering va at
 // the given level, replacing whatever was there. perms must have PEFields
-// elements. va must be aligned to the entry span of that level. This is
-// primarily for tests and for OS fast paths that know the region layout.
+// elements. va must be aligned to the entry span of that level. The
+// walker's tests and fuzz targets build their fixtures with it.
 func (t *Table) SetPE(va addr.VA, level int, perms []addr.Perm) error {
 	if level < 2 || level > t.cfg.Levels {
 		return fmt.Errorf("pagetable: PE level %d out of range", level)
@@ -473,16 +420,9 @@ func (t *Table) SetPE(va addr.VA, level int, perms []addr.Perm) error {
 	if !addr.IsAligned(uint64(va), entrySpan(level)) {
 		return fmt.Errorf("pagetable: va %#x not aligned to level-%d span", uint64(va), level)
 	}
-	n := t.root
-	for n.Level > level {
-		i := indexAt(va, n.Level)
-		switch n.Entries[i].Kind() {
-		case EntryEmpty:
-			n.setTable(i, t.newNode(n.Level-1))
-		case EntryLeaf, EntryPE:
-			return fmt.Errorf("pagetable: %#x already mapped at level %d", uint64(va), n.Level)
-		}
-		n = n.child(n.Entries[i])
+	n, err := t.descendFor(va, level)
+	if err != nil {
+		return err
 	}
 	n.setPE(indexAt(va, level), append([]addr.Perm(nil), perms...))
 	return nil
@@ -540,129 +480,4 @@ func (t *Table) CorruptEntry(va addr.VA, level int, raw uint64) error {
 		n.set(i, makeEntry(kind, addr.NoPerm, 0))
 	}
 	return nil
-}
-
-// Unmap removes all 4 KB-page mappings in r. r must be 4 KB aligned.
-// Mappings by huge leaves or PE fields that are only partially covered are
-// split/expanded as needed. Emptied page-table pages are pruned lazily by
-// Compact.
-func (t *Table) Unmap(r addr.VRange) error {
-	if !addr.IsAligned(uint64(r.Start), addr.PageSize4K) || !addr.IsAligned(r.Size, addr.PageSize4K) {
-		return fmt.Errorf("pagetable: Unmap range %v not page aligned", r)
-	}
-	for va := r.Start; va < r.End(); va += addr.VA(addr.PageSize4K) {
-		if err := t.clearPage(va); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// clearPage removes the mapping of a single 4 KB page.
-func (t *Table) clearPage(va addr.VA) error {
-	n := t.root
-	for {
-		i := indexAt(va, n.Level)
-		e := n.Entries[i]
-		switch e.Kind() {
-		case EntryEmpty:
-			return nil
-		case EntryPE:
-			span := entrySpan(n.Level)
-			field := span / uint64(t.cfg.PEFields)
-			fi := (uint64(va) % span) / field
-			perms := n.fields(e)
-			if perms[fi] == addr.NoPerm {
-				return nil
-			}
-			if addr.PageSize4K == field {
-				perms[fi] = addr.NoPerm
-				return nil
-			}
-			t.expandPE(n, i)
-		case EntryLeaf:
-			if n.Level == 1 {
-				n.Entries[i] = 0
-				return nil
-			}
-			// Partially unmapping a huge leaf: split into the
-			// child level first.
-			t.splitLeaf(n, i)
-		case EntryTable:
-		default:
-			return fmt.Errorf("pagetable: corrupt level-%d entry covers %#x", n.Level, uint64(va))
-		}
-		n = n.child(n.Entries[i])
-	}
-}
-
-// splitLeaf splits a huge leaf entry into a child node of next-smaller
-// leaves covering the same range with the same permissions.
-func (t *Table) splitLeaf(n *Node, i int) {
-	e := n.Entries[i]
-	if e.Kind() != EntryLeaf || n.Level < 2 {
-		panic("pagetable: splitLeaf on non-huge leaf")
-	}
-	child := t.newNode(n.Level - 1)
-	childSpan := entrySpan(n.Level - 1)
-	basePA := e.PFN() * entrySpan(n.Level)
-	for ci := 0; ci < EntriesPerNode; ci++ {
-		child.Entries[ci] = makeEntry(EntryLeaf, e.Perm(), (basePA+uint64(ci)*childSpan)/childSpan)
-	}
-	n.setTable(i, child)
-}
-
-// Protect sets the permission of every mapped 4 KB page in r to perm.
-// Unmapped pages are skipped. PE fields fully covered are updated in place;
-// partially covered PEs are expanded.
-func (t *Table) Protect(r addr.VRange, perm addr.Perm) error {
-	if !addr.IsAligned(uint64(r.Start), addr.PageSize4K) || !addr.IsAligned(r.Size, addr.PageSize4K) {
-		return fmt.Errorf("pagetable: Protect range %v not page aligned", r)
-	}
-	for va := r.Start; va < r.End(); va += addr.VA(addr.PageSize4K) {
-		if err := t.protectPage(va, perm, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t *Table) protectPage(va addr.VA, perm addr.Perm, whole addr.VRange) error {
-	n := t.root
-	for {
-		i := indexAt(va, n.Level)
-		e := n.Entries[i]
-		switch e.Kind() {
-		case EntryEmpty:
-			return nil
-		case EntryPE:
-			span := entrySpan(n.Level)
-			field := span / uint64(t.cfg.PEFields)
-			fi := (uint64(va) % span) / field
-			perms := n.fields(e)
-			if perms[fi] == addr.NoPerm {
-				return nil
-			}
-			fieldBase := addr.VA(addr.AlignDown(uint64(va), field))
-			fieldRange := addr.VRange{Start: fieldBase, Size: field}
-			if whole.Contains(fieldRange.Start) && whole.Contains(fieldRange.End()-1) {
-				perms[fi] = perm
-				return nil
-			}
-			t.expandPE(n, i)
-		case EntryLeaf:
-			span := entrySpan(n.Level)
-			leafBase := addr.VA(addr.AlignDown(uint64(va), span))
-			leafRange := addr.VRange{Start: leafBase, Size: span}
-			if n.Level == 1 || whole.Contains(leafRange.Start) && whole.Contains(leafRange.End()-1) {
-				n.Entries[i] = makeEntry(EntryLeaf, perm, e.PFN())
-				return nil
-			}
-			t.splitLeaf(n, i)
-		case EntryTable:
-		default:
-			return fmt.Errorf("pagetable: corrupt level-%d entry covers %#x", n.Level, uint64(va))
-		}
-		n = n.child(n.Entries[i])
-	}
 }

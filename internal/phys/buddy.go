@@ -498,8 +498,8 @@ func (m *Memory) findAllocatedBlockContaining(f uint64) (uint64, uint8, bool) {
 // allocated memory. Unlike Free, the range need not match an allocation's
 // original decomposition: allocated blocks overlapping the range are split,
 // the inside portion is returned to the buddy system and the outside
-// portions stay allocated. The OS uses this to free individual frames whose
-// enclosing block is partially shared after copy-on-write.
+// portions stay allocated. The OS uses this to free single demand-paged
+// frames and identity segments that LoadProgram split out of one block.
 func (m *Memory) FreeRange(r addr.PRange) error {
 	startFrame, err := m.paToFrame(r.Start)
 	if err != nil {
