@@ -381,7 +381,7 @@ func (e *Engine) runStreams(streams []stream) {
 		pe := int(t[1] & peMask)
 		bestT := t[1] >> peBits
 		p := &pes[pe]
-		completion := e.priceAccess(p.pending, bestT)
+		completion := e.priceAccess(pe, p.pending, bestT)
 		p.ring[p.ringIdx] = completion
 		p.ringIdx++
 		if p.ringIdx == mlp {
@@ -429,10 +429,10 @@ func (e *Engine) runStreams(streams []stream) {
 	}
 }
 
-// priceAccess runs one access through DAV/translation and the memory
+// priceAccess runs PE pe's access through DAV/translation and the memory
 // system, starting no earlier than start, and returns its completion time.
-func (e *Engine) priceAccess(a access, start uint64) uint64 {
-	e.iommu.TranslateInto(a.va, a.kind, &e.plan)
+func (e *Engine) priceAccess(pe int, a access, start uint64) uint64 {
+	e.iommu.TranslatePEInto(pe, a.va, a.kind, &e.plan)
 	e.stats.Accesses++
 	if a.kind == addr.Read {
 		e.stats.Reads++

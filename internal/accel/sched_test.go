@@ -123,7 +123,7 @@ func refSchedule(e *Engine, lists [][]access, log *[]issue) {
 		e.mlpHist.Observe(occ)
 		a := p.list[p.i]
 		p.i++
-		done := e.priceAccess(a, bestT)
+		done := e.priceAccess(best, a, bestT)
 		*log = append(*log, issue{pe: best, a: a, at: bestT, done: done})
 		p.ring[p.ringIdx] = done
 		p.ringIdx = (p.ringIdx + 1) % mlp

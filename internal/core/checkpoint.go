@@ -42,7 +42,9 @@ const defaultSyncEvery = 32
 // Crash tolerance: a process killed mid-append leaves a truncated last
 // line; Open tolerates (and discards) exactly one trailing malformed
 // line, and the next Record overwrites it. Malformed lines elsewhere
-// abort the resume — that is corruption, not interruption.
+// abort the resume — that is corruption, not interruption. So a live
+// append that fails part-way is cut back before any other cell's
+// Record can append after it (appendLine).
 type Checkpoint struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -63,6 +65,16 @@ type Checkpoint struct {
 	// seam so durability tests can count exactly when the checkpoint
 	// reaches stable storage.
 	syncFn func() error
+	// writeFn appends one record line. It defaults to f.Write and is
+	// the seam tests use to fail or shorten an append.
+	writeFn func([]byte) (int, error)
+	// end is the byte offset after the last intact line: where the next
+	// append must start. A failed append is cut back to it.
+	end int64
+	// broken latches an append that failed and could not be cut back:
+	// a later append would land after the torn fragment and make it an
+	// interior corrupt line, so every later Record returns this error.
+	broken error
 }
 
 // OpenCheckpoint opens (or creates) the checkpoint at path for the
@@ -91,6 +103,7 @@ func OpenCheckpoint(path, profile string, resume bool) (*Checkpoint, error) {
 	c.f = f
 	c.syncEvery = defaultSyncEvery
 	c.syncFn = f.Sync
+	c.writeFn = f.Write
 	if c.headerLoaded {
 		// Drop any torn trailing fragment so O_APPEND writes start on
 		// a clean line.
@@ -98,6 +111,7 @@ func OpenCheckpoint(path, profile string, resume bool) (*Checkpoint, error) {
 			f.Close()
 			return nil, err
 		}
+		c.end = c.validLen
 	} else {
 		if err := c.writeHeader(); err != nil {
 			f.Close()
@@ -116,7 +130,38 @@ func (c *Checkpoint) writeHeader() error {
 	if err != nil {
 		return err
 	}
-	_, err = c.f.Write(append(b, '\n'))
+	n, err := c.f.Write(append(b, '\n'))
+	c.end = int64(n)
+	return err
+}
+
+// appendLine writes one record line at c.end. A failed or short write
+// is cut back to c.end, so the next append starts on a clean line;
+// if the cut fails too, the checkpoint latches the error and takes no
+// further appends.
+func (c *Checkpoint) appendLine(line []byte) error {
+	n, err := c.writeFn(line)
+	if err == nil && n < len(line) {
+		err = io.ErrShortWrite
+	}
+	if err == nil {
+		c.end += int64(n)
+		return nil
+	}
+	if terr := c.cutBack(); terr != nil {
+		c.broken = fmt.Errorf("core: checkpoint append failed (%v) and may have left a torn line: %w", err, terr)
+		return c.broken
+	}
+	return err
+}
+
+// cutBack truncates the file to c.end and puts the write offset there
+// (a file opened without O_APPEND would otherwise resume past the cut).
+func (c *Checkpoint) cutBack() error {
+	if err := c.f.Truncate(c.end); err != nil {
+		return err
+	}
+	_, err := c.f.Seek(c.end, io.SeekStart)
 	return err
 }
 
@@ -278,7 +323,10 @@ func (c *Checkpoint) Record(key string, v any) error {
 	if _, dup := c.done[key]; dup {
 		return nil // a resumed run re-recording a restored cell
 	}
-	if _, err := c.f.Write(append(b, '\n')); err != nil {
+	if c.broken != nil {
+		return c.broken
+	}
+	if err := c.appendLine(append(b, '\n')); err != nil {
 		return err
 	}
 	c.done[key] = vb

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,6 +115,95 @@ func TestChaosCheckpointTornFinalLine(t *testing.T) {
 	}
 	if ok, _ := ck3.Lookup("c", &got); !ok || got.Value != 3 {
 		t.Fatalf("repaired cell = %v %+v, want found with value 3", ok, got)
+	}
+}
+
+// A failed or short append must not leave a torn line that a later
+// Record appends after: resume would then reject the mid-file fragment
+// as corruption and lose the whole sweep. Record cuts the fragment
+// back, so the next append starts on a clean line. Both a fresh
+// checkpoint (written at the file offset) and a resumed one (O_APPEND)
+// are covered.
+func TestChaosCheckpointShortWriteCutBack(t *testing.T) {
+	for _, resume := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "sweep.ckpt")
+		if resume {
+			ck, err := OpenCheckpoint(path, "tiny", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Close()
+		}
+		ck, err := OpenCheckpoint(path, "tiny", resume)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Record("a", ckCell{Name: "a", Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+		real := ck.writeFn
+		ck.writeFn = func(b []byte) (int, error) {
+			n, _ := real(b[:len(b)/2])
+			return n, errors.New("no space left on device")
+		}
+		if err := ck.Record("b", ckCell{Name: "b", Value: 2}); err == nil {
+			t.Fatal("short write reported success")
+		}
+		ck.writeFn = real
+		if err := ck.Record("c", ckCell{Name: "c", Value: 3}); err != nil {
+			t.Fatalf("resume=%v: Record after a cut-back short write: %v", resume, err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ck2, err := OpenCheckpoint(path, "tiny", true)
+		if err != nil {
+			t.Fatalf("resume=%v: resume after a short write: %v", resume, err)
+		}
+		var got ckCell
+		for _, key := range []string{"a", "c"} {
+			if ok, err := ck2.Lookup(key, &got); !ok || err != nil {
+				t.Errorf("resume=%v: intact cell %q not restored (%v)", resume, key, err)
+			}
+		}
+		if ok, _ := ck2.Lookup("b", &got); ok {
+			t.Errorf("resume=%v: the failed cell was restored", resume)
+		}
+		ck2.Close()
+	}
+}
+
+// When the torn fragment cannot be cut back, no later append may land
+// after it: the error latches, and a resume drops only the fragment.
+func TestChaosCheckpointTornAppendLatches(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	ck, err := OpenCheckpoint(path, "tiny", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Record("a", ckCell{Name: "a", Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	real := ck.writeFn
+	ck.writeFn = func(b []byte) (int, error) {
+		n, _ := real(b[:len(b)/2])
+		ck.f.Close() // the cut-back's truncate now fails too
+		return n, errors.New("I/O error")
+	}
+	if err := ck.Record("b", ckCell{Name: "b", Value: 2}); err == nil {
+		t.Fatal("failed append reported success")
+	}
+	ck.writeFn = real
+	if err := ck.Record("c", ckCell{Name: "c", Value: 3}); err == nil {
+		t.Fatal("Record after an uncut torn append succeeded")
+	}
+	ck2, err := OpenCheckpoint(path, "tiny", true)
+	if err != nil {
+		t.Fatalf("resume after a latched torn append: %v", err)
+	}
+	defer ck2.Close()
+	if ck2.Len() != 1 {
+		t.Fatalf("resumed %d cells, want 1", ck2.Len())
 	}
 }
 

@@ -149,6 +149,12 @@ type peBackend struct {
 	u       *IOMMU
 	avc     *PTECache
 	preload bool
+	// fronts holds one front table per issuing PE (front.go), grown on
+	// a PE's first access. frontOn is false while a chaos injector or a
+	// tracer that records IOMMU or AVC events is attached: their draws
+	// and events follow the walk, so those runs always walk.
+	fronts  []frontTable
+	frontOn bool
 }
 
 func newPEBackend(u *IOMMU, preload bool) (*peBackend, error) {
@@ -159,11 +165,23 @@ func newPEBackend(u *IOMMU, preload bool) (*peBackend, error) {
 	if avcCfg.MinLevel == 0 {
 		avcCfg = DefaultAVCConfig()
 	}
-	return &peBackend{u: u, avc: MustNewPTECache(avcCfg), preload: preload}, nil
+	return &peBackend{u: u, avc: MustNewPTECache(avcCfg), preload: preload, frontOn: u.cfg.Chaos == nil}, nil
 }
 
 func (b *peBackend) TranslateInto(va addr.VA, kind addr.AccessKind, p *Plan) {
 	u := b.u
+	var slot *frontEntry
+	if b.frontOn && u.pe >= 0 {
+		slot = b.front(u.pe).slot(va)
+		if slot.gen == b.avc.gen && uint64(va)-uint64(slot.base) < slot.size {
+			// Every line of the span's walk is still resident where
+			// it was recorded: the walk would hit on each step.
+			b.avc.replayHits(slot.lines[:slot.n])
+			p.ProbeCycles += uint64(slot.n) * u.cfg.ProbeCycles
+			b.identity(va, slot.perm, kind, p, false)
+			return
+		}
+	}
 	trace := u.tr.Wants(obs.CompIOMMU)
 	if trace {
 		u.tr.Emit(obs.CompIOMMU, obs.EvDAVCheck, uint64(va), 0, uint64(kind))
@@ -174,58 +192,62 @@ func (b *peBackend) TranslateInto(va addr.VA, kind addr.AccessKind, p *Plan) {
 		u.walkFault(p, va)
 		return
 	case pagetable.WalkPE:
-		u.ctr.DAVIdentity++
-		if b.preload && kind == addr.Read {
-			p.OverlapData = true
+		if slot != nil {
+			slot.record(&u.walk, b.avc)
 		}
-		if trace {
-			u.tr.Emit(obs.CompIOMMU, obs.EvDAVIdentity, uint64(va), uint64(u.walk.PA), uint64(kind))
-			if p.OverlapData {
-				u.tr.Emit(obs.CompIOMMU, obs.EvPreloadIssue, uint64(va), uint64(va), 0)
-			}
-		}
-		u.finishTranslated(va, u.walk.PA, u.walk.Perm, kind, p)
+		b.identity(va, u.walk.Perm, kind, p, trace)
 	case pagetable.WalkLeaf:
 		// Fallback: the page is not identity mapped; the same walk
 		// that validated the access also yields the translation, so
 		// the cost is no worse than conventional VM.
 		if u.walk.Identity {
-			u.ctr.DAVIdentity++
-			if b.preload && kind == addr.Read {
-				p.OverlapData = true
-			}
+			b.identity(va, u.walk.Perm, kind, p, trace)
+			return
+		}
+		u.ctr.FallbackTranslations++
+		if trace {
+			u.tr.Emit(obs.CompIOMMU, obs.EvDAVFallback, uint64(va), uint64(u.walk.PA), uint64(kind))
+		}
+		if b.preload && kind == addr.Read {
+			// The preload predicted PA==VA and was wrong:
+			// squash and retry at the translated address.
+			p.SquashedPreload = true
+			u.ctr.SquashedPreloads++
 			if trace {
-				u.tr.Emit(obs.CompIOMMU, obs.EvDAVIdentity, uint64(va), uint64(u.walk.PA), uint64(kind))
-				if p.OverlapData {
-					u.tr.Emit(obs.CompIOMMU, obs.EvPreloadIssue, uint64(va), uint64(va), 0)
-				}
-			}
-		} else {
-			u.ctr.FallbackTranslations++
-			if trace {
-				u.tr.Emit(obs.CompIOMMU, obs.EvDAVFallback, uint64(va), uint64(u.walk.PA), uint64(kind))
-			}
-			if b.preload && kind == addr.Read {
-				// The preload predicted PA==VA and was wrong:
-				// squash and retry at the translated address.
-				p.SquashedPreload = true
-				u.ctr.SquashedPreloads++
-				if trace {
-					u.tr.Emit(obs.CompIOMMU, obs.EvPreloadSquash, uint64(va), uint64(u.walk.PA), uint64(va))
-				}
+				u.tr.Emit(obs.CompIOMMU, obs.EvPreloadSquash, uint64(va), uint64(u.walk.PA), uint64(va))
 			}
 		}
 		u.finishTranslated(va, u.walk.PA, u.walk.Perm, kind, p)
 	}
 }
 
-// SwitchContext: the AVC is physically indexed and tagged, so nothing is
+// identity finishes an access validated as identity mapped (PA == VA):
+// DVM-PE+ overlaps a read's data fetch with validation, then the
+// permission check runs.
+func (b *peBackend) identity(va addr.VA, perm addr.Perm, kind addr.AccessKind, p *Plan, trace bool) {
+	u := b.u
+	u.ctr.DAVIdentity++
+	if b.preload && kind == addr.Read {
+		p.OverlapData = true
+	}
+	if trace {
+		u.tr.Emit(obs.CompIOMMU, obs.EvDAVIdentity, uint64(va), uint64(va), uint64(kind))
+		if p.OverlapData {
+			u.tr.Emit(obs.CompIOMMU, obs.EvPreloadIssue, uint64(va), uint64(va), 0)
+		}
+	}
+	u.finishTranslated(va, addr.PA(va), perm, kind, p)
+}
+
+// SwitchContext: the AVC is physically indexed and tagged, so it is not
 // flushed — lines of the old table are harmlessly distinct from the new
-// table's.
+// table's. Only the per-PE front tables, which name VA spans, are.
 func (b *peBackend) SwitchContext(st State) error {
 	if st.Table == nil {
 		return fmt.Errorf("mmu: %v context needs a page table", b.u.cfg.Mode)
 	}
+	// The front tables remember spans of the old table's walks.
+	clear(b.fronts)
 	return nil
 }
 
@@ -235,6 +257,7 @@ func (b *peBackend) RegisterMetrics(reg *obs.Registry) {
 
 func (b *peBackend) SetTracer(tr *obs.Tracer) {
 	b.avc.SetTrace(tr, obs.CompAVC)
+	b.frontOn = b.u.cfg.Chaos == nil && !tr.Wants(obs.CompIOMMU) && !tr.Wants(obs.CompAVC)
 }
 
 func (b *peBackend) Stats() BackendStats {

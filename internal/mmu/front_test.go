@@ -1,0 +1,246 @@
+package mmu
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/chaos"
+	"github.com/dvm-sim/dvm/internal/obs"
+	"github.com/dvm-sim/dvm/internal/pagetable"
+)
+
+// frontAVCGeometries are the AVC shapes of Ablations A-C: Ablation B's
+// capacities (64 B and 128 B direct-mapped, with eviction on nearly
+// every walk, then 256 B, 1 KB and 4 KB 4-way), each caching from level
+// 1 or, as Ablation C's PWC-like AVC does, only from level 2.
+var frontAVCGeometries = []PTECacheConfig{
+	{CapacityBytes: 64, BlockBytes: 64, Ways: 1, MinLevel: 1},
+	{CapacityBytes: 128, BlockBytes: 64, Ways: 1, MinLevel: 1},
+	{CapacityBytes: 256, BlockBytes: 64, Ways: 4, MinLevel: 1},
+	{CapacityBytes: 1 << 10, BlockBytes: 64, Ways: 4, MinLevel: 1},
+	{CapacityBytes: 4 << 10, BlockBytes: 64, Ways: 4, MinLevel: 1},
+	{CapacityBytes: 64, BlockBytes: 64, Ways: 1, MinLevel: 2},
+	{CapacityBytes: 128, BlockBytes: 64, Ways: 1, MinLevel: 2},
+	{CapacityBytes: 256, BlockBytes: 64, Ways: 4, MinLevel: 2},
+	{CapacityBytes: 1 << 10, BlockBytes: 64, Ways: 4, MinLevel: 2},
+	{CapacityBytes: 4 << 10, BlockBytes: 64, Ways: 4, MinLevel: 2},
+}
+
+// randomPETable lays out a few identity regions of random size,
+// alignment and permission, plus a few non-identity 4 KB pages, and
+// compacts the table. Field-aligned regions fold into Permission
+// Entries; ragged edges stay leaves, so walks end at PEs, identity and
+// non-identity leaves, and holes. It returns the ranges accesses
+// should mostly fall in.
+func randomPETable(rng *rand.Rand, levels, fields int) (*pagetable.Table, []addr.VRange) {
+	tbl := pagetable.MustNew(pagetable.Config{Levels: levels, PEFields: fields})
+	field := uint64(addr.PageSize2M) / uint64(fields)
+	perms := []addr.Perm{addr.ReadOnly, addr.ReadWrite, addr.ReadExecute}
+	va := uint64(1+rng.Intn(4)) * addr.PageSize1G
+	var ranges []addr.VRange
+	for n := 1 + rng.Intn(5); n > 0; n-- {
+		va += uint64(rng.Intn(8)) * field
+		size := uint64(1+rng.Intn(24)) * field
+		if rng.Intn(4) == 0 {
+			va += uint64(rng.Intn(64)) * addr.PageSize4K
+			size = uint64(1+rng.Intn(300)) * addr.PageSize4K
+		}
+		r := addr.VRange{Start: addr.VA(va), Size: size}
+		if err := tbl.MapRange(r, addr.PA(va), perms[rng.Intn(len(perms))], addr.PageSize4K); err != nil {
+			panic(err)
+		}
+		ranges = append(ranges, r)
+		va += size
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		va += uint64(1+rng.Intn(16)) * addr.PageSize4K
+		pa := addr.PA(1<<40 + uint64(rng.Intn(1<<16))*addr.PageSize4K)
+		if err := tbl.Map(addr.VA(va), pa, addr.ReadWrite, addr.PageSize4K); err != nil {
+			panic(err)
+		}
+		ranges = append(ranges, addr.VRange{Start: addr.VA(va), Size: addr.PageSize4K})
+		va += addr.PageSize4K
+	}
+	tbl.Compact()
+	return tbl, ranges
+}
+
+// frontRun drives one random multi-PE stream through an IOMMU with
+// front tables (TranslatePEInto) and a front-less reference
+// (TranslateInto) built alike, interleaving context switches, statistic
+// resets and AVC invalidations, and fails at the first access after
+// which any observable state differs. It returns how many accesses the
+// front tables served without walking.
+func frontRun(tb testing.TB, seed int64, accesses int) (replayed int) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	levels := 4 + rng.Intn(2)
+	fields := []int{4, 8, 16, 32, 64}[rng.Intn(5)]
+	var tables [2]*pagetable.Table
+	var ranges [2][]addr.VRange
+	for i := range tables {
+		tables[i], ranges[i] = randomPETable(rng, levels, fields)
+	}
+	mode := []Mode{ModeDVMPE, ModeDVMPEPlus}[rng.Intn(2)]
+	geom := frontAVCGeometries[rng.Intn(len(frontAVCGeometries))]
+	if rng.Intn(2) == 0 {
+		// Half the scenarios use the paper's 1 KB 4-way AVC: it holds
+		// whole walks, so spans are recorded and replayed. The small
+		// ones mostly evict a walk's own lines.
+		geom = PTECacheConfig{CapacityBytes: 1 << 10, BlockBytes: 64, Ways: 4, MinLevel: 1 + rng.Intn(2)}
+	}
+	cfg := Config{Mode: mode, AVC: geom, ProbeCycles: uint64(1 + rng.Intn(3))}
+	got := MustNew(cfg, tables[0], nil)
+	want := MustNew(cfg, tables[0], nil)
+	npe := 1 + rng.Intn(8)
+	desc := fmt.Sprintf("seed %d (%v, %d levels, %d fields, AVC %+v, %d PEs)", seed, mode, levels, fields, geom, npe)
+
+	cur := 0
+	last := make([]addr.VA, npe)
+	for i := range last {
+		last[i] = ranges[0][0].Start
+	}
+	var gp, wp Plan
+	for i := 0; i < accesses; i++ {
+		switch r := rng.Intn(200); {
+		case r == 0:
+			cur ^= 1
+			st := State{Table: tables[cur]}
+			if err := got.SwitchContext(st); err != nil {
+				tb.Fatal(err)
+			}
+			if err := want.SwitchContext(st); err != nil {
+				tb.Fatal(err)
+			}
+		case r == 1:
+			got.Backend().Reset()
+			want.Backend().Reset()
+		case r == 2:
+			got.AVC().Invalidate()
+			want.AVC().Invalidate()
+		}
+		// Like an accelerator's streams, a PE mostly stays near its
+		// previous access, sometimes jumps within the mapped ranges and
+		// now and then strays anywhere.
+		pe := rng.Intn(npe)
+		va := last[pe] + addr.VA(rng.Intn(1024)) - 512
+		switch r := rng.Intn(32); {
+		case r == 0:
+			va = addr.VA(rng.Int63n(8 * int64(addr.PageSize1G)))
+		case r < 4:
+			rs := ranges[cur]
+			rg := rs[rng.Intn(len(rs))]
+			va = rg.Start + addr.VA(rng.Int63n(int64(rg.Size)))
+		}
+		last[pe] = va
+		kind := []addr.AccessKind{addr.Read, addr.Read, addr.Write, addr.Execute}[rng.Intn(4)]
+
+		// WalkInto resets Outcome first thing, so an outcome that
+		// survives the access means the front table served it.
+		const unwalked = pagetable.WalkOutcome(0xFF)
+		got.walk.Outcome = unwalked
+		got.TranslatePEInto(pe, va, kind, &gp)
+		want.TranslateInto(va, kind, &wp)
+		if got.walk.Outcome == unwalked {
+			replayed++
+		}
+		if err := frontDiff(got, want, &gp, &wp); err != nil {
+			tb.Fatalf("%s: access %d (PE %d, %v %#x): %v", desc, i, pe, kind, uint64(va), err)
+		}
+	}
+	return replayed
+}
+
+// frontDiff compares everything a front table could get wrong: the
+// plan, the IOMMU counters and walk distribution, and the AVC's
+// statistics, clock and every line's (valid, tag, lastUse).
+func frontDiff(got, want *IOMMU, gp, wp *Plan) error {
+	if gp.PA != wp.PA || gp.Fault != wp.Fault || gp.FaultKind != wp.FaultKind ||
+		gp.ProbeCycles != wp.ProbeCycles || gp.OverlapData != wp.OverlapData ||
+		gp.SquashedPreload != wp.SquashedPreload || fmt.Sprint(gp.MemRefs) != fmt.Sprint(wp.MemRefs) {
+		return fmt.Errorf("plan %+v, reference %+v", *gp, *wp)
+	}
+	if got.Counters() != want.Counters() {
+		return fmt.Errorf("counters %+v, reference %+v", got.Counters(), want.Counters())
+	}
+	if got.walkHist.Snapshot() != want.walkHist.Snapshot() {
+		return fmt.Errorf("walk histogram differs")
+	}
+	ga, wa := got.AVC(), want.AVC()
+	if ga.hits != wa.hits || ga.misses != wa.misses || ga.clock != wa.clock {
+		return fmt.Errorf("AVC hits/misses/clock %d/%d/%d, reference %d/%d/%d",
+			ga.hits, ga.misses, ga.clock, wa.hits, wa.misses, wa.clock)
+	}
+	for s := range ga.sets {
+		for w := range ga.sets[s] {
+			if ga.sets[s][w] != wa.sets[s][w] {
+				return fmt.Errorf("AVC set %d way %d: %+v, reference %+v", s, w, ga.sets[s][w], wa.sets[s][w])
+			}
+		}
+	}
+	return nil
+}
+
+// TestAVCFrontTableMatchesReference is the front table's exactness
+// property over random PE tables (fan-outs 4-64, 4- and 5-level), the
+// Ablation A-C AVC geometries, DVM-PE and DVM-PE+, and 1-8 PEs.
+func TestAVCFrontTableMatchesReference(t *testing.T) {
+	seeds, accesses := 60, 3000
+	if testing.Short() {
+		seeds = 15
+	}
+	replayed := 0
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		replayed += frontRun(t, seed, accesses)
+	}
+	// The property is vacuous unless the front tables served a real
+	// share of the accesses.
+	if total := seeds * accesses; replayed < total/10 {
+		t.Fatalf("front tables served %d of %d accesses; the comparison barely exercised them", replayed, total)
+	}
+}
+
+// TestAVCFrontTableBypass: with a chaos injector or a tracer that
+// records IOMMU or AVC events attached, every access walks, so injector
+// draws and trace events follow the walk exactly. A tracer masked off
+// for both keeps the front table.
+func TestAVCFrontTableBypass(t *testing.T) {
+	base := uint64(addr.PageSize1G)
+	tbl := buildIdentityTable(t, base, 4<<20, addr.PageSize4K, true)
+	never := (&chaos.Config{Seed: 1, Rate: 1e-15}).For("front")
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		tracer *obs.Tracer
+		walks  bool
+	}{
+		{"plain", Config{Mode: ModeDVMPE}, nil, false},
+		{"masked tracer", Config{Mode: ModeDVMPE}, obs.NewTracer(16, obs.MaskAll&^(1<<obs.CompIOMMU|1<<obs.CompAVC)), false},
+		{"IOMMU tracer", Config{Mode: ModeDVMPE}, obs.NewTracer(16, 1<<obs.CompIOMMU), true},
+		{"AVC tracer", Config{Mode: ModeDVMPEPlus}, obs.NewTracer(16, 1<<obs.CompAVC), true},
+		{"chaos", Config{Mode: ModeDVMPE, Chaos: never}, nil, true},
+	} {
+		u := MustNew(c.cfg, tbl, nil)
+		u.SetTracer(c.tracer)
+		var p Plan
+		u.TranslatePEInto(0, addr.VA(base), addr.Read, &p)
+		u.walk.Outcome = 0xFF
+		u.TranslatePEInto(0, addr.VA(base+64), addr.Read, &p)
+		if walked := u.walk.Outcome != 0xFF; walked != c.walks {
+			t.Errorf("%s: repeated span walked = %v, want %v", c.name, walked, c.walks)
+		}
+	}
+}
+
+// FuzzAVCFrontTable runs the reference comparison on fuzzer-chosen
+// seeds (scenario shape and stream).
+func FuzzAVCFrontTable(f *testing.F) {
+	for seed := int64(1); seed <= 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		frontRun(t, seed, 500)
+	})
+}

@@ -185,6 +185,10 @@ type IOMMU struct {
 
 	walk pagetable.WalkResult
 	ctr  Counters
+	// pe is the processing element issuing the access in flight, or
+	// NoPE. Backends with per-PE state (the PE modes' front tables)
+	// read it; the Backend interface stays PE-agnostic.
+	pe int
 	// walkHist is the per-translation walk-memory-reference
 	// distribution: every TranslateInto observes len(p.MemRefs), so its
 	// count equals ctr.Accesses and its sum equals ctr.WalkMemRefs
@@ -320,7 +324,8 @@ func (u *IOMMU) SetTracer(tr *obs.Tracer) {
 // — the accelerator-multiplexing path ("similar protection guarantees are
 // needed when accelerators are multiplexed among multiple processes",
 // §1). The backend validates the state and flushes exactly its
-// per-address-space structures (the TLBs and the bitmap/block caches);
+// per-address-space structures (the TLBs, the bitmap/block caches and
+// the PE modes' per-PE front tables);
 // physically indexed and tagged caches (PWC/AVC, shard walker caches)
 // keep their contents — lines of the old table are harmlessly distinct
 // from the new table's and need no invalidation, one of the AVC's quiet
@@ -344,11 +349,26 @@ func (u *IOMMU) Translate(va addr.VA, kind addr.AccessKind) Plan {
 	return p
 }
 
+// NoPE marks an access issued by no particular processing element
+// (host-side probes, the CPU and virtualization models). It always
+// takes the backend's full path.
+const NoPE = -1
+
 // TranslateInto validates/translates one access into p, reusing p.MemRefs.
-// This is the hot path: the accelerator calls it for every memory request.
+// It is TranslatePEInto with no issuing PE.
 func (u *IOMMU) TranslateInto(va addr.VA, kind addr.AccessKind, p *Plan) {
+	u.TranslatePEInto(NoPE, va, kind, p)
+}
+
+// TranslatePEInto validates/translates one access issued by processing
+// element pe (>= 0, or NoPE) into p, reusing p.MemRefs. This is the hot
+// path: the accelerator calls it for every memory request. The PE index
+// lets a backend keep per-PE state that changes no result (DESIGN §8,
+// "Per-PE AVC front table").
+func (u *IOMMU) TranslatePEInto(pe int, va addr.VA, kind addr.AccessKind, p *Plan) {
 	p.reset()
 	u.ctr.Accesses++
+	u.pe = pe
 	u.be.TranslateInto(va, kind, p)
 	// Every backend accumulates its walk-path memory references into
 	// p.MemRefs (table walks, bitmap lines, block-table entries), so the

@@ -484,20 +484,56 @@ func TestIOMMUAgreesWithTable(t *testing.T) {
 	}
 }
 
+// BenchmarkIOMMUDVMPE prices one DVM-PE translation over a 64 MB
+// identity region: uniformly random addresses with no issuing PE, then
+// eight PEs each streaming its own 8 MB slice at 64 B steps, issued
+// with their PE index (the accelerator's path, front tables on) and
+// without it (every access walks).
 func BenchmarkIOMMUDVMPE(b *testing.B) {
+	const size = 64 << 20
 	base := uint64(addr.PageSize1G)
 	tbl := pagetable.MustNew(pagetable.Config{})
-	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: 64 << 20}, addr.PA(base), addr.ReadWrite, addr.PageSize4K); err != nil {
+	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: size}, addr.PA(base), addr.ReadWrite, addr.PageSize4K); err != nil {
 		b.Fatal(err)
 	}
 	tbl.Compact()
-	u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
-	rng := rand.New(rand.NewSource(3))
-	var p Plan
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u.TranslateInto(addr.VA(base+uint64(rng.Intn(64<<20))), addr.Read, &p)
+	b.Run("random", func(b *testing.B) {
+		u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
+		rng := rand.New(rand.NewSource(3))
+		var p Plan
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u.TranslateInto(addr.VA(base+uint64(rng.Intn(size))), addr.Read, &p)
+		}
+	})
+	const pes, slice = 8, size / 8
+	stream := func(i int) (int, addr.VA) {
+		pe := i % pes
+		return pe, addr.VA(base + uint64(pe)*slice + uint64(i/pes*64)%slice)
 	}
+	b.Run("streams-pe", func(b *testing.B) {
+		u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
+		var p Plan
+		for i := 0; i < pes; i++ {
+			pe, va := stream(i)
+			u.TranslatePEInto(pe, va, addr.Read, &p)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pe, va := stream(i)
+			u.TranslatePEInto(pe, va, addr.Read, &p)
+		}
+	})
+	b.Run("streams-nope", func(b *testing.B) {
+		u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
+		var p Plan
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, va := stream(i)
+			u.TranslateInto(va, addr.Read, &p)
+		}
+	})
 }
 
 func BenchmarkIOMMUConv4K(b *testing.B) {

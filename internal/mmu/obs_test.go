@@ -173,6 +173,19 @@ func TestTranslateIntoZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("TranslateInto allocates %.1f objects/op with registry attached, want 0", allocs)
 	}
+	// The accelerator's per-PE issue path: once each PE's front table
+	// exists, recording and replaying spans allocates nothing either.
+	const pes = 8
+	for pe := 0; pe < pes; pe++ {
+		u.TranslatePEInto(pe, addr.VA(base), addr.Read, &p)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		u.TranslatePEInto(int(i%pes), addr.VA(base+(i%16384)*addr.PageSize4K), addr.Read, &p)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("TranslatePEInto allocates %.1f objects/op with registry attached, want 0", allocs)
+	}
 	// The walk histogram counts every translation under the mode slug
 	// and its sum reconciles with the walk-memref counter, at zero
 	// additional allocation (core.CrossCheck enforces the same pair).

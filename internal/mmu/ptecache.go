@@ -63,6 +63,12 @@ type PTECache struct {
 	clock      uint64
 	hits       uint64
 	misses     uint64
+	// gen changes on every fill, eviction and invalidation — whenever
+	// the set of resident lines may have changed. A hit only restamps
+	// a line's recency, so it leaves gen alone: a line found resident
+	// at generation g is still resident, in the same slot, while gen
+	// is g (the per-PE front table relies on exactly this).
+	gen uint64
 
 	tr   *obs.Tracer
 	comp obs.Component
@@ -198,6 +204,7 @@ func (c *PTECache) Insert(pa addr.PA, level int) {
 		c.tr.Emit(c.comp, obs.EvFill, 0, uint64(pa), uint64(level))
 	}
 	set[victim] = pteBlock{valid: true, tag: tag, lastUse: c.clock}
+	c.gen++
 }
 
 // Invalidate empties the cache.
@@ -207,6 +214,36 @@ func (c *PTECache) Invalidate() {
 			set[i] = pteBlock{}
 		}
 	}
+	c.gen++
+}
+
+// resident returns the resident line holding pa, or nil, without
+// probing: no clock tick, no statistics. The pointer stays valid for
+// the cache's lifetime (sets are never reallocated), and names the
+// same line while gen is unchanged.
+func (c *PTECache) resident(pa addr.PA, level int) *pteBlock {
+	if !c.Caches(level) {
+		return nil
+	}
+	tag, si := c.blockAddr(pa)
+	set := c.sets[si]
+	for i := range set {
+		if b := &set[i]; b.valid && b.tag == tag {
+			return b
+		}
+	}
+	return nil
+}
+
+// replayHits does exactly what one hitting Lookup per line, in order,
+// would do — tick the clock, restamp the line, count the hit — without
+// the set scans. Every line must be resident (see resident and gen).
+func (c *PTECache) replayHits(lines []*pteBlock) {
+	for _, b := range lines {
+		c.clock++
+		b.lastUse = c.clock
+	}
+	c.hits += uint64(len(lines))
 }
 
 // Snapshot returns the current statistics (the CacheStats contract).
