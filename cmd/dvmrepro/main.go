@@ -44,7 +44,9 @@
 // Observability: -metrics writes the merged per-run registry snapshot
 // (counters and latency histograms) as JSON (byte-identical at any -j —
 // snapshots merge by commutative sum); -trace writes a JSONL event trace
-// bounded by -trace-cap, filtered to the -trace-mask components; -spans
+// bounded by -trace-cap, filtered to the -trace-mask components (the
+// same bytes run to run only at -j 1: concurrent cells share one event
+// ring, so their events interleave by scheduling); -spans
 // writes the sweep's phase spans (prepare, page-table builds, cells,
 // timing replay) as Chrome trace-event JSON loadable
 // in ui.perfetto.dev; -http serves the live surface — net/http/pprof

@@ -16,7 +16,9 @@
 // -j bounds how many of those runs execute concurrently (default: one per
 // CPU; the printed table is identical at any -j). -metrics writes the
 // merged registry snapshot (counters and histograms) of all runs as JSON;
-// -trace writes a JSONL event trace of the translation path; -spans
+// -trace writes a JSONL event trace of the translation path (the same
+// bytes run to run only at -j 1: concurrent runs share one bounded
+// event ring, so their events interleave by scheduling); -spans
 // writes phase spans as Chrome trace-event JSON (ui.perfetto.dev); -http
 // serves the live surface (/metrics, /progress, /debug/pprof/).
 // -chaos-rate (a probability in [0, 1]) arms seeded fault injection.

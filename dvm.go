@@ -219,9 +219,6 @@ type (
 	BipartiteConfig = graph.BipartiteConfig
 )
 
-// GraphStats summarizes a graph's degree distribution.
-type GraphStats = graph.Stats
-
 // Graph constructors and the Table 3 registry.
 var (
 	GenerateRMAT      = graph.GenerateRMAT

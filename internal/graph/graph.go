@@ -15,7 +15,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"github.com/dvm-sim/dvm/internal/runner"
@@ -286,22 +285,33 @@ func DefaultRMAT(scale int, seed int64) RMATConfig {
 	return RMATConfig{Scale: scale, EdgeFactor: 16, A: 0.57, B: 0.19, C: 0.19, Seed: seed}
 }
 
+// validate checks the parameters both generators share: the scale and
+// the quadrant probabilities. The negated comparisons also reject NaN,
+// so an accepted config always has 0 < A <= A+B <= A+B+C < 1, the
+// order the branch-free descent relies on.
+func (cfg RMATConfig) validate() error {
+	if cfg.Scale < 1 || cfg.Scale > 30 {
+		return fmt.Errorf("graph: RMAT scale %d out of range [1,30]", cfg.Scale)
+	}
+	if !(cfg.A > 0) || !(cfg.B >= 0) || !(cfg.C >= 0) || !(cfg.A+cfg.B+cfg.C < 1) {
+		return fmt.Errorf("graph: bad RMAT probabilities %v/%v/%v", cfg.A, cfg.B, cfg.C)
+	}
+	return nil
+}
+
 // GenerateRMAT builds an R-MAT graph. Self loops are permitted (as in
 // graph500); duplicate edges are kept, matching the generator's behaviour.
 // Edge weights are uniform in [1, 64) for SSSP.
 func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
-	if cfg.Scale < 1 || cfg.Scale > 30 {
-		return nil, fmt.Errorf("graph: RMAT scale %d out of range [1,30]", cfg.Scale)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.EdgeFactor < 1 {
 		return nil, fmt.Errorf("graph: edge factor %d < 1", cfg.EdgeFactor)
 	}
-	if cfg.A <= 0 || cfg.B < 0 || cfg.C < 0 || cfg.A+cfg.B+cfg.C >= 1 {
-		return nil, fmt.Errorf("graph: bad RMAT probabilities %v/%v/%v", cfg.A, cfg.B, cfg.C)
-	}
 	v := 1 << cfg.Scale
 	e := v * cfg.EdgeFactor
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := newSource(cfg.Seed)
 	edges := make([]edgeTuple, e)
 	for i := range edges {
 		src, dst := rmatEdge(rng, cfg)
@@ -311,24 +321,33 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
 	return g, nil
 }
 
-// rmatEdge draws one edge by recursive quadrant descent.
-func rmatEdge(rng *rand.Rand, cfg RMATConfig) (uint32, uint32) {
-	var src, dst uint32
-	for bit := cfg.Scale - 1; bit >= 0; bit-- {
+// rmatEdge draws one edge by recursive quadrant descent: one Float64
+// per bit, most significant bit first. Each draw r picks a quadrant from
+// three threshold tests x1 = r >= A, x2 = r >= A+B, x3 = r >= A+B+C.
+// The thresholds are summed in the order the probabilities are listed,
+// and a validated config has them ordered, so (x1, x2, x3) is 000, 100,
+// 110 or 111, and the quadrant is src = x2, dst = x1^x2^x3: top-left
+// (0,0), top-right (0,1), bottom-left (1,0), bottom-right (1,1). The
+// tests compile to flag sets, not branches; with graph500's 57/19/19/5
+// split a branch on r is close to random and mispredicts on most bits.
+func rmatEdge(rng *source, cfg RMATConfig) (src, dst uint32) {
+	a, ab := cfg.A, cfg.A+cfg.B
+	abc := ab + cfg.C
+	for i := 0; i < cfg.Scale; i++ {
 		r := rng.Float64()
-		switch {
-		case r < cfg.A:
-			// top-left: neither bit set
-		case r < cfg.A+cfg.B:
-			dst |= 1 << uint(bit)
-		case r < cfg.A+cfg.B+cfg.C:
-			src |= 1 << uint(bit)
-		default:
-			src |= 1 << uint(bit)
-			dst |= 1 << uint(bit)
-		}
+		x1, x2, x3 := bit(r >= a), bit(r >= ab), bit(r >= abc)
+		src = src<<1 | x2
+		dst = dst<<1 | (x1 ^ x2 ^ x3)
 	}
 	return src, dst
+}
+
+// bit is b as 0 or 1; the compiler lowers it to a flag set.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // BipartiteConfig parameterizes synthetic user→item rating graphs,
@@ -355,7 +374,10 @@ func GenerateBipartite(cfg BipartiteConfig) (*Graph, error) {
 	if cfg.Skew.Scale == 0 {
 		cfg.Skew = DefaultRMAT(sizeScale(cfg.Users), cfg.Skew.Seed)
 	}
-	rng := rand.New(rand.NewSource(cfg.Skew.Seed))
+	if err := cfg.Skew.validate(); err != nil {
+		return nil, err
+	}
+	rng := newSource(cfg.Skew.Seed)
 	edges := make([]edgeTuple, cfg.Edges)
 	for i := range edges {
 		s, d := rmatEdge(rng, cfg.Skew)

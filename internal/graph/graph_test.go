@@ -81,6 +81,9 @@ func TestGenerateRMATValidation(t *testing.T) {
 	if _, err := GenerateRMAT(RMATConfig{Scale: 8, EdgeFactor: 8, A: 0.6, B: 0.3, C: 0.2}); err == nil {
 		t.Error("probabilities summing over 1 accepted")
 	}
+	if _, err := GenerateRMAT(RMATConfig{Scale: 8, EdgeFactor: 8, A: math.NaN(), B: 0.19, C: 0.19}); err == nil {
+		t.Error("NaN probability accepted")
+	}
 }
 
 func TestGenerateBipartite(t *testing.T) {
@@ -114,6 +117,25 @@ func TestGenerateBipartite(t *testing.T) {
 func TestGenerateBipartiteValidation(t *testing.T) {
 	if _, err := GenerateBipartite(BipartiteConfig{Users: 0, Items: 5, Edges: 5}); err == nil {
 		t.Error("0 users accepted")
+	}
+	// A caller-supplied Skew passes the same checks as GenerateRMAT's
+	// config: a negative B or C would break the ordered thresholds the
+	// quadrant descent relies on.
+	nan := math.NaN()
+	for _, skew := range []RMATConfig{
+		{Scale: 31, A: 0.57, B: 0.19, C: 0.19},
+		{Scale: -1, A: 0.57, B: 0.19, C: 0.19},
+		{Scale: 8, A: 0.57, B: -0.1, C: 0.19},
+		{Scale: 8, A: 0.57, B: 0.19, C: -0.1},
+		{Scale: 8, A: 0, B: 0.5, C: 0.3},
+		{Scale: 8, A: 0.6, B: 0.3, C: 0.2},
+		{Scale: 8, A: nan, B: 0.19, C: 0.19},
+		{Scale: 8, A: 0.57, B: nan, C: 0.19},
+		{Scale: 8, A: 0.57, B: 0.19, C: math.Inf(1)},
+	} {
+		if _, err := GenerateBipartite(BipartiteConfig{Users: 100, Items: 10, Edges: 50, Skew: skew}); err == nil {
+			t.Errorf("skew %+v accepted", skew)
+		}
 	}
 }
 
@@ -220,39 +242,5 @@ func TestCSRProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	g, _ := GenerateRMAT(DefaultRMAT(10, 7))
-	s := g.ComputeStats()
-	if s.V != g.V || s.E != g.E() {
-		t.Errorf("counts wrong: %+v", s)
-	}
-	if s.MinDegree > s.P50 || s.P50 > s.P90 || s.P90 > s.P99 || s.P99 > s.MaxDegree {
-		t.Errorf("percentiles not monotone: %+v", s)
-	}
-	if s.AvgDegree != float64(g.E())/float64(g.V) {
-		t.Errorf("AvgDegree = %v", s.AvgDegree)
-	}
-	// R-MAT skew: the max degree dwarfs the median.
-	if s.MaxDegree < 4*s.P50 {
-		t.Errorf("expected skew: max %d vs p50 %d", s.MaxDegree, s.P50)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
-	}
-}
-
-func TestComputeStatsEmptyAndDegenerate(t *testing.T) {
-	empty := &Graph{V: 0, RowPtr: []uint64{0}}
-	s := empty.ComputeStats()
-	if s.V != 0 || s.MinDegree != 0 {
-		t.Errorf("empty stats: %+v", s)
-	}
-	single := &Graph{V: 1, RowPtr: []uint64{0, 0}}
-	s = single.ComputeStats()
-	if s.ZeroDegree != 1 || s.MaxDegree != 0 {
-		t.Errorf("single-vertex stats: %+v", s)
 	}
 }

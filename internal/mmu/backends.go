@@ -240,8 +240,10 @@ func (b *peBackend) identity(va addr.VA, perm addr.Perm, kind addr.AccessKind, p
 }
 
 // SwitchContext: the AVC is physically indexed and tagged, so it is not
-// flushed — lines of the old table are harmlessly distinct from the new
-// table's. Only the per-PE front tables, which name VA spans, are.
+// flushed; only the per-PE front tables, which name VA spans, are. The
+// old table's AVC lines are not distinct from the new table's, since
+// every table's nodes start at the same simulated PA (see
+// IOMMU.SwitchContext and ROADMAP item 6).
 func (b *peBackend) SwitchContext(st State) error {
 	if st.Table == nil {
 		return fmt.Errorf("mmu: %v context needs a page table", b.u.cfg.Mode)

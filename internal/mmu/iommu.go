@@ -327,9 +327,10 @@ func (u *IOMMU) SetTracer(tr *obs.Tracer) {
 // per-address-space structures (the TLBs, the bitmap/block caches and
 // the PE modes' per-PE front tables);
 // physically indexed and tagged caches (PWC/AVC, shard walker caches)
-// keep their contents — lines of the old table are harmlessly distinct
-// from the new table's and need no invalidation, one of the AVC's quiet
-// advantages on context switches.
+// keep their contents. The old table's lines are not distinct from the
+// new table's today: every table's nodes start at the same simulated PA
+// (ptNodeRegion), so the new table's walks can hit lines the old table
+// filled. Giving each table its own node region is ROADMAP item 6.
 func (u *IOMMU) SwitchContext(st State) error {
 	if err := u.be.SwitchContext(st); err != nil {
 		return err

@@ -579,7 +579,11 @@ func TestSwitchContextIsolation(t *testing.T) {
 
 func TestSwitchContextPEModesKeepAVC(t *testing.T) {
 	// The AVC is physically indexed: switching contexts must not
-	// invalidate it, and lines of the two tables must not alias.
+	// invalidate it. The two tables' nodes start at the same simulated
+	// PA, so B's walks may hit lines A filled; what this checks is that
+	// each table's permissions still decide the outcome. Disjoint node
+	// regions, and a check that B misses on A's lines, are ROADMAP
+	// item 6.
 	baseA, baseB := uint64(addr.PageSize1G), uint64(2*addr.PageSize1G)
 	tblA := buildIdentityTable(t, baseA, 2<<20, addr.PageSize4K, true)
 	tblB := buildIdentityTable(t, baseB, 2<<20, addr.PageSize4K, true)
