@@ -18,12 +18,12 @@ package cpu
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/mmu"
 	"github.com/dvm-sim/dvm/internal/osmodel"
 	"github.com/dvm-sim/dvm/internal/pagetable"
+	"github.com/dvm-sim/dvm/internal/prng"
 )
 
 // WorkloadSpec is one bar group of Figure 10.
@@ -197,6 +197,13 @@ type Result struct {
 // one generator drives the three schemes' hierarchies in lockstep, and
 // each access is generated once and priced three times.
 func Run(spec WorkloadSpec, cfg Config) (Result, error) {
+	res, _, err := run(spec, cfg)
+	return res, err
+}
+
+// run is Run, also returning the schemes' hierarchies, indexed by
+// Scheme, for tests that read their TLB counters.
+func run(spec WorkloadSpec, cfg Config) (Result, []hierarchy, error) {
 	cfg = cfg.withDefaults()
 	res := Result{
 		Name:       spec.Name,
@@ -205,11 +212,11 @@ func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 		WalkCycles: map[Scheme]uint64{},
 	}
 	if err := spec.validate(); err != nil {
-		return res, err
+		return res, nil, err
 	}
 	tables, heapBase, err := buildTables(spec)
 	if err != nil {
-		return res, err
+		return res, nil, err
 	}
 	hs := make([]hierarchy, len(tables))
 	for s := range hs {
@@ -233,7 +240,7 @@ func Run(spec WorkloadSpec, cfg Config) (Result, error) {
 		res.L2MissRate[Scheme(s)] = h.l2.MissRate()
 		res.Overhead[Scheme(s)] = float64(h.walkCycles) / res.BaseCycles
 	}
-	return res, nil
+	return res, hs, nil
 }
 
 // buildTables builds the workload's process and its page table under
@@ -378,13 +385,13 @@ func (h *hierarchy) access(va addr.VA, isStore bool, walkRes *pagetable.WalkResu
 // traceGen produces the synthetic address stream.
 type traceGen struct {
 	spec   WorkloadSpec
-	rng    *rand.Rand
+	rng    *prng.Source
 	base   addr.VA
 	cursor uint64
 }
 
 func newTraceGen(spec WorkloadSpec) *traceGen {
-	return &traceGen{spec: spec, rng: rand.New(rand.NewSource(spec.Seed)), base: 0}
+	return &traceGen{spec: spec, rng: prng.New(spec.Seed), base: 0}
 }
 
 // bind sets the VA region the trace addresses.
@@ -402,7 +409,11 @@ func (t *traceGen) next() addr.VA {
 	if stride == 0 {
 		stride = 16
 	}
-	t.cursor = (t.cursor + stride) % s.Footprint
+	// validate keeps stride <= Footprint, so one subtraction wraps the
+	// cursor exactly as a modulo would.
+	if t.cursor += stride; t.cursor >= s.Footprint {
+		t.cursor -= s.Footprint
+	}
 	return t.base + addr.VA(t.cursor)
 }
 

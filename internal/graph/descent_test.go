@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/dvm-sim/dvm/internal/prng"
 )
 
 // rmatEdgeReference is the switch-based quadrant descent the generator
@@ -37,7 +39,7 @@ func checkDescentMatchesReference(t *testing.T, cfg RMATConfig, n int) {
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("invalid config %+v: %v", cfg, err)
 	}
-	got := newSource(cfg.Seed)
+	got := prng.New(cfg.Seed)
 	want := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < n; i++ {
 		gs, gd := rmatEdge(got, cfg)
@@ -90,24 +92,27 @@ func (l *listSource) Seed(int64) {}
 // TestRMATEdgeThresholdDraws: a draw equal to a threshold, or the
 // nearest float either side of it, lands where the reference puts it.
 // Random draws almost never hit a threshold exactly, so the draws are
-// planted.
+// fed to the descent step directly and to the reference as a planted
+// source.
 func TestRMATEdgeThresholdDraws(t *testing.T) {
 	for _, s := range [][3]float64{{0.57, 0.19, 0.19}, {0.5, 0, 0.3}, {0.5, 0.3, 0}} {
 		// One bit per draw: three draws around each of three thresholds.
 		cfg := RMATConfig{Scale: 9, A: s[0], B: s[1], C: s[2]}
+		a, ab := cfg.A, cfg.A+cfg.B
 		var draws []int64
+		var gs, gd uint32
 		for _, th := range []float64{s[0], s[0] + s[1], s[0] + s[1] + s[2]} {
 			for _, r := range []float64{math.Nextafter(th, 0), th, math.Nextafter(th, 1)} {
 				// Doubles in [0.5, 1) are multiples of 2^-53, so
 				// r*2^63 is an integer Int63 draw that Float64 maps
 				// back to r exactly.
-				draws = append(draws, int64(r*(1<<63)))
+				x := int64(r * (1 << 63))
+				draws = append(draws, x)
+				bs, bd := quadrant(float64(x)/(1<<63), a, ab, ab+cfg.C)
+				gs, gd = gs<<1|bs, gd<<1|bd
 			}
 		}
-		got := newSource(1)
-		plant(got, draws...)
 		ls := listSource(draws)
-		gs, gd := rmatEdge(got, cfg)
 		ws, wd := rmatEdgeReference(rand.New(&ls), cfg)
 		if gs != ws || gd != wd {
 			t.Errorf("%v: edge (%b, %b), reference (%b, %b)", s, gs, gd, ws, wd)

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sync"
 
+	"github.com/dvm-sim/dvm/internal/prng"
 	"github.com/dvm-sim/dvm/internal/runner"
 )
 
@@ -311,7 +312,7 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
 	}
 	v := 1 << cfg.Scale
 	e := v * cfg.EdgeFactor
-	rng := newSource(cfg.Seed)
+	rng := prng.New(cfg.Seed)
 	edges := make([]edgeTuple, e)
 	for i := range edges {
 		src, dst := rmatEdge(rng, cfg)
@@ -330,16 +331,22 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
 // (0,0), top-right (0,1), bottom-left (1,0), bottom-right (1,1). The
 // tests compile to flag sets, not branches; with graph500's 57/19/19/5
 // split a branch on r is close to random and mispredicts on most bits.
-func rmatEdge(rng *source, cfg RMATConfig) (src, dst uint32) {
+func rmatEdge(rng *prng.Source, cfg RMATConfig) (src, dst uint32) {
 	a, ab := cfg.A, cfg.A+cfg.B
 	abc := ab + cfg.C
 	for i := 0; i < cfg.Scale; i++ {
-		r := rng.Float64()
-		x1, x2, x3 := bit(r >= a), bit(r >= ab), bit(r >= abc)
-		src = src<<1 | x2
-		dst = dst<<1 | (x1 ^ x2 ^ x3)
+		s, d := quadrant(rng.Float64(), a, ab, abc)
+		src = src<<1 | s
+		dst = dst<<1 | d
 	}
 	return src, dst
+}
+
+// quadrant is one descent step: the (src, dst) bits draw r picks
+// against the thresholds a, ab and abc.
+func quadrant(r, a, ab, abc float64) (s, d uint32) {
+	x1, x2, x3 := bit(r >= a), bit(r >= ab), bit(r >= abc)
+	return x2, x1 ^ x2 ^ x3
 }
 
 // bit is b as 0 or 1; the compiler lowers it to a flag set.
@@ -377,7 +384,7 @@ func GenerateBipartite(cfg BipartiteConfig) (*Graph, error) {
 	if err := cfg.Skew.validate(); err != nil {
 		return nil, err
 	}
-	rng := newSource(cfg.Skew.Seed)
+	rng := prng.New(cfg.Skew.Seed)
 	edges := make([]edgeTuple, cfg.Edges)
 	for i := range edges {
 		s, d := rmatEdge(rng, cfg.Skew)

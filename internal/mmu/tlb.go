@@ -54,6 +54,14 @@ type TLB struct {
 	clock     uint64
 	hits      uint64
 	misses    uint64
+	// A Lookup miss hands its set's victim to the fill that usually
+	// follows it: handVPN is the missed page and handWay the victim's
+	// slot in its set. handOK holds only until the next operation that
+	// can change a set (Lookup, Insert or Invalidate), so the set is
+	// still as the miss scanned it when the fill uses the hand-off.
+	handVPN uint64
+	handWay int
+	handOK  bool
 
 	tr   *obs.Tracer
 	comp obs.Component
@@ -109,7 +117,8 @@ func (t *TLB) setFor(vpn uint64) []tlbEntry {
 }
 
 // Lookup probes the TLB for va. On a hit it returns the translated PA and
-// the cached permission.
+// the cached permission. A miss picks the set's victim and hands it to
+// the next operation, if that is the Insert of the missed page.
 func (t *TLB) Lookup(va addr.VA) (pa addr.PA, perm addr.Perm, hit bool) {
 	t.clock++
 	vpn := uint64(va) >> t.pageShift
@@ -119,58 +128,74 @@ func (t *TLB) Lookup(va addr.VA) (pa addr.PA, perm addr.Perm, hit bool) {
 		if e.valid && e.vpn == vpn {
 			e.lastUse = t.clock
 			t.hits++
+			t.handOK = false
 			off := uint64(va) & t.pageMask
 			return addr.PA(e.pfn<<t.pageShift | off), e.perm, true
 		}
 	}
 	t.misses++
+	t.handVPN, t.handWay, t.handOK = vpn, victim(set), true
 	return 0, addr.NoPerm, false
+}
+
+// victim is the slot a fill replaces: the first with the lowest lastUse.
+// Invalid slots have lastUse 0 and valid ones at least 1 (every
+// operation advances the clock before it stamps), so this is the first
+// invalid slot, else the true LRU.
+func victim(set []tlbEntry) int {
+	v := 0
+	for i := 1; i < len(set); i++ {
+		if set[i].lastUse < set[v].lastUse {
+			v = i
+		}
+	}
+	return v
 }
 
 // Insert caches the translation of the page containing va. base/pa must be
 // aligned to the TLB's page size.
 //
-// The duplicate check scans the whole set before any victim is chosen:
-// stopping the scan at the first invalid slot would only be correct while
-// valid entries form a prefix of the set (true today, since only Invalidate
-// clears entries and it clears whole sets), and a future per-entry
-// invalidation would then let a vpn be cached twice, corrupting hit
-// accounting.
+// Right after a Lookup miss of the same page, the set is as that miss
+// scanned it: no slot holds the page, and the handed-off victim is
+// still the one to replace, so the fill writes it without a scan.
+// Every other Insert takes the full path. It checks the whole set for a
+// duplicate before it picks a victim: a caller may insert without a
+// preceding miss, or insert a page other than the missed one (a walk
+// that ends at a leaf larger than the TLB's page names another page).
+// Stopping the duplicate check at the first invalid slot would only be
+// correct while valid entries form a prefix of the set (true today,
+// since only Invalidate clears entries and it clears whole sets), and a
+// future per-entry invalidation would then let a vpn be cached twice,
+// corrupting hit accounting.
 func (t *TLB) Insert(base addr.VA, pa addr.PA, perm addr.Perm) {
 	t.clock++
 	vpn := uint64(base) >> t.pageShift
 	pfn := uint64(pa) >> t.pageShift
 	set := t.setFor(vpn)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.vpn == vpn {
-			e.pfn, e.perm, e.lastUse = pfn, perm, t.clock
-			return
+	way, handed := t.handWay, t.handOK && t.handVPN == vpn
+	t.handOK = false
+	if !handed {
+		for i := range set {
+			e := &set[i]
+			if e.valid && e.vpn == vpn {
+				e.pfn, e.perm, e.lastUse = pfn, perm, t.clock
+				return
+			}
 		}
-	}
-	// No duplicate: victim is the first invalid slot, else the true LRU.
-	victim := 0
-	for i := range set {
-		e := &set[i]
-		if !e.valid {
-			victim = i
-			break
-		}
-		if e.lastUse < set[victim].lastUse {
-			victim = i
-		}
+		way = victim(set)
 	}
 	if t.tr.Wants(t.comp) {
-		if v := &set[victim]; v.valid {
+		if v := &set[way]; v.valid {
 			t.tr.Emit(t.comp, obs.EvEvict, v.vpn*t.cfg.PageSize, v.pfn*t.cfg.PageSize, v.vpn)
 		}
 		t.tr.Emit(t.comp, obs.EvFill, uint64(base), uint64(pa), vpn)
 	}
-	set[victim] = tlbEntry{valid: true, vpn: vpn, pfn: pfn, perm: perm, lastUse: t.clock}
+	set[way] = tlbEntry{valid: true, vpn: vpn, pfn: pfn, perm: perm, lastUse: t.clock}
 }
 
 // Invalidate removes all entries (full TLB shootdown).
 func (t *TLB) Invalidate() {
+	t.handOK = false
 	for _, set := range t.sets {
 		for i := range set {
 			set[i] = tlbEntry{}

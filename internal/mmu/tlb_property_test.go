@@ -2,10 +2,12 @@ package mmu
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"github.com/dvm-sim/dvm/internal/addr"
+	"github.com/dvm-sim/dvm/internal/obs"
 )
 
 // refTLB is an oracle: an unbounded map plus an exact LRU list per set,
@@ -43,7 +45,10 @@ func (r *refTLB) lookup(va addr.VA) (addr.PA, addr.Perm, bool) {
 	return 0, addr.NoPerm, false
 }
 
-func (r *refTLB) insert(base addr.VA, pa addr.PA, perm addr.Perm) {
+// insert caches a translation and returns the events a traced TLB
+// emits for it: none for an update in place, else an EvEvict of the
+// displaced LRU entry (only when the set was full) and an EvFill.
+func (r *refTLB) insert(base addr.VA, pa addr.PA, perm addr.Perm) []obs.Event {
 	vpn := uint64(base) / r.pageSize
 	si := vpn % uint64(r.nsets)
 	set := r.sets[si]
@@ -51,15 +56,25 @@ func (r *refTLB) insert(base addr.VA, pa addr.PA, perm addr.Perm) {
 		if e.vpn == vpn {
 			copy(set[1:i+1], set[:i])
 			set[0] = refEntry{vpn: vpn, pfn: uint64(pa) / r.pageSize, perm: perm}
-			return
+			return nil
 		}
 	}
+	var evs []obs.Event
 	e := refEntry{vpn: vpn, pfn: uint64(pa) / r.pageSize, perm: perm}
 	set = append([]refEntry{e}, set...)
 	if len(set) > r.ways {
+		v := set[r.ways]
+		evs = append(evs, obs.Event{Comp: obs.CompTLB, Kind: obs.EvEvict, VA: v.vpn * r.pageSize, PA: v.pfn * r.pageSize, Aux: v.vpn})
 		set = set[:r.ways]
 	}
 	r.sets[si] = set
+	return append(evs, obs.Event{Comp: obs.CompTLB, Kind: obs.EvFill, VA: uint64(base), PA: uint64(pa), Aux: vpn})
+}
+
+func (r *refTLB) invalidate() {
+	for i := range r.sets {
+		r.sets[i] = nil
+	}
 }
 
 // TestTLBMatchesReferenceLRU drives random lookup/insert sequences against
@@ -226,4 +241,181 @@ func TestTLBStatsConsistency(t *testing.T) {
 	if tlb.Lookups() != 0 {
 		t.Error("Reset did not clear counters")
 	}
+}
+
+// tlbOp is one step of a TLB script: a Lookup of page, an Insert of
+// page -> frame, an Invalidate or a Reset.
+type tlbOp struct {
+	kind        byte // 'L', 'I', 'V' or 'R'
+	page, frame uint64
+}
+
+// checkTLBScript runs ops on a traced TLB, an untraced TLB, a TLB whose
+// every Insert takes the full path, and the reference. Every lookup must
+// agree with the reference; the traced TLB's fills and evictions must be
+// the reference's, in order; the traced and untraced TLBs must end with
+// the same entries, LRU stamps and counters; and after every op the
+// traced TLB's slots must equal the full-path TLB's, so a hand-off
+// fills exactly the slot the full path would.
+func checkTLBScript(t *testing.T, entries, ways int, ops []tlbOp) {
+	t.Helper()
+	cfg := TLBConfig{Entries: entries, Ways: ways, PageSize: addr.PageSize4K}
+	traced, plain, full := MustNewTLB(cfg), MustNewTLB(cfg), MustNewTLB(cfg)
+	tr := obs.NewTracer(4*len(ops)+1, obs.MaskOf(obs.CompTLB))
+	traced.SetTrace(tr, obs.CompTLB)
+	ref := newRefTLB(entries, ways, addr.PageSize4K)
+	var want []obs.Event
+	for i, op := range ops {
+		va := addr.VA(op.page * addr.PageSize4K)
+		switch op.kind {
+		case 'L':
+			probe := va + addr.VA(op.frame%addr.PageSize4K)
+			wantPA, wantPerm, wantHit := ref.lookup(probe)
+			for _, tlb := range []*TLB{traced, plain, full} {
+				gotPA, gotPerm, gotHit := tlb.Lookup(probe)
+				if gotHit != wantHit || (gotHit && (gotPA != wantPA || gotPerm != wantPerm)) {
+					t.Fatalf("op %d lookup page %d: (%#x,%v,%v), reference (%#x,%v,%v)\nops %v",
+						i, op.page, uint64(gotPA), gotPerm, gotHit, uint64(wantPA), wantPerm, wantHit, ops)
+				}
+			}
+		case 'I':
+			pa := addr.PA(op.frame * addr.PageSize4K)
+			perm := addr.ReadOnly
+			if op.frame&1 == 0 {
+				perm = addr.ReadWrite
+			}
+			traced.Insert(va, pa, perm)
+			plain.Insert(va, pa, perm)
+			full.handOK = false
+			full.Insert(va, pa, perm)
+			want = append(want, ref.insert(va, pa, perm)...)
+		case 'V':
+			traced.Invalidate()
+			plain.Invalidate()
+			full.Invalidate()
+			ref.invalidate()
+		case 'R':
+			traced.Reset()
+			plain.Reset()
+			full.Reset()
+		}
+		if !reflect.DeepEqual(traced.sets, full.sets) {
+			t.Fatalf("op %d %c page %d: slots %v, full path %v\nops %v", i, op.kind, op.page, traced.sets, full.sets, ops)
+		}
+	}
+	got := tr.Events()
+	for i := range got {
+		got[i].Seq = 0
+	}
+	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("traced events %+v, reference %+v\nops %v", got, want, ops)
+	}
+	if !reflect.DeepEqual(traced.sets, plain.sets) || traced.Snapshot() != plain.Snapshot() || traced.clock != plain.clock {
+		t.Fatalf("traced and untraced TLBs diverged\nops %v", ops)
+	}
+}
+
+// fillOps inserts pages 0..n-1 and looks each up once, so every set is
+// full and its LRU order is the insertion order.
+func fillOps(n uint64) []tlbOp {
+	var ops []tlbOp
+	for p := uint64(0); p < n; p++ {
+		ops = append(ops, tlbOp{'I', p, 100 + p})
+	}
+	for p := uint64(0); p < n; p++ {
+		ops = append(ops, tlbOp{'L', p, 7})
+	}
+	return ops
+}
+
+// TestTLBHandoff: a Lookup miss hands its victim to the Insert that
+// follows it only when that Insert fills the missed page. Each case
+// runs on a full fully associative TLB, on a full 2-way TLB (where the
+// other page can live in another set) and on a half-empty one (where the
+// victim is an invalid slot), traced and untraced.
+func TestTLBHandoff(t *testing.T) {
+	cases := []struct {
+		name string
+		ops  []tlbOp
+	}{
+		{"miss then fill of the same page", []tlbOp{{'L', 9, 0}, {'I', 9, 900}, {'L', 9, 1}, {'L', 0, 0}, {'L', 1, 0}}},
+		{"miss then fill of a cached page", []tlbOp{{'L', 9, 0}, {'I', 2, 902}, {'L', 0, 0}, {'L', 2, 0}, {'L', 9, 0}, {'I', 10, 910}, {'L', 1, 0}}},
+		{"miss then fill of an uncached page", []tlbOp{{'L', 9, 0}, {'I', 12, 912}, {'L', 9, 0}, {'L', 12, 0}, {'I', 9, 909}, {'L', 0, 0}, {'L', 1, 0}}},
+		{"miss, hit on another entry, fill", []tlbOp{{'L', 9, 0}, {'L', 0, 0}, {'I', 9, 909}, {'L', 0, 0}, {'L', 1, 0}, {'L', 9, 0}}},
+		{"miss, invalidate, fill", []tlbOp{{'L', 9, 0}, {'V', 0, 0}, {'I', 9, 909}, {'L', 9, 0}, {'I', 3, 903}, {'L', 3, 0}}},
+		{"miss, reset, fill", []tlbOp{{'L', 9, 0}, {'R', 0, 0}, {'I', 9, 909}, {'L', 9, 0}, {'L', 0, 0}}},
+		{"miss, fill, fill again", []tlbOp{{'L', 9, 0}, {'I', 9, 909}, {'I', 9, 919}, {'L', 9, 0}, {'L', 0, 0}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, g := range []struct {
+				entries, ways int
+				filled        uint64
+			}{{4, 0, 4}, {4, 2, 4}, {8, 2, 3}} {
+				checkTLBScript(t, g.entries, g.ways, append(fillOps(g.filled), c.ops...))
+			}
+		})
+	}
+}
+
+// scriptOps decodes a byte string into a TLB script over 12 pages. Over half
+// the ops look a page up, and an Insert usually fills the page the
+// previous op missed, so hand-offs are exercised as often as the full
+// path.
+func scriptOps(data []byte) []tlbOp {
+	var ops []tlbOp
+	var last uint64
+	for _, b := range data {
+		page := uint64(b>>3) % 12
+		switch b & 7 {
+		case 0, 1, 2, 3:
+			ops = append(ops, tlbOp{'L', page, uint64(b)})
+			last = page
+		case 4, 5:
+			ops = append(ops, tlbOp{'I', last, uint64(b)})
+		case 6:
+			ops = append(ops, tlbOp{'I', page, uint64(b)})
+		case 7:
+			if page == 0 {
+				ops = append(ops, tlbOp{'V', 0, 0})
+			} else if page == 1 {
+				ops = append(ops, tlbOp{'R', 0, 0})
+			} else {
+				ops = append(ops, tlbOp{'L', page, 0})
+			}
+		}
+	}
+	return ops
+}
+
+// handoffGeometries are the TLB shapes the scripted tests cover:
+// fully associative, set associative, and a non-power-of-two set count.
+var handoffGeometries = []struct{ entries, ways int }{{4, 0}, {8, 2}, {16, 4}, {6, 2}}
+
+// TestTLBHandoffRandomScripts: random scripts of lookups, fills of the
+// missed page, other fills, invalidations and resets agree with the
+// reference, traced and untraced.
+func TestTLBHandoffRandomScripts(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	data := make([]byte, 300)
+	for i := 0; i < 200; i++ {
+		rng.Read(data)
+		g := handoffGeometries[i%len(handoffGeometries)]
+		checkTLBScript(t, g.entries, g.ways, scriptOps(data))
+	}
+}
+
+// FuzzTLBHandoff: any script agrees with the reference, traced and
+// untraced.
+func FuzzTLBHandoff(f *testing.F) {
+	f.Add(uint8(0), []byte{0x48, 0x4c, 0x08, 0x0c, 0x10, 0x14, 0x50, 0x54})
+	f.Add(uint8(1), []byte{0x48, 0x16, 0x07, 0x4c, 0x0f, 0x4d})
+	f.Add(uint8(3), []byte{0x00, 0x04, 0x08, 0x0c, 0x18, 0x1c, 0x20, 0x26})
+	f.Fuzz(func(t *testing.T, geom uint8, data []byte) {
+		if len(data) > 512 {
+			data = data[:512]
+		}
+		g := handoffGeometries[int(geom)%len(handoffGeometries)]
+		checkTLBScript(t, g.entries, g.ways, scriptOps(data))
+	})
 }

@@ -18,12 +18,12 @@ package osmodel
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/chaos"
 	"github.com/dvm-sim/dvm/internal/phys"
+	"github.com/dvm-sim/dvm/internal/prng"
 )
 
 // KernelReserved is the physical memory reserved below the buddy-managed
@@ -193,12 +193,12 @@ func (s *System) NewProcess(pol Policy) *Process {
 		pid:     s.nextPID,
 		sys:     s,
 		policy:  pol,
-		rng:     rand.New(rand.NewSource(pol.Seed ^ int64(s.nextPID)<<32)),
 		mmapTop: mmapTopVA,
 	}
 	// ASLR: randomize the top of the demand-paged mmap area (28 bits of
 	// entropy at page granularity, as in Linux).
-	p.mmapTop -= addr.VA(uint64(p.rng.Int63n(1<<28)) * addr.PageSize4K / 16)
+	aslr := prng.New(pol.Seed ^ int64(s.nextPID)<<32).Int63n(1 << 28)
+	p.mmapTop -= addr.VA(uint64(aslr) * addr.PageSize4K / 16)
 	s.nextPID++
 	return p
 }
@@ -209,7 +209,6 @@ type Process struct {
 	sys     *System
 	policy  Policy
 	vmas    []*VMA // sorted by R.Start
-	rng     *rand.Rand
 	mmapTop addr.VA
 	stats   ProcStats
 }

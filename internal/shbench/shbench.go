@@ -17,10 +17,10 @@ package shbench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/osmodel"
+	"github.com/dvm-sim/dvm/internal/prng"
 )
 
 // Experiment describes one shbench configuration.
@@ -85,7 +85,7 @@ func Run(exp Experiment, memBytes uint64) (Result, error) {
 		m    *osmodel.Malloc
 		live []allocRef
 		head int // FIFO start: frees release the oldest chunks first
-		rng  *rand.Rand
+		rng  *prng.Source
 	}
 	insts := make([]*instance, exp.Instances)
 	for i := range insts {
@@ -93,7 +93,7 @@ func Run(exp Experiment, memBytes uint64) (Result, error) {
 		insts[i] = &instance{
 			proc: proc,
 			m:    osmodel.NewMalloc(proc),
-			rng:  rand.New(rand.NewSource(exp.Seed*1000 + int64(i))),
+			rng:  prng.New(exp.Seed*1000 + int64(i)),
 		}
 	}
 

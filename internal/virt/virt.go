@@ -26,11 +26,11 @@ package virt
 
 import (
 	"fmt"
-	"math/rand"
 
 	"github.com/dvm-sim/dvm/internal/addr"
 	"github.com/dvm-sim/dvm/internal/mmu"
 	"github.com/dvm-sim/dvm/internal/pagetable"
+	"github.com/dvm-sim/dvm/internal/prng"
 )
 
 // Scheme enumerates the virtualized translation schemes.
@@ -135,7 +135,21 @@ type Machine struct {
 	guestWalk pagetable.WalkResult
 	hostWalk  pagetable.WalkResult
 
+	// ptPages memoizes the host walks of the guest table's own pages:
+	// ptPages[i] is the walk of the 4 KB page at gPA ptBase + i*4 KB.
+	// The host table is final once built, so each such walk reads the
+	// same entries every time; only data gPAs are walked per access.
+	ptBase  addr.PA
+	ptPages []hostPage
+
 	ctr Counters
+}
+
+// hostPage is one memoized host walk: the entries it reads, and the
+// system-physical base of the 4 KB page it translates.
+type hostPage struct {
+	steps []pagetable.WalkStep
+	spa   addr.PA
 }
 
 // Counters aggregates translation activity.
@@ -211,6 +225,16 @@ func NewMachine(scheme Scheme, cfg Config) (*Machine, error) {
 	} else {
 		m.hostCache = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
 	}
+	m.ptBase = ptBase
+	m.ptPages = make([]hostPage, ptSize/addr.PageSize4K)
+	for i := range m.ptPages {
+		gpa := ptBase + addr.PA(uint64(i)*addr.PageSize4K)
+		m.host.WalkInto(addr.VA(gpa), &m.hostWalk)
+		if m.hostWalk.Outcome == pagetable.WalkFault {
+			return nil, fmt.Errorf("virt: guest page-table page %#x has no host mapping", uint64(gpa))
+		}
+		m.ptPages[i] = hostPage{steps: append([]pagetable.WalkStep(nil), m.hostWalk.Steps...), spa: m.hostWalk.PA}
+	}
 	return m, nil
 }
 
@@ -225,9 +249,6 @@ func (m *Machine) guestTableRegion() (addr.PA, uint64) {
 
 // Scheme returns the machine's scheme.
 func (m *Machine) Scheme() Scheme { return m.scheme }
-
-// HeapGVA returns the guest-virtual heap base.
-func (m *Machine) HeapGVA() addr.VA { return m.heapGVA }
 
 // Counters returns the accumulated counters.
 func (m *Machine) Counters() Counters { return m.ctr }
@@ -319,14 +340,30 @@ func (m *Machine) Translate(gva addr.VA, kind addr.AccessKind) Plan {
 }
 
 // resolveHost translates a guest-physical address to system-physical,
-// charging the nested dimension's walk costs into p.
+// charging the nested dimension's walk costs into p. A gPA in the guest
+// table's pages replays its memoized walk; any other gPA is walked.
 func (m *Machine) resolveHost(gpaAsVA addr.VA, p *Plan) (addr.PA, bool) {
 	if m.host == nil {
 		// Full DVM: gPA == sPA by construction.
 		return addr.PA(gpaAsVA), false
 	}
+	if i := (uint64(gpaAsVA) - uint64(m.ptBase)) / addr.PageSize4K; i < uint64(len(m.ptPages)) {
+		pg := &m.ptPages[i]
+		m.chargeHost(pg.steps, p)
+		return pg.spa + addr.PA(uint64(gpaAsVA)&(addr.PageSize4K-1)), false
+	}
 	m.host.WalkInto(gpaAsVA, &m.hostWalk)
-	for _, step := range m.hostWalk.Steps {
+	m.chargeHost(m.hostWalk.Steps, p)
+	if m.hostWalk.Outcome == pagetable.WalkFault {
+		return 0, true
+	}
+	return m.hostWalk.PA, false
+}
+
+// chargeHost prices a host walk's entry reads through the nested
+// dimension's walker cache.
+func (m *Machine) chargeHost(steps []pagetable.WalkStep, p *Plan) {
+	for _, step := range steps {
 		if m.hostCache.Caches(step.Level) {
 			p.ProbeCycles += m.cfg.ProbeCycles
 			if !m.hostCache.Lookup(step.EntryPA, step.Level) {
@@ -339,10 +376,6 @@ func (m *Machine) resolveHost(gpaAsVA addr.VA, p *Plan) (addr.PA, bool) {
 			m.ctr.HostRefs++
 		}
 	}
-	if m.hostWalk.Outcome == pagetable.WalkFault {
-		return 0, true
-	}
-	return m.hostWalk.PA, false
 }
 
 // Result is the outcome of a measurement run for one scheme.
@@ -361,19 +394,26 @@ type Result struct {
 // Measure drives a synthetic access trace (uniform random over the heap,
 // the TLB-hostile regime) through a fresh machine for the scheme.
 func Measure(scheme Scheme, cfg Config, accesses int, seed int64) (Result, error) {
+	res, _, err := measure(scheme, cfg, accesses, seed)
+	return res, err
+}
+
+// measure is Measure, also returning the machine it drove, for tests
+// that read its counters.
+func measure(scheme Scheme, cfg Config, accesses int, seed int64) (Result, *Machine, error) {
 	m, err := NewMachine(scheme, cfg)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	c := m.cfg
-	rng := rand.New(rand.NewSource(seed))
+	rng := prng.New(seed)
 	res := Result{Scheme: scheme}
 	var totalRefs, totalCycles uint64
 	for i := 0; i < accesses; i++ {
 		gva := m.heapGVA + addr.VA(rng.Uint64()%c.HeapBytes)
 		p := m.Translate(gva, addr.Read)
 		if p.Fault {
-			return res, fmt.Errorf("virt: unexpected %v fault at %#x under %v", p.FaultKind, uint64(gva), scheme)
+			return res, m, fmt.Errorf("virt: unexpected %v fault at %#x under %v", p.FaultKind, uint64(gva), scheme)
 		}
 		if i == 0 {
 			res.ColdWalkRefs = p.MemRefs
@@ -386,5 +426,5 @@ func Measure(scheme Scheme, cfg Config, accesses int, seed int64) (Result, error
 	res.AvgCycles = float64(totalCycles) / n
 	ctr := m.Counters()
 	res.TLBMissRate = 1 - float64(ctr.TLBHits)/float64(ctr.Accesses)
-	return res, nil
+	return res, m, nil
 }

@@ -21,7 +21,7 @@ func TestTranslationComposition(t *testing.T) {
 	for _, s := range AllSchemes {
 		m := newMachine(t, s)
 		for off := uint64(0); off < 8<<20; off += 123456 {
-			gva := m.HeapGVA() + addr.VA(off)
+			gva := m.heapGVA + addr.VA(off)
 			p := m.Translate(gva, addr.Read)
 			if p.Fault {
 				t.Fatalf("%v: fault at %#x", s, uint64(gva))
@@ -49,18 +49,18 @@ func TestTranslationComposition(t *testing.T) {
 func TestSchemeIdentityProperties(t *testing.T) {
 	// Full DVM: sPA == gVA. Guest DVM: gPA == gVA. Host DVM: sPA == gPA.
 	mFull := newMachine(t, SchemeFullDVM)
-	gva := mFull.HeapGVA() + 0x1234
+	gva := mFull.heapGVA + 0x1234
 	if p := mFull.Translate(gva, addr.Read); uint64(p.SPA) != uint64(gva) {
 		t.Errorf("full DVM: spa %#x != gva %#x", uint64(p.SPA), uint64(gva))
 	}
 	mGuest := newMachine(t, SchemeGuestDVM)
-	gva = mGuest.HeapGVA() + 0x1234
+	gva = mGuest.heapGVA + 0x1234
 	gpa, _, _ := mGuest.guest.Lookup(gva)
 	if uint64(gpa) != uint64(gva) {
 		t.Errorf("guest DVM: gpa %#x != gva %#x", uint64(gpa), uint64(gva))
 	}
 	mHost := newMachine(t, SchemeHostDVM)
-	gva = mHost.HeapGVA() + 0x1234
+	gva = mHost.heapGVA + 0x1234
 	gpa, _, _ = mHost.guest.Lookup(gva)
 	spa, _, _ := mHost.host.Lookup(addr.VA(gpa))
 	if uint64(spa) != uint64(gpa) {
@@ -77,7 +77,7 @@ func TestColdWalkCosts(t *testing.T) {
 	costs := map[Scheme]int{}
 	for _, s := range AllSchemes {
 		m := newMachine(t, s)
-		p := m.Translate(m.HeapGVA(), addr.Read)
+		p := m.Translate(m.heapGVA, addr.Read)
 		if p.Fault {
 			t.Fatalf("%v: fault", s)
 		}
@@ -130,7 +130,7 @@ func TestMeasureOrdering(t *testing.T) {
 
 func TestPermissionFaults(t *testing.T) {
 	m := newMachine(t, SchemeNested2D)
-	p := m.Translate(m.HeapGVA(), addr.Execute)
+	p := m.Translate(m.heapGVA, addr.Execute)
 	if !p.Fault {
 		t.Error("execute of RW data did not fault")
 	}
@@ -157,8 +157,8 @@ func TestSchemeStrings(t *testing.T) {
 
 func TestNestedTLBShortCircuits(t *testing.T) {
 	m := newMachine(t, SchemeNested2D)
-	first := m.Translate(m.HeapGVA(), addr.Read)
-	second := m.Translate(m.HeapGVA()+64, addr.Read)
+	first := m.Translate(m.heapGVA, addr.Read)
+	second := m.Translate(m.heapGVA+64, addr.Read)
 	if second.MemRefs != 0 {
 		t.Errorf("TLB-hit access still walked: %+v", second)
 	}
