@@ -6,11 +6,10 @@
 //
 //	dvmrepro [-profile tiny|small|medium|large|paper] [-j N] [-modes paper|extended]
 //	         [-only fig2,table1,table3,fig8,fig9,table4,fig10,table5,ablations,virt]
-//	         [-checkpoint file [-resume]] [-shard k/n] [-graph-cache dir]
+//	         [-checkpoint file [-resume]] [-graph-cache dir]
 //	         [-chaos-rate p -chaos-seed N]
 //	         [-metrics file] [-trace file] [-trace-mask comps]
 //	         [-http addr] [-spans file] [-q]
-//	dvmrepro -merge-shards out.ckpt shard0.ckpt shard1.ckpt ...
 //
 // With no -only flag every artifact is regenerated in paper order. Output
 // goes to stdout; progress lines go to stderr unless -q is set. The
@@ -23,17 +22,10 @@
 // JSONL file; Ctrl-C (or SIGTERM) cancels the sweep cleanly, flushes the
 // checkpoint plus partial -metrics, -trace and -spans exports, and exits
 // 130. Rerunning with -resume skips the finished cells and renders final
-// tables byte-identical to an uninterrupted run.
-//
-// Distribution: -shard k/n runs only the experiment cells whose global
-// index i satisfies i%n == k, writing them to a -checkpoint namespaced
-// with the shard (tables are suppressed — a shard's rows are partial).
-// N shard checkpoints merge with -merge-shards into one plain checkpoint;
-// rendering it with -checkpoint merged -resume produces tables and
-// -metrics byte-identical to a single-box run. -graph-cache dir builds
+// tables byte-identical to an uninterrupted run. -graph-cache dir builds
 // each (dataset, scale, seed) graph once as an on-disk CSR file and
-// mmaps it read-only, so a fleet of shards (or a second run) shares
-// page-cache pages instead of regenerating and holding private copies.
+// mmaps it read-only, so a second run shares page-cache pages instead
+// of regenerating and holding a private copy.
 //
 // Chaos: -chaos-rate (a probability in [0, 1]) arms deterministic
 // seeded fault injection (allocation failures, corrupted PTEs, truncated
@@ -53,7 +45,7 @@
 // under /debug/pprof/, the merged metrics in Prometheus text exposition
 // format at /metrics, and the sweep progress as JSON at /progress.
 //
-// The sweep's identity (profile, -only, -modes, chaos, -shard) is a
+// The sweep's identity (profile, -only, -modes, chaos) is a
 // report.Spec: it validates the flags and names the checkpoint
 // namespace, exactly as it does for a dvmserved job.
 package main
@@ -61,8 +53,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -87,32 +77,10 @@ func main() {
 	resume := flag.Bool("resume", false, "with -checkpoint: skip cells a previous interrupted run completed")
 	chaosRate := flag.Float64("chaos-rate", 0, "fault-injection probability per injection site (0 disables; results are not paper artifacts)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-injection PRNG seed (fixed seed = deterministic fault schedule)")
-	shardSpec := flag.String("shard", "", "run only cells i with i%n == k, given as k/n (requires -checkpoint; tables are suppressed — merge and render with -merge-shards then -resume)")
-	mergeOut := flag.String("merge-shards", "", "merge the shard checkpoint files given as arguments into this plain checkpoint, then exit")
 	graphCache := flag.String("graph-cache", "", "directory for the on-disk CSR graph cache: each (dataset, scale, seed) graph is built once and mmap'd read-only thereafter")
 	flag.Parse()
 
 	lg := obs.NewLogger(os.Stderr, "dvmrepro", *quiet)
-
-	// -merge-shards is a standalone mode: fold shard checkpoints into one
-	// plain checkpoint and exit. Rendering happens in a second invocation
-	// (-checkpoint merged -resume), which replays the merged cells.
-	if *mergeOut != "" {
-		srcs := flag.Args()
-		if len(srcs) == 0 {
-			lg.Exitf(2, "-merge-shards requires the shard checkpoint files as arguments")
-		}
-		base, cells, missing, err := core.MergeCheckpoints(*mergeOut, srcs)
-		if err != nil {
-			lg.Exitf(1, "%v", err)
-		}
-		for _, k := range missing {
-			fmt.Fprintf(os.Stderr, "dvmrepro: warning: shard %d is missing; rendering with -resume will rerun its cells\n", k)
-		}
-		fmt.Fprintf(os.Stderr, "dvmrepro: merged %d cells from %d shard(s) into %s (profile %s)\n", cells, len(srcs), *mergeOut, base)
-		fmt.Fprintf(os.Stderr, "dvmrepro: render with -checkpoint %s -resume plus the flags that produced profile %q\n", *mergeOut, base)
-		return
-	}
 
 	coll := &obs.Collector{}
 	board := &runner.ProgressBoard{}
@@ -124,21 +92,6 @@ func main() {
 	if *only != "" {
 		spec.Artifacts = strings.Split(*only, ",")
 	}
-	if *shardSpec != "" {
-		k, n := 0, 0
-		if _, err := fmt.Sscanf(*shardSpec, "%d/%d", &k, &n); err != nil ||
-			fmt.Sprintf("%d/%d", k, n) != *shardSpec || n < 1 {
-			lg.Exitf(2, "bad -shard %q (want k/n with 0 <= k < n)", *shardSpec)
-		}
-		if *ckPath == "" {
-			lg.Exitf(2, "-shard requires -checkpoint (a shard's only durable output is its checkpoint)")
-		}
-		if outs.MetricsPath != "" {
-			lg.Exitf(2, "-shard and -metrics are incompatible: merge the shard checkpoints and render with -resume to get the complete snapshot")
-		}
-		spec.Shard = report.Shard{Index: k, Count: n}
-	}
-
 	opts := report.Options{Jobs: *jobs, Metrics: coll, Workers: runner.BudgetFor(*jobs), Tracer: outs.Tracer, Spans: outs.Spans}
 	prof, wanted, err := spec.Resolve(&opts)
 	if err != nil {
@@ -204,17 +157,9 @@ func main() {
 		os.Exit(130)
 	}
 
-	out := io.Writer(os.Stdout)
-	if spec.Shard.Count > 0 {
-		// A shard's table rows are partial (unowned cells render as
-		// zeros), so the rendered text is suppressed; the checkpoint is
-		// the shard's durable output.
-		out = io.Discard
-		lg.Statusf("shard %d/%d: tables suppressed; completed cells go to %s", spec.Shard.Index, spec.Shard.Count, *ckPath)
-	}
 	// report.Sweep is the rendering path shared with dvmserved; the
 	// observe hook adds this command's per-artifact status lines.
-	if err := report.Sweep(prof, out, opts, wanted, func(key string, render func() error) error {
+	if err := report.Sweep(prof, os.Stdout, opts, wanted, func(key string, render func() error) error {
 		start := time.Now()
 		lg.Statusf("== %s (profile %s)", key, prof.Name)
 		if err := render(); err != nil {
@@ -231,10 +176,6 @@ func main() {
 
 	if err := ck.Close(); err != nil {
 		lg.Exitf(1, "checkpoint: %v", err)
-	}
-	if spec.Shard.Count > 0 {
-		fmt.Fprintf(os.Stderr, "dvmrepro: shard %d/%d complete: %d cells in %s; combine with -merge-shards\n",
-			spec.Shard.Index, spec.Shard.Count, ck.Len(), *ckPath)
 	}
 	if err := outs.Flush(lg, coll, false); err != nil {
 		lg.Exitf(1, "%v", err)

@@ -1,6 +1,6 @@
 // Command dvmserved runs the simulation matrix as a service: a
-// long-running daemon accepting sweep jobs over HTTP/JSON, sharding
-// their experiment cells across a persistent worker fleet, and
+// long-running daemon accepting sweep jobs over HTTP/JSON, fanning
+// their experiment cells out across a persistent worker fleet, and
 // persisting every completed cell so that neither a crash nor a
 // restart loses work.
 //

@@ -73,6 +73,12 @@ func TestGoldenTinyProfile(t *testing.T) {
 			"if a modeling change is intentional, refresh the golden file per the comment above",
 			metrics.Len(), len(wantMetrics))
 	}
+	// CellCount declares each generator's cell list a second time, as
+	// the progress denominator a daemon job reports before any cell
+	// runs; the finished sweep's cell counter must agree with it.
+	if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, opts, nil); got != uint64(want) {
+		t.Errorf("sweep ran %d cells, but CellCount declares %d", got, want)
+	}
 }
 
 // TestGoldenTinyExtendedModes pins the registry-driven extra columns:
@@ -118,6 +124,9 @@ func TestGoldenTinyExtendedModes(t *testing.T) {
 			t.Fatalf("-j %d: extended fig8/9 diverged from testdata/golden_tiny_extended.txt (got %d bytes, want %d); "+
 				"if a modeling change is intentional, refresh per the comment above",
 				jobs, out.Len(), len(want))
+		}
+		if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, opts, map[string]bool{"fig8": true}); got != uint64(want) {
+			t.Errorf("-j %d: fig8 ran %d cells, but CellCount declares %d", jobs, got, want)
 		}
 	}
 }

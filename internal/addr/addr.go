@@ -139,9 +139,6 @@ func (va VA) PageNumber() uint64 { return uint64(va) >> PageShift4K }
 // PageDown returns the 4 KB frame base containing pa.
 func (pa PA) PageDown() PA { return PA(AlignDown(uint64(pa), PageSize4K)) }
 
-// FrameNumber returns the 4 KB physical frame number of pa.
-func (pa PA) FrameNumber() uint64 { return uint64(pa) >> PageShift4K }
-
 // VRange is a half-open range [Start, Start+Size) of virtual addresses.
 type VRange struct {
 	Start VA

@@ -165,54 +165,21 @@ func (c *Checkpoint) cutBack() error {
 	return err
 }
 
+// load restores the records of the checkpoint at path with the resume
+// tolerance rules: exactly one torn/malformed FINAL line is discarded
+// (an interrupted append); anywhere else it is corruption. A missing or
+// empty file resumes nothing.
 func (c *Checkpoint) load(path string) error {
-	sc, err := scanCheckpoint(path)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil // nothing to resume from; start fresh
 	}
 	if err != nil {
 		return err
 	}
-	if sc.profile == "" && sc.validLen == 0 {
-		return nil // empty file: start fresh
-	}
-	if sc.profile != c.profile {
-		return fmt.Errorf("core: checkpoint %s was written by profile %q, cannot resume profile %q", path, sc.profile, c.profile)
-	}
-	c.headerLoaded = true
-	c.validLen = sc.validLen
-	for _, r := range sc.recs {
-		c.done[r.Key] = r.Value
-	}
-	return nil
-}
-
-// ckptRec is one stored cell as scanned from disk.
-type ckptRec struct {
-	Key   string          `json:"key"`
-	Value json.RawMessage `json:"value"`
-}
-
-// ckptScan is the result of scanning a checkpoint file: the header
-// profile, the intact records in file order, and the byte offset after
-// the last intact line (a torn trailing fragment sits past it).
-type ckptScan struct {
-	profile  string
-	recs     []ckptRec
-	validLen int64
-}
-
-// scanCheckpoint reads a checkpoint file with the resume tolerance
-// rules: exactly one torn/malformed FINAL line is discarded (an
-// interrupted append); anywhere else it is corruption.
-func scanCheckpoint(path string) (ckptScan, error) {
-	var sc ckptScan
-	f, err := os.Open(path)
-	if err != nil {
-		return sc, err
-	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
+	var profile string
 	lineNo := 0
 	var pendingErr error
 	for {
@@ -222,7 +189,7 @@ func scanCheckpoint(path string) (ckptScan, error) {
 				break
 			}
 			if rerr != nil {
-				return sc, rerr
+				return rerr
 			}
 			continue
 		}
@@ -233,7 +200,7 @@ func scanCheckpoint(path string) (ckptScan, error) {
 		lineNo++
 		if pendingErr != nil {
 			// The torn/malformed line was not the last one: corruption.
-			return sc, pendingErr
+			return pendingErr
 		}
 		switch {
 		case len(line) == 0:
@@ -244,15 +211,15 @@ func scanCheckpoint(path string) (ckptScan, error) {
 				Profile    string `json:"profile"`
 			}
 			if err := json.Unmarshal(line, &hdr); err != nil || hdr.Checkpoint == "" {
-				return sc, fmt.Errorf("core: %s is not a checkpoint file", path)
+				return fmt.Errorf("core: %s is not a checkpoint file", path)
 			}
 			if hdr.Checkpoint != checkpointMagic {
-				return sc, fmt.Errorf("core: checkpoint %s has format %q, want %q", path, hdr.Checkpoint, checkpointMagic)
+				return fmt.Errorf("core: checkpoint %s has format %q, want %q", path, hdr.Checkpoint, checkpointMagic)
 			}
 			if !intact {
-				return sc, fmt.Errorf("core: %s is not a checkpoint file", path)
+				return fmt.Errorf("core: %s is not a checkpoint file", path)
 			}
-			sc.profile = hdr.Profile
+			profile = hdr.Profile
 		default:
 			var rec ckptRec
 			if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" || !intact {
@@ -262,19 +229,32 @@ func scanCheckpoint(path string) (ckptScan, error) {
 				pendingErr = fmt.Errorf("core: checkpoint %s line %d is corrupt", path, lineNo)
 				continue
 			}
-			sc.recs = append(sc.recs, rec)
+			c.done[rec.Key] = rec.Value
 		}
-		sc.validLen += int64(len(raw))
+		c.validLen += int64(len(raw))
 		if rerr == io.EOF {
 			break
 		}
 		if rerr != nil {
-			return sc, rerr
+			return rerr
 		}
 	}
 	// pendingErr still set here means the torn line was the final one —
 	// an interrupted append; it sits past validLen and gets discarded.
-	return sc, nil
+	if profile == "" && c.validLen == 0 {
+		return nil // empty file: start fresh
+	}
+	if profile != c.profile {
+		return fmt.Errorf("core: checkpoint %s was written by profile %q, cannot resume profile %q", path, profile, c.profile)
+	}
+	c.headerLoaded = true
+	return nil
+}
+
+// ckptRec is one stored cell: a checkpoint record line.
+type ckptRec struct {
+	Key   string          `json:"key"`
+	Value json.RawMessage `json:"value"`
 }
 
 // Lookup reports whether the cell named key already completed, decoding

@@ -38,7 +38,7 @@ var (
 	// ProfileMedium trades minutes for fidelity.
 	ProfileMedium = Profile{Name: "medium", Scale: 1.0 / 16, TLBEntries: 16, PageRankIters: 3}
 	// ProfileLarge sits between medium and paper: GB-class inputs meant
-	// to run out-of-core (mmap'd graph cache, sharded sweeps) on
+	// to run out-of-core (mmap'd graph cache) on
 	// modest-RAM machines. TLB reach follows the existing scaling ladder
 	// (×2 entries per ×4 scale from medium).
 	ProfileLarge = Profile{Name: "large", Scale: 1.0 / 4, TLBEntries: 32, PageRankIters: 3}

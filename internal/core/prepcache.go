@@ -26,8 +26,8 @@ import (
 // *graph.Graph (Workload keys include Algorithm; graph keys do not),
 // and Table 3 reads the same graphs through Graph. A cache built with
 // NewPreparedCacheDir also serializes each graph to dir as an on-disk
-// CSR and memory-maps it read-only, so separate processes (shards,
-// repeat runs) share it through the page cache.
+// CSR and memory-maps it read-only, so separate processes (repeat
+// runs) share it through the page cache.
 type PreparedCache struct {
 	mu     sync.Mutex
 	m      map[Workload]*prepEntry

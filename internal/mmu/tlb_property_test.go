@@ -261,7 +261,7 @@ func checkTLBScript(t *testing.T, entries, ways int, ops []tlbOp) {
 	t.Helper()
 	cfg := TLBConfig{Entries: entries, Ways: ways, PageSize: addr.PageSize4K}
 	traced, plain, full := MustNewTLB(cfg), MustNewTLB(cfg), MustNewTLB(cfg)
-	tr := obs.NewTracer(4*len(ops)+1, obs.MaskOf(obs.CompTLB))
+	tr := obs.NewTracer(4*len(ops)+1, obs.Mask(1<<obs.CompTLB))
 	traced.SetTrace(tr, obs.CompTLB)
 	ref := newRefTLB(entries, ways, addr.PageSize4K)
 	var want []obs.Event

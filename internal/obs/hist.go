@@ -171,13 +171,3 @@ func (s *HistSnapshot) merge(src HistSnapshot) {
 	}
 	s.finalize()
 }
-
-// MergeHists returns the commutative merge of histogram snapshots.
-func MergeHists(snaps ...HistSnapshot) HistSnapshot {
-	var m HistSnapshot
-	for _, s := range snaps {
-		m.merge(s)
-	}
-	m.finalize()
-	return m
-}

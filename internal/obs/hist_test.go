@@ -107,35 +107,39 @@ func randomHist(rng *rand.Rand, n int) HistSnapshot {
 	return h.Snapshot()
 }
 
-// TestMergeHistsCommutativeAssociative is the property that makes
-// merged sweep histograms byte-identical at any -j: bucket-wise
-// addition with percentiles re-derived from the merged buckets is
-// commutative and associative, so cell completion order never changes
-// the exported snapshot.
-func TestMergeHistsCommutativeAssociative(t *testing.T) {
+// TestMergeCommutativeAssociative is the property that makes merged
+// sweep histograms byte-identical at any -j: obs.Merge adds histograms
+// bucket-wise and re-derives percentiles from the merged buckets, which
+// is commutative and associative, so cell completion order never
+// changes the exported snapshot.
+func TestMergeCommutativeAssociative(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := randomHist(rng, 50+rng.Intn(200))
-		b := randomHist(rng, rng.Intn(100))
-		c := randomHist(rng, 1+rng.Intn(300))
+		snap := func(n int) Snapshot {
+			return Snapshot{Hists: map[string]HistSnapshot{"h": randomHist(rng, n)}}
+		}
+		a := snap(50 + rng.Intn(200))
+		b := snap(rng.Intn(100))
+		c := snap(1 + rng.Intn(300))
 
-		abc := MergeHists(a, b, c)
-		perms := [][]HistSnapshot{{a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}}
+		abc := Merge(a, b, c)
+		perms := [][]Snapshot{{a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a}}
 		for _, p := range perms {
-			if got := MergeHists(p[0], p[1], p[2]); !reflect.DeepEqual(got, abc) {
+			if got := Merge(p...); !reflect.DeepEqual(got, abc) {
 				t.Logf("seed %d: merge order changed result:\n%+v\nvs\n%+v", seed, got, abc)
 				return false
 			}
 		}
 		// Associativity: (a+b)+c == a+(b+c).
-		left := MergeHists(MergeHists(a, b), c)
-		right := MergeHists(a, MergeHists(b, c))
+		left := Merge(Merge(a, b), c)
+		right := Merge(a, Merge(b, c))
 		if !reflect.DeepEqual(left, abc) || !reflect.DeepEqual(right, abc) {
 			t.Logf("seed %d: grouping changed result", seed)
 			return false
 		}
 		// The merge conserves mass.
-		if abc.Count != a.Count+b.Count+c.Count || abc.Sum != a.Sum+b.Sum+c.Sum {
+		m, ha, hb, hc := abc.Hists["h"], a.Hists["h"], b.Hists["h"], c.Hists["h"]
+		if m.Count != ha.Count+hb.Count+hc.Count || m.Sum != ha.Sum+hb.Sum+hc.Sum {
 			t.Logf("seed %d: count/sum not conserved", seed)
 			return false
 		}
@@ -183,7 +187,7 @@ func TestRegistryHistogramSnapshot(t *testing.T) {
 	coll := &Collector{}
 	coll.Add(s)
 	coll.Add(s)
-	m := coll.Snapshot().Hist("mmu.conv4k.walk.memrefs")
+	m := coll.Snapshot().Hists["mmu.conv4k.walk.memrefs"]
 	if m.Count != 8 || m.Sum != 44 || m.Max != 9 {
 		t.Errorf("collector merge = %+v, want count 8 sum 44 max 9", m)
 	}
@@ -234,7 +238,7 @@ func TestHistogramMatchesBucketsOnly(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var h Histogram
 		var r refHist
-		var got, want []HistSnapshot
+		var got, want []Snapshot
 		for op := 0; op < 2000; op++ {
 			switch k := rng.Intn(100); {
 			case k == 0:
@@ -251,14 +255,15 @@ func TestHistogramMatchesBucketsOnly(t *testing.T) {
 					t.Logf("seed %d op %d: snapshot\n%+v\nwant\n%+v", seed, op, g, w)
 					return false
 				}
-				got, want = append(got, g), append(want, w)
+				got = append(got, Snapshot{Hists: map[string]HistSnapshot{"h": g}})
+				want = append(want, Snapshot{Hists: map[string]HistSnapshot{"h": w}})
 			default:
 				v := draw(rng)
 				h.Observe(v)
 				r.observe(v)
 			}
 		}
-		if g, w := MergeHists(got...), MergeHists(want...); g != w {
+		if g, w := Merge(got...), Merge(want...); !reflect.DeepEqual(g, w) {
 			t.Logf("seed %d: merged\n%+v\nwant\n%+v", seed, g, w)
 			return false
 		}

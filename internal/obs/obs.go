@@ -27,7 +27,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -89,22 +88,8 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 	r.hists[name] = h
 }
 
-// Counter registers and returns a registry-owned counter, for callers
-// that have no field of their own to expose.
-func (r *Registry) Counter(name string) *uint64 {
-	if r == nil {
-		return new(uint64)
-	}
-	if v, ok := r.counters[name]; ok {
-		return v
-	}
-	v := new(uint64)
-	r.counters[name] = v
-	return v
-}
-
 // Snapshot reads every registered counter. The result is a value type:
-// safe to retain, diff, merge and export after the run has ended.
+// safe to retain, merge and export after the run has ended.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{Counters: make(map[string]uint64, len(r.counters)+len(r.funcs))}
 	for name, v := range r.counters {
@@ -135,22 +120,6 @@ type Snapshot struct {
 // mode-dependent structures (no TLB under DVM-PE) need no special
 // casing in cross-checks.
 func (s Snapshot) Get(name string) uint64 { return s.Counters[name] }
-
-// Hist returns a histogram's snapshot; missing names read as the zero
-// distribution, mirroring Get.
-func (s Snapshot) Hist(name string) HistSnapshot { return s.Hists[name] }
-
-// Diff returns s - prev per counter: the activity of the interval
-// between two snapshots (histograms are not diffed — they describe a
-// run, not an interval). Counters absent from prev diff against zero;
-// counters absent from s are dropped (they no longer exist).
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	d := Snapshot{Counters: make(map[string]uint64, len(s.Counters))}
-	for name, v := range s.Counters {
-		d.Counters[name] = v - prev.Counters[name]
-	}
-	return d
-}
 
 // Merge sums snapshots counter-wise and histogram-bucket-wise.
 // Addition is commutative, so the merge of a parallel sweep's per-cell
@@ -196,16 +165,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// WriteText exports the snapshot as sorted "name value" lines.
-func (s Snapshot) WriteText(w io.Writer) error {
-	for _, name := range s.Names() {
-		if _, err := fmt.Fprintf(w, "%s %d\n", name, s.Counters[name]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Collector accumulates snapshots from concurrent experiment cells

@@ -73,15 +73,6 @@ type Mask uint32
 // MaskAll enables every component.
 const MaskAll Mask = 1<<numComponents - 1
 
-// MaskOf builds a mask enabling the given components.
-func MaskOf(comps ...Component) Mask {
-	var m Mask
-	for _, c := range comps {
-		m |= 1 << c
-	}
-	return m
-}
-
 // ParseMask parses a comma-separated component list ("iommu,avc"), or
 // "all" / "" for every component.
 func ParseMask(s string) (Mask, error) {

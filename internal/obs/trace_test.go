@@ -27,7 +27,7 @@ func TestTracerRingOverwrite(t *testing.T) {
 }
 
 func TestTracerMaskFilters(t *testing.T) {
-	tr := NewTracer(16, MaskOf(CompAVC))
+	tr := NewTracer(16, Mask(1<<CompAVC))
 	if tr.Wants(CompTLB) {
 		t.Fatal("TLB must be disabled")
 	}
@@ -59,7 +59,7 @@ func TestParseMask(t *testing.T) {
 		}
 	}
 	m, err := ParseMask("iommu,avc")
-	if err != nil || m != MaskOf(CompIOMMU, CompAVC) {
+	if err != nil || m != 1<<CompIOMMU|1<<CompAVC {
 		t.Errorf("ParseMask(iommu,avc) = %v, %v", m, err)
 	}
 	if _, err := ParseMask("iommu,bogus"); err == nil {

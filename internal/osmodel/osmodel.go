@@ -190,7 +190,6 @@ func (s *System) Memory() *phys.Memory { return s.mem }
 // NewProcess creates an empty process.
 func (s *System) NewProcess(pol Policy) *Process {
 	p := &Process{
-		pid:     s.nextPID,
 		sys:     s,
 		policy:  pol,
 		mmapTop: mmapTopVA,
@@ -205,7 +204,6 @@ func (s *System) NewProcess(pol Policy) *Process {
 
 // Process is a simulated process address space.
 type Process struct {
-	pid     int
 	sys     *System
 	policy  Policy
 	vmas    []*VMA // sorted by R.Start
@@ -224,9 +222,6 @@ type ProcStats struct {
 	// paging (no contiguous PM, or VA range collision).
 	IdentityFailures uint64
 }
-
-// PID returns the process id.
-func (p *Process) PID() int { return p.pid }
 
 // Policy returns the process policy.
 func (p *Process) Policy() Policy { return p.policy }

@@ -2,7 +2,6 @@ package osmodel
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -456,25 +455,5 @@ func TestCanonicalTableMatchesProcess(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDumpLayout(t *testing.T) {
-	_, p := newProc(t, Policy{IdentityMapHeap: true})
-	if _, _, err := p.Mmap(1<<20, addr.ReadWrite); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := p.Mmap(256<<10, addr.ReadOnly); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := p.DumpLayout(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"identity", "rw", "r-", "100.0%", "2 mappings"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("dump missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -110,49 +110,12 @@ type Options struct {
 	// Spec.Resolve, whose Key folds the mode set into the checkpoint
 	// namespace.
 	Modes []core.Mode
-	// Shard, when Count > 0, restricts the generators to the cells one
-	// fleet member owns: each artifact's cells are indexed in its fixed
-	// declaration order, and cell i runs iff i % Count == Index. Skipped
-	// cells bypass the checkpoint and every side effect (metrics,
-	// progress, cell counters), so a shard's checkpoint holds exactly its
-	// own cells; rendered tables are suppressed by the caller (dvmrepro
-	// writes shard output to io.Discard) because partial-matrix tables
-	// would be garbage. Merge the N shard checkpoints with
-	// core.MergeCheckpoints and re-render with -resume: restored cells
-	// replay the same collection path, so tables and -metrics come out
-	// byte-identical to a single-box run.
-	Shard Shard
 	// CellTimeout, when positive, puts every experiment cell under a
 	// watchdog: a cell running longer is abandoned and surfaces as a
 	// *runner.CellError wrapping context.DeadlineExceeded. Zero (the
 	// historical default) lets cells run unbounded. The service tier
 	// sets it so one wedged simulation cannot hang a daemon job forever.
 	CellTimeout time.Duration
-}
-
-// Shard identifies one member of a distributed sweep fleet: cell i of
-// every artifact belongs to the member with i % Count == Index. The
-// zero value (Count 0) disables sharding.
-type Shard struct {
-	Index, Count int
-}
-
-// owns reports whether this run computes cell i.
-func (o Options) owns(i int) bool {
-	return o.Shard.Count <= 0 || i%o.Shard.Count == o.Shard.Index
-}
-
-// ownedCount returns how many of total cells this run computes (the
-// progress denominator).
-func (o Options) ownedCount(total int) int {
-	if o.Shard.Count <= 0 {
-		return total
-	}
-	n := total / o.Shard.Count
-	if o.Shard.Index < total%o.Shard.Count {
-		n++
-	}
-	return n
 }
 
 // ctx returns the sweep context (Background when unset).
@@ -265,11 +228,8 @@ func Figure2(prof core.Profile, w io.Writer, opts Options) error {
 			prof.TLBEntries, prof.Name),
 		"Workload", "Input", "4K miss", "2M miss", "4K lookups", "2M lookups")
 	wls := prof.Workloads()
-	progress := opts.progressFor(opts.ownedCount(len(wls)))
+	progress := opts.progressFor(len(wls))
 	rows, err := mapCells(opts, len(wls), func(_ context.Context, i int) (core.Figure2Row, error) {
-		if !opts.owns(i) {
-			return core.Figure2Row{}, nil
-		}
 		row, err := checkpointed(opts, "fig2/"+wls[i].Algorithm+"/"+wls[i].Dataset.Name, func() (core.Figure2Row, error) {
 			p, err := opts.prepare(wls[i])
 			if err != nil {
@@ -321,11 +281,8 @@ func Table1(prof core.Profile, w io.Writer, opts Options) error {
 			wls = append(wls, wl)
 		}
 	}
-	progress := opts.progressFor(opts.ownedCount(len(wls)))
+	progress := opts.progressFor(len(wls))
 	rows, err := mapCells(opts, len(wls), func(_ context.Context, i int) (core.Table1Row, error) {
-		if !opts.owns(i) {
-			return core.Table1Row{}, nil
-		}
 		row, err := checkpointed(opts, "table1/"+wls[i].Dataset.Name, func() (core.Table1Row, error) {
 			p, err := opts.prepare(wls[i])
 			if err != nil {
@@ -356,13 +313,10 @@ func Table3(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Table 3: graph datasets (paper scale, generated at scale %.4g for profile %s)", prof.Scale, prof.Name),
 		"Graph", "Vertices", "Edges", "Heap (paper)", "V (scaled)", "E (scaled)")
-	progress := opts.progressFor(opts.ownedCount(len(graph.Datasets)))
+	progress := opts.progressFor(len(graph.Datasets))
 	// Exported fields so the cell round-trips through checkpoint JSON.
 	type scaled struct{ V, E int }
 	rows, err := mapCells(opts, len(graph.Datasets), func(_ context.Context, i int) (scaled, error) {
-		if !opts.owns(i) {
-			return scaled{}, nil
-		}
 		d := graph.Datasets[i]
 		row, err := checkpointed(opts, "table3/"+d.Name, func() (scaled, error) {
 			g, err := opts.Prepared.Graph(d, prof.Scale, 42)
@@ -411,7 +365,7 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 		fmt.Sprintf("Figure 9: MMU dynamic energy normalized to 4K baseline (profile %s; paper: PE ~0.24x, BM ~0.85x)", prof.Name),
 		head9...)
 	wls := prof.Workloads()
-	progress := opts.progressFor(opts.ownedCount(len(wls)))
+	progress := opts.progressFor(len(wls))
 	// Exported fields so the cell round-trips through checkpoint JSON.
 	type pair struct {
 		Cell core.Figure8Cell
@@ -420,9 +374,6 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 	// Parallelism is across cells; each cell runs its modes sequentially
 	// so a full sweep never has more than Jobs runs in flight.
 	cells, err := mapCells(opts, len(wls), func(ctx context.Context, i int) (pair, error) {
-		if !opts.owns(i) {
-			return pair{}, nil
-		}
 		pr, err := checkpointed(opts, "fig8/"+wls[i].Algorithm+"/"+wls[i].Dataset.Name, func() (pair, error) {
 			p, err := opts.prepare(wls[i])
 			if err != nil {
@@ -507,11 +458,8 @@ func Table4(w io.Writer, opts Options) error {
 			cellsIn = append(cellsIn, cell{exp, mem})
 		}
 	}
-	progress := opts.progressFor(opts.ownedCount(len(cellsIn)))
+	progress := opts.progressFor(len(cellsIn))
 	pcts, err := mapCells(opts, len(cellsIn), func(_ context.Context, i int) (float64, error) {
-		if !opts.owns(i) {
-			return 0, nil
-		}
 		c := cellsIn[i]
 		pct, err := checkpointed(opts, fmt.Sprintf("table4/%d/%d", c.exp.ID, c.mem), func() (float64, error) {
 			r, err := shbench.Run(c.exp, c.mem)
@@ -552,11 +500,8 @@ func Figure10(w io.Writer, opts Options) error {
 	t := results.NewTable(
 		"Figure 10: CPU VM overheads vs ideal (paper avgs: 4K 29%, THP 13%, cDVM ~5%; xsbench 4K 84%)",
 		"Workload", "4K", "THP", "cDVM")
-	progress := opts.progressFor(opts.ownedCount(len(cpu.Workloads)))
+	progress := opts.progressFor(len(cpu.Workloads))
 	rows, err := mapCells(opts, len(cpu.Workloads), func(_ context.Context, i int) (cpu.Result, error) {
-		if !opts.owns(i) {
-			return cpu.Result{}, nil
-		}
 		r, err := checkpointed(opts, "fig10/"+cpu.Workloads[i].Name, func() (cpu.Result, error) {
 			return cpu.Run(cpu.Workloads[i], cpu.Config{})
 		})
@@ -637,28 +582,19 @@ func Ablations(prof core.Profile, w io.Writer, opts Options) error {
 	fanouts := ablationFanouts
 	capacities := ablationCapacities
 	toggles := ablationToggles
-	// Ablation cells get global indexes for sharding: ideal is cell 0,
-	// fan-outs 1..len(fanouts), capacities and toggles follow in order.
-	progress := opts.progressFor(opts.ownedCount(1 + len(fanouts) + len(capacities) + len(toggles)))
-	var ideal core.RunResult
-	if opts.owns(0) {
-		var err error
-		ideal, err = checkpointed(opts, "ablations/ideal", func() (core.RunResult, error) {
-			return p.Run(core.ModeIdeal, opts.system(prof))
-		})
-		if err != nil {
-			return err
-		}
-		if err := opts.collect(ideal); err != nil {
-			return err
-		}
-		opts.cellDone()
-		progress.log("ablation ideal reference: %d cycles", ideal.Stats.Cycles)
+	progress := opts.progressFor(1 + len(fanouts) + len(capacities) + len(toggles))
+	ideal, err := checkpointed(opts, "ablations/ideal", func() (core.RunResult, error) {
+		return p.Run(core.ModeIdeal, opts.system(prof))
+	})
+	if err != nil {
+		return err
 	}
+	if err := opts.collect(ideal); err != nil {
+		return err
+	}
+	opts.cellDone()
+	progress.log("ablation ideal reference: %d cycles", ideal.Stats.Cycles)
 	norm := func(r core.RunResult) float64 {
-		if ideal.Stats.Cycles == 0 {
-			return 0 // shard doesn't own the ideal reference; table is discarded
-		}
 		return float64(r.Stats.Cycles) / float64(ideal.Stats.Cycles)
 	}
 
@@ -667,9 +603,6 @@ func Ablations(prof core.Profile, w io.Writer, opts Options) error {
 		fmt.Sprintf("Ablation A: PE fan-out (PageRank/Wiki, profile %s, DVM-PE)", prof.Name),
 		"PE fields", "Normalized time", "AVC hit rate", "Page table")
 	fanRows, err := mapCells(opts, len(fanouts), func(_ context.Context, i int) (core.RunResult, error) {
-		if !opts.owns(1 + i) {
-			return core.RunResult{}, nil
-		}
 		r, err := checkpointed(opts, fmt.Sprintf("ablations/pe-fields/%d", fanouts[i]), func() (core.RunResult, error) {
 			cfg := opts.system(prof)
 			cfg.PEFields = fanouts[i]
@@ -709,9 +642,6 @@ func Ablations(prof core.Profile, w io.Writer, opts Options) error {
 		fmt.Sprintf("Ablation B: AVC capacity (PageRank/Wiki, profile %s, DVM-PE, direct-mapped below 256 B)", prof.Name),
 		"AVC bytes", "Normalized time", "AVC hit rate")
 	capRows, err := mapCells(opts, len(capacities), func(_ context.Context, i int) (core.RunResult, error) {
-		if !opts.owns(1 + len(fanouts) + i) {
-			return core.RunResult{}, nil
-		}
 		capBytes := capacities[i]
 		r, err := checkpointed(opts, fmt.Sprintf("ablations/avc/%d", capBytes), func() (core.RunResult, error) {
 			cfg := opts.system(prof)
@@ -756,9 +686,6 @@ func Ablations(prof core.Profile, w io.Writer, opts Options) error {
 		fmt.Sprintf("Ablation C: caching leaf PTE lines in the 1 KB walker cache (PageRank/Wiki, profile %s)", prof.Name),
 		"Mode", "Leaf lines", "Normalized time", "Walker-cache hit rate")
 	togRows, err := mapCells(opts, len(toggles), func(_ context.Context, i int) (core.RunResult, error) {
-		if !opts.owns(1 + len(fanouts) + len(capacities) + i) {
-			return core.RunResult{}, nil
-		}
 		x := toggles[i]
 		r, err := checkpointed(opts, fmt.Sprintf("ablations/leaf/%v/%d", x.mode, x.minLevel), func() (core.RunResult, error) {
 			cfg := opts.system(prof)
@@ -828,11 +755,8 @@ func Virtualization(w io.Writer, opts Options) error {
 		"Extension (paper §5): virtualized DVM — nested translation cost per access (64 MB guest heap, uniform random)",
 		"Scheme", "Guest dim", "Nested dim", "Cold walk refs", "Avg refs/access", "Avg cycles/access", "TLB miss")
 	rows := virtSchemes
-	progress := opts.progressFor(opts.ownedCount(len(rows)))
+	progress := opts.progressFor(len(rows))
 	res, err := mapCells(opts, len(rows), func(_ context.Context, i int) (virt.Result, error) {
-		if !opts.owns(i) {
-			return virt.Result{}, nil
-		}
 		r, err := checkpointed(opts, "virt/"+rows[i].scheme.String(), func() (virt.Result, error) {
 			return virt.Measure(rows[i].scheme, virt.Config{}, 200_000, 7)
 		})

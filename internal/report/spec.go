@@ -10,7 +10,7 @@ import (
 )
 
 // Spec is the identity of one sweep: which profile, which artifacts,
-// which mode set, which fault-injection campaign and which shard. Both
+// which mode set and which fault-injection campaign. Both
 // front ends build one — dvmrepro from its flags, dvmserved from a
 // job's JSON — so the sweep vocabulary is validated, mapped onto
 // Options and named as a checkpoint namespace in exactly one place.
@@ -28,12 +28,10 @@ type Spec struct {
 	ChaosRate float64
 	// ChaosSeed fixes the fault schedule; 0 means 1.
 	ChaosSeed int64
-	// Shard, when Count > 0, runs only one fleet member's cells.
-	Shard Shard
 }
 
-// Resolve validates the spec and applies it to opts (Modes, Chaos and
-// Shard). It returns the profile and the artifact selection for Sweep
+// Resolve validates the spec and applies it to opts (Modes and Chaos).
+// It returns the profile and the artifact selection for Sweep
 // and CellCount (nil selects every artifact).
 func (s Spec) Resolve(opts *Options) (core.Profile, map[string]bool, error) {
 	prof, err := core.ProfileByName(s.Profile)
@@ -74,12 +72,8 @@ func (s Spec) Resolve(opts *Options) (core.Profile, map[string]bool, error) {
 	if err := (&chaos.Config{Rate: s.ChaosRate}).Validate(); err != nil {
 		return core.Profile{}, nil, err
 	}
-	if n := s.Shard.Count; n < 0 || n > 0 && (s.Shard.Index < 0 || s.Shard.Index >= n) {
-		return core.Profile{}, nil, fmt.Errorf("report: shard %d/%d out of range (want 0 <= k < n)", s.Shard.Index, n)
-	}
 	opts.Modes = modes
 	opts.Chaos = s.chaosConfig()
-	opts.Shard = s.Shard
 	return prof, wanted, nil
 }
 
@@ -98,9 +92,7 @@ func (s Spec) chaosConfig() *chaos.Config {
 // Key returns the checkpoint namespace of the sweep: the profile name,
 // then "+modes(extended)" and "+chaos(seed=S,rate=R)" when set, so cells
 // simulated under another mode set or fault campaign never satisfy this
-// sweep's resume. The shard suffix (core.ShardProfile) goes last, so
-// core.MergeCheckpoints can strip exactly it and recover the full
-// unsharded namespace.
+// sweep's resume.
 func (s Spec) Key() string {
 	k := s.Profile
 	if s.Modes == "extended" {
@@ -108,9 +100,6 @@ func (s Spec) Key() string {
 	}
 	if c := s.chaosConfig(); c != nil {
 		k += fmt.Sprintf("+chaos(seed=%d,rate=%g)", c.Seed, c.Rate)
-	}
-	if s.Shard.Count > 0 {
-		k = core.ShardProfile(k, s.Shard.Index, s.Shard.Count)
 	}
 	return k
 }

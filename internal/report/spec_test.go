@@ -13,8 +13,7 @@ import (
 // TestSpecKey pins the checkpoint namespace: checkpoints and daemon job
 // records written before Spec existed carry these exact header strings,
 // so a change here would orphan every one of them. Over a grid of
-// specs it also checks that distinct sweeps never share a namespace and
-// that a shard's namespace strips back to the unsharded one.
+// specs it also checks that distinct sweeps never share a namespace.
 func TestSpecKey(t *testing.T) {
 	for _, tc := range []struct {
 		spec Spec
@@ -27,9 +26,7 @@ func TestSpecKey(t *testing.T) {
 		{Spec{Profile: "tiny", ChaosRate: 0.05}, "tiny+chaos(seed=1,rate=0.05)"},
 		{Spec{Profile: "tiny", ChaosRate: 1e-7, ChaosSeed: -3}, "tiny+chaos(seed=-3,rate=1e-07)"},
 		{Spec{Profile: "tiny", ChaosSeed: 9}, "tiny"},
-		{Spec{Profile: "tiny", Shard: Shard{Index: 0, Count: 3}}, "tiny+shard(0/3)"},
-		{Spec{Profile: "tiny", Modes: "extended", ChaosRate: 0.1, Shard: Shard{Index: 1, Count: 2}},
-			"tiny+modes(extended)+chaos(seed=1,rate=0.1)+shard(1/2)"},
+		{Spec{Profile: "tiny", Modes: "extended", ChaosRate: 0.1}, "tiny+modes(extended)+chaos(seed=1,rate=0.1)"},
 	} {
 		if got := tc.spec.Key(); got != tc.want {
 			t.Errorf("%+v.Key() = %q, want %q", tc.spec, got, tc.want)
@@ -43,34 +40,20 @@ func TestSpecKey(t *testing.T) {
 				rate float64
 				seed int64
 			}{{0, 0}, {0.05, 1}, {0.05, 7}, {0.1, 1}, {1, 2}} {
-				base := Spec{Profile: prof, Modes: modes, ChaosRate: c.rate, ChaosSeed: c.seed}
-				for _, sh := range []Shard{{}, {0, 1}, {0, 2}, {1, 2}, {1, 3}} {
-					s := base
-					s.Shard = sh
-					k := s.Key()
-					if prev, dup := seen[k]; dup {
-						t.Errorf("specs %+v and %+v share the namespace %q", prev, s, k)
-					}
-					seen[k] = s
-					b, i, n, ok := core.ParseShardProfile(k)
-					if sh.Count == 0 {
-						if ok {
-							t.Errorf("unsharded namespace %q parses as shard %d/%d", k, i, n)
-						}
-						continue
-					}
-					if !ok || b != base.Key() || i != sh.Index || n != sh.Count {
-						t.Errorf("ParseShardProfile(%q) = %q %d/%d %v, want %q %d/%d", k, b, i, n, ok, base.Key(), sh.Index, sh.Count)
-					}
+				s := Spec{Profile: prof, Modes: modes, ChaosRate: c.rate, ChaosSeed: c.seed}
+				k := s.Key()
+				if prev, dup := seen[k]; dup {
+					t.Errorf("specs %+v and %+v share the namespace %q", prev, s, k)
 				}
+				seen[k] = s
 			}
 		}
 	}
 }
 
 // TestSpecResolve checks Resolve's validation and what it applies to
-// Options: the mode set, the chaos campaign (seed 0 meaning 1), the
-// shard, and the artifact selection.
+// Options: the mode set, the chaos campaign (seed 0 meaning 1) and the
+// artifact selection.
 func TestSpecResolve(t *testing.T) {
 	for _, tc := range []struct {
 		spec   Spec
@@ -83,10 +66,7 @@ func TestSpecResolve(t *testing.T) {
 		{Spec{Profile: "tiny", ChaosRate: 1.5}, "outside [0, 1]"},
 		{Spec{Profile: "tiny", ChaosRate: -0.1}, "outside [0, 1]"},
 		{Spec{Profile: "tiny", ChaosRate: math.NaN()}, "outside [0, 1]"},
-		{Spec{Profile: "tiny", Shard: Shard{Index: 2, Count: 2}}, "out of range"},
-		{Spec{Profile: "tiny", Shard: Shard{Index: -1, Count: 2}}, "out of range"},
-		{Spec{Profile: "tiny", Shard: Shard{Count: -1}}, "out of range"},
-		{Spec{Profile: "tiny", Modes: "paper", ChaosRate: 1, Artifacts: []string{" fig2", "fig9 ", ""}, Shard: Shard{Index: 1, Count: 2}}, ""},
+		{Spec{Profile: "tiny", Modes: "paper", ChaosRate: 1, Artifacts: []string{" fig2", "fig9 ", ""}}, ""},
 	} {
 		_, _, err := tc.spec.Resolve(&Options{})
 		if tc.errSub == "" && err != nil {
@@ -99,10 +79,10 @@ func TestSpecResolve(t *testing.T) {
 
 	var opts Options
 	prof, wanted, err := Spec{Profile: "tiny"}.Resolve(&opts)
-	if err != nil || prof.Name != "tiny" || wanted != nil || opts.Modes != nil || opts.Chaos != nil || opts.Shard != (Shard{}) {
-		t.Errorf("default spec: prof %q wanted %v modes %v chaos %v shard %v err %v", prof.Name, wanted, opts.Modes, opts.Chaos, opts.Shard, err)
+	if err != nil || prof.Name != "tiny" || wanted != nil || opts.Modes != nil || opts.Chaos != nil {
+		t.Errorf("default spec: prof %q wanted %v modes %v chaos %v err %v", prof.Name, wanted, opts.Modes, opts.Chaos, err)
 	}
-	spec := Spec{Profile: "tiny", Modes: "extended", Artifacts: []string{" fig2", "fig9 ", ""}, ChaosRate: 0.25, Shard: Shard{Index: 1, Count: 2}}
+	spec := Spec{Profile: "tiny", Modes: "extended", Artifacts: []string{" fig2", "fig9 ", ""}, ChaosRate: 0.25}
 	_, wanted, err = spec.Resolve(&opts)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +95,5 @@ func TestSpecResolve(t *testing.T) {
 	}
 	if opts.Chaos == nil || *opts.Chaos != (chaos.Config{Seed: 1, Rate: 0.25}) {
 		t.Errorf("chaos = %+v, want seed 1 rate 0.25", opts.Chaos)
-	}
-	if opts.Shard != spec.Shard {
-		t.Errorf("shard = %v, want %v", opts.Shard, spec.Shard)
 	}
 }

@@ -51,9 +51,8 @@ func ArtifactKeyOf(err error) string {
 
 // Sweep renders the wanted artifacts to w in paper order, exactly as
 // cmd/dvmrepro always has: each rendered table is followed by one blank
-// line (suppressed in shard mode, where w is io.Discard anyway), and
-// fig8/fig9 — which come from the same runs — render together once when
-// either is wanted. A nil wanted map selects every artifact. It is the
+// line, and fig8/fig9 — which come from the same runs — render together
+// once when either is wanted. A nil wanted map selects every artifact. It is the
 // single rendering path shared by dvmrepro and the dvmserved job
 // executor, which is what makes a daemon job's table bytes (and, via
 // opts.Metrics, its metrics snapshot) identical to a single-shot run.
@@ -75,10 +74,8 @@ func Sweep(prof core.Profile, w io.Writer, opts Options, wanted map[string]bool,
 		if err := fn(); err != nil {
 			return &ArtifactError{Key: key, Err: err}
 		}
-		if opts.Shard.Count == 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return &ArtifactError{Key: key, Err: err}
-			}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return &ArtifactError{Key: key, Err: err}
 		}
 		return nil
 	}

@@ -78,30 +78,6 @@ func (t *Table) WriteASCII(w io.Writer) error {
 	return err
 }
 
-// WriteCSV renders the table as CSV (simple cells: no quoting needed for
-// our numeric/label content, but commas in cells are escaped defensively).
-func (t *Table) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = `"` + strings.ReplaceAll(c, `"`, `""`) + `"`
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // String renders ASCII.
 func (t *Table) String() string {
 	var b strings.Builder

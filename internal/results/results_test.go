@@ -39,19 +39,6 @@ func TestAddRowArity(t *testing.T) {
 	tbl.MustAddRow("1", "2", "3")
 }
 
-func TestCSV(t *testing.T) {
-	tbl := NewTable("ignored", "a", "b")
-	tbl.MustAddRow("1", "va,lue")
-	var b strings.Builder
-	if err := tbl.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	want := "a,b\n1,\"va,lue\"\n"
-	if b.String() != want {
-		t.Errorf("CSV = %q, want %q", b.String(), want)
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Pct(0.123) != "12.3%" {
 		t.Errorf("Pct = %s", Pct(0.123))

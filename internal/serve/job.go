@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service tier: a long-running
-// daemon (cmd/dvmserved) that accepts sweep jobs over HTTP/JSON, shards
-// their experiment cells across a persistent worker fleet under one
+// daemon (cmd/dvmserved) that accepts sweep jobs over HTTP/JSON, fans
+// their experiment cells out across a persistent worker fleet under one
 // shared runner.Budget, and persists every completed cell through the
 // core.Checkpoint JSONL format so a kill -9 mid-sweep loses at most the
 // in-flight cells. On restart the daemon rescans its job directory,
