@@ -76,7 +76,7 @@ func TestGoldenTinyProfile(t *testing.T) {
 	// CellCount declares each generator's cell list a second time, as
 	// the progress denominator a daemon job reports before any cell
 	// runs; the finished sweep's cell counter must agree with it.
-	if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, opts, nil); got != uint64(want) {
+	if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, nil); got != uint64(want) {
 		t.Errorf("sweep ran %d cells, but CellCount declares %d", got, want)
 	}
 }
@@ -125,7 +125,7 @@ func TestGoldenTinyExtendedModes(t *testing.T) {
 				"if a modeling change is intentional, refresh per the comment above",
 				jobs, out.Len(), len(want))
 		}
-		if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, opts, map[string]bool{"fig8": true}); got != uint64(want) {
+		if got, want := opts.Metrics.Snapshot().Get("runner.cells.done"), report.CellCount(prof, map[string]bool{"fig8": true}); got != uint64(want) {
 			t.Errorf("-j %d: fig8 ran %d cells, but CellCount declares %d", jobs, got, want)
 		}
 	}

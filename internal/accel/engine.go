@@ -61,18 +61,26 @@ type Engine struct {
 	iommu *mmu.IOMMU
 	mem   *memsys.Controller
 
-	props []float64
-	temps []float64
-
+	// The V-sized buffers all come from the pools (pool.go) with
+	// capacity for their largest possible contents, so no append in a
+	// run ever regrows them: props and temps, the frontier and the
+	// next-frontier buffer it ping-pongs with, the touched list and its
+	// mark bitset, the activation arena the apply streams append into
+	// (one ceil(V/PEs) segment per PE) and the cached all-vertices
+	// apply list.
+	props       []float64
+	temps       []float64
 	frontier    []int32
+	nextBuf     []int32
 	touched     []int32
 	touchedMark bitset
+	arena       []int32
+	allVerts    []int32
 
-	// Scheduler and per-iteration scratch, pooled so the steady-state
-	// run loop allocates nothing: per-PE scheduler state and MLP rings,
-	// the ready-time winner tree, the phase stream slices, the apply
-	// streams' activation buffers, the next-frontier buffer (ping-ponged
-	// with frontier), and the cached all-vertices apply list.
+	// Scheduler and per-phase scratch, sized on first use so the
+	// steady-state run loop allocates nothing: per-PE scheduler state
+	// and MLP rings, the ready-time winner tree, the phase stream
+	// slices and the apply streams' activation lists.
 	pes        []peState
 	ringBuf    []uint64
 	tree       []uint64
@@ -80,8 +88,6 @@ type Engine struct {
 	scatterBuf []scatterStream
 	applyBuf   []applyStream
 	results    [][]int32
-	nextBuf    []int32
-	allVerts   []int32
 
 	// Phase-stepped run state (see Step): the iteration counter, which
 	// half of the iteration runs next (0 = scatter, 1 = apply), and
@@ -118,22 +124,51 @@ func NewEngine(cfg Config, g *graph.Graph, prog Program, lay Layout, iommu *mmu.
 		return nil, fmt.Errorf("accel: engine needs graph, IOMMU and memory controller")
 	}
 	e := &Engine{cfg: cfg, g: g, prog: prog, lay: lay, iommu: iommu, mem: mem}
-	// props escape through Props() (the functional result) and stay
-	// engine-owned; the run-scoped scratch — temps and the touched-mark
-	// bitset — is pooled and released by finishRun.
-	e.props = make([]float64, g.V)
+	// Every V-sized buffer is pooled. finishRun returns the run scratch;
+	// props are the functional result Props() hands out, so they stay
+	// until Release.
+	e.props = poolF64.get(g.V)
 	e.temps = poolF64.get(g.V)
 	e.touchedMark = newBitset(g.V)
 	for v := 0; v < g.V; v++ {
 		e.props[v] = prog.InitProp(v, g)
 		e.temps[v] = prog.ReduceIdentity
 	}
-	e.frontier = prog.InitialFrontier(g)
+	// The touched list holds each vertex at most once, and so does every
+	// later frontier (it is drawn from the touched list), so V bounds
+	// them; only the initial frontier is the program's to size.
+	init := prog.InitialFrontier(g)
+	e.frontier = poolI32.get(max(len(init), g.V))[:len(init)]
+	copy(e.frontier, init)
+	e.touched = poolI32.get(g.V)[:0]
+	if !prog.AllActive {
+		// Frontier-driven programs collect activations: a PE's apply
+		// chunk is at most ceil(V/PEs) vertices, so one segment that
+		// size per PE never overflows.
+		e.nextBuf = poolI32.get(g.V)[:0]
+		e.arena = poolI32.get(cfg.PEs * e.segment())
+	}
 	return e, nil
 }
 
-// Props returns the vertex properties (the functional result).
+// segment is the per-PE activation segment length, ceil(V/PEs).
+func (e *Engine) segment() int { return (e.g.V + e.cfg.PEs - 1) / e.cfg.PEs }
+
+// Props returns the vertex properties (the functional result), or nil
+// after Release.
 func (e *Engine) Props() []float64 { return e.props }
+
+// Release returns every buffer the engine still holds, props included,
+// to the buffer pools, so the next engine reuses them instead of
+// allocating. Props() returns nil afterwards and the engine runs no
+// further phases; a caller that does not need the properties calls it
+// once the run is done.
+func (e *Engine) Release() {
+	e.runDone = true
+	e.releaseScratch()
+	poolF64.put(e.props)
+	e.props = nil
+}
 
 // SetSpans attaches a phase-span recorder; nil (the default) disables
 // span recording at the cost of one nil check per phase.
@@ -200,19 +235,25 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// finishRun seals the statistics and returns the engine's
-// V-proportional run scratch to the buffer pools — props (the
-// functional result) stay.
+// finishRun seals the statistics and returns the engine's run scratch
+// to the buffer pools — props (the functional result) stay.
 func (e *Engine) finishRun() {
 	e.stats.Iterations = e.iter
 	e.stats.Cycles = e.now
 	e.runDone = true
+	e.releaseScratch()
+}
+
+// releaseScratch returns every pooled buffer but props; a second call
+// finds them nil and puts nothing.
+func (e *Engine) releaseScratch() {
 	poolF64.put(e.temps)
-	e.temps = nil
 	e.touchedMark.release()
-	e.touchedMark = nil
-	poolI32.put(e.allVerts)
-	e.allVerts = nil
+	for _, s := range [...][]int32{e.frontier, e.nextBuf, e.touched, e.arena, e.allVerts} {
+		poolI32.put(s)
+	}
+	e.temps, e.touchedMark = nil, nil
+	e.frontier, e.nextBuf, e.touched, e.arena, e.allVerts = nil, nil, nil, nil, nil
 }
 
 // phasePools sizes the per-phase scratch pools and returns the stream
@@ -271,6 +312,7 @@ func (e *Engine) stepApply() {
 	}
 	apply := e.applyBuf[:npe]
 	chunk := (len(applyList) + npe - 1) / npe
+	seg := e.segment()
 	for pe := 0; pe < npe; pe++ {
 		lo := pe * chunk
 		hi := lo + chunk
@@ -280,7 +322,10 @@ func (e *Engine) stepApply() {
 		if hi > len(applyList) {
 			hi = len(applyList)
 		}
-		results[pe] = results[pe][:0]
+		if e.arena != nil {
+			// chunk <= seg, so appends stay inside the PE's segment.
+			results[pe] = e.arena[pe*seg : pe*seg : (pe+1)*seg]
+		}
 		apply[pe] = applyStream{e: e, verts: applyList[lo:hi], collect: !e.prog.AllActive, activated: &results[pe]}
 		streams[pe] = &apply[pe]
 	}

@@ -7,22 +7,38 @@ import (
 
 // Pooled V-proportional engine buffers. A mode-matrix sweep assembles
 // and discards many engines over the same graph (15 cells × up to 9
-// modes), and each engine used to allocate fresh temps / touched-mark /
-// apply-list arrays — garbage proportional to V per engine. The pools
-// below recycle those arrays across engines in
-// power-of-two size classes, so steady-state sweep footprint is one
+// modes). The pools below recycle every V-sized array an engine uses,
+// in power-of-two size classes:
+//
+//   - float64: props (until Release) and temps;
+//   - int32: the frontier, the next-frontier buffer it ping-pongs with,
+//     the touched list, the per-PE activation arena and the
+//     all-vertices apply list;
+//   - uint64: the touched-mark bitset.
+//
+// Each is taken at the capacity its contents can never exceed, so no
+// append in a run regrows one, and a run that ends with Release leaves
+// no garbage that grows with V: steady-state sweep footprint is one
 // engine-set of scratch per live engine instead of per engine ever
 // created. Contents are undefined at get: every consumer fully
-// initializes what it takes (newBitset clears).
+// initializes what it takes (newBitset clears, the list buffers start
+// empty, props and temps are filled, the frontier is copied in).
 //
 // Pooling never changes results — the arrays hold functional state that
 // is value-initialized identically either way; only allocation traffic
 // changes.
 
-const (
-	poolClasses  = 40
-	poolPerClass = 4 // buffers retained per class; excess returns to the GC
-)
+// poolPerClass is how many free buffers a class keeps; a put beyond it
+// leaves the buffer to the GC. One engine holds up to four int32
+// buffers of its V's class (frontier, next frontier, touched list,
+// activation arena) and two float64 ones, so four is the least that
+// lets a sequential sweep hand the next engine one engine's full set.
+// Eight keeps two full sets, for two workers running graphs of the same
+// class. A class never keeps more free buffers than it once had out at
+// the same time, so it holds no more than the sweep's own peak in it.
+const poolPerClass = 8
+
+const poolClasses = 40
 
 type slicePool[T any] struct {
 	mu      sync.Mutex

@@ -164,6 +164,19 @@ type Prepared struct {
 
 	mu    sync.Mutex
 	state map[machineKey]*machineState
+
+	frontierOnce sync.Once
+	frontier     []int32 // Prog.InitialFrontier(G), see initialFrontier
+}
+
+// initialFrontier is the InitialFrontier every run's engine gets: the
+// program's initial frontier, computed once per Prepared. The engine
+// copies it into a pooled buffer and never writes it, so runs share one
+// slice instead of each allocating a V-sized one (PageRank's and CF's
+// initial frontier is every vertex or every user).
+func (p *Prepared) initialFrontier(*graph.Graph) []int32 {
+	p.frontierOnce.Do(func() { p.frontier = p.Prog.InitialFrontier(p.G) })
+	return p.frontier
 }
 
 // machineKey identifies the deterministic inputs of process + layout
@@ -452,7 +465,9 @@ func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 		return res, err
 	}
 	mem.SetChaos(inj)
-	eng, err := accel.NewEngine(accel.Config{PEs: cfg.PEs, MLP: cfg.MLP}, p.G, p.Prog, lay, iommu, mem)
+	prog := p.Prog
+	prog.InitialFrontier = p.initialFrontier
+	eng, err := accel.NewEngine(accel.Config{PEs: cfg.PEs, MLP: cfg.MLP}, p.G, prog, lay, iommu, mem)
 	if err != nil {
 		return res, err
 	}
@@ -471,6 +486,9 @@ func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 	}
 
 	res.Stats, err = eng.Run()
+	// Nothing here reads the vertex properties: every engine buffer goes
+	// back to the pools for the next run.
+	eng.Release()
 	if err != nil {
 		return res, err
 	}

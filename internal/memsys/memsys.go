@@ -143,7 +143,9 @@ func (c *Controller) timing(pa addr.PA, now uint64) (ch int, start, done uint64)
 // burst begins.
 func (c *Controller) Access(pa addr.PA, now uint64) uint64 {
 	ch, start, done := c.timing(pa, now)
-	if c.inj.Hit(chaos.SiteMemLatency) {
+	// Hit is not inlinable: the nil check here keeps a run without
+	// chaos from paying a call per access.
+	if c.inj != nil && c.inj.Hit(chaos.SiteMemLatency) {
 		// A contention spike: the request sits in the queue an extra
 		// SpikeCycles before its burst begins, delaying this channel's
 		// subsequent requests just like real interference would.
@@ -159,7 +161,7 @@ func (c *Controller) Access(pa addr.PA, now uint64) uint64 {
 }
 
 // SetChaos attaches a fault injector; nil (the default) disables
-// injection at zero cost beyond one nil check per access.
+// injection at the cost of one inline nil check per access.
 func (c *Controller) SetChaos(inj *chaos.Injector) { c.inj = inj }
 
 // Peek returns the completion time an access to pa would observe at `now`

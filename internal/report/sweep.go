@@ -115,11 +115,10 @@ func Sweep(prof core.Profile, w io.Writer, opts Options, wanted map[string]bool,
 }
 
 // CellCount returns how many experiment cells the wanted artifacts of
-// prof comprise under opts (mode set included) — the progress
-// denominator a daemon job reports before any cell has run. It mirrors
-// each generator's cell declaration exactly; table5 is static text and
-// contributes none.
-func CellCount(prof core.Profile, opts Options, wanted map[string]bool) int {
+// prof comprise — the progress denominator a daemon job reports before
+// any cell has run. It mirrors each generator's cell declaration
+// exactly; table5 is static text and contributes none.
+func CellCount(prof core.Profile, wanted map[string]bool) int {
 	want := func(key string) bool { return wanted == nil || wanted[key] }
 	wls := len(prof.Workloads())
 	n := 0

@@ -169,7 +169,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 		ID:          s.store.NextID(),
 		Spec:        spec,
 		State:       StateQueued,
-		TotalCells:  report.CellCount(prof, opts, wanted),
+		TotalCells:  report.CellCount(prof, wanted),
 		CreatedUnix: time.Now().Unix(),
 	}
 	if err := s.store.Put(j); err != nil {
