@@ -65,8 +65,8 @@ func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *No
 		n = cloneNode(n)
 	}
 	span := entrySpan(n.Level)
-	for i := range n.Entries {
-		e := n.Entries[i]
+	for i := 0; i < EntriesPerNode; i++ {
+		e := n.entry(i)
 		if e.Kind() != EntryTable {
 			continue
 		}
@@ -95,10 +95,15 @@ func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *No
 	return n
 }
 
-// cloneNode returns a copy of n with its own kids and PE field slices.
-// Its kids still point at n's children; compactNode relinks them.
+// cloneNode returns a copy of n with its own entry words, kids and PE
+// field slices. Its kids still point at n's children; compactNode
+// relinks them.
 func cloneNode(n *Node) *Node {
 	c := *n
+	if n.words != nil {
+		w := *n.words
+		c.words = &w
+	}
 	c.kids = slices.Clone(n.kids)
 	c.pes = slices.Clone(n.pes)
 	for k, perms := range c.pes {
@@ -144,10 +149,13 @@ func (t *Table) summarize(n *Node, e Entry, baseVA addr.VA) entrySummary {
 // nodeSummaryAt aggregates the summaries of all entries of n, whose base
 // virtual address is base.
 func (t *Table) nodeSummaryAt(n *Node, base addr.VA) entrySummary {
+	if n.words == nil {
+		return n.runSummary(base)
+	}
 	span := entrySpan(n.Level)
 	agg := entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
 	first := true
-	for i, e := range &n.Entries {
+	for i, e := range n.words {
 		s := t.summarize(n, e, base+addr.VA(uint64(i)*span))
 		if !s.identity {
 			agg.identity = false
@@ -172,15 +180,18 @@ func (t *Table) nodeSummaryAt(n *Node, base addr.VA) entrySummary {
 // parent entry of node n (at base VA base) with a PE. It returns ok=false
 // if any group is non-uniform or any content is non-identity.
 func (t *Table) groupPerms(n *Node, base addr.VA) ([]addr.Perm, bool) {
-	span := entrySpan(n.Level)
 	group := EntriesPerNode / t.cfg.PEFields
 	perms := make([]addr.Perm, t.cfg.PEFields)
+	if n.words == nil {
+		return n.runGroupPerms(base, group, perms)
+	}
+	span := entrySpan(n.Level)
 	for g := 0; g < t.cfg.PEFields; g++ {
 		var gp addr.Perm
 		firstSet := false
 		for k := 0; k < group; k++ {
 			i := g*group + k
-			s := t.summarize(n, n.Entries[i], base+addr.VA(uint64(i)*span))
+			s := t.summarize(n, n.words[i], base+addr.VA(uint64(i)*span))
 			if !s.identity || !s.uniform {
 				return nil, false
 			}
@@ -192,6 +203,56 @@ func (t *Table) groupPerms(n *Node, base addr.VA) ([]addr.Perm, bool) {
 			}
 		}
 		perms[g] = gp
+	}
+	return perms, true
+}
+
+// runMapped reports whether a run-state page maps anything: its run is
+// not empty and its leaves carry a permission.
+func (n *Node) runMapped() bool { return n.lo < n.hi && n.run.Perm() != addr.NoPerm }
+
+// runIdentity reports whether the leaves of a run-state page at base are
+// identity mapped. The frames count up with the entries, so either all
+// of them are or none is.
+func (n *Node) runIdentity(base addr.VA) bool {
+	span := entrySpan(n.Level)
+	return n.run.PFN()*span == uint64(base)+uint64(n.lo)*span
+}
+
+// runSummary is nodeSummaryAt of a run-state page, in O(1): the entries
+// outside the run are empty, so the page is uniform only if the run
+// fills it, and its permission is entry 0's.
+func (n *Node) runSummary(base addr.VA) entrySummary {
+	if !n.runMapped() {
+		return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
+	}
+	s := entrySummary{identity: n.runIdentity(base), uniform: n.lo == 0 && n.hi == EntriesPerNode, perm: addr.NoPerm}
+	if n.lo == 0 {
+		s.perm = n.run.Perm()
+	}
+	return s
+}
+
+// runGroupPerms is groupPerms of a run-state page, in O(len(perms)): a
+// group inside the run has the run's permission, a group outside it
+// none, and a group the run's edge cuts is not uniform.
+func (n *Node) runGroupPerms(base addr.VA, group int, perms []addr.Perm) ([]addr.Perm, bool) {
+	if !n.runMapped() {
+		return perms, true
+	}
+	if !n.runIdentity(base) {
+		return nil, false
+	}
+	lo, hi := int(n.lo), int(n.hi)
+	for g := range perms {
+		switch first, end := g*group, (g+1)*group; {
+		case end <= lo || first >= hi:
+			perms[g] = addr.NoPerm
+		case first >= lo && end <= hi:
+			perms[g] = n.run.Perm()
+		default:
+			return nil, false
+		}
 	}
 	return perms, true
 }

@@ -86,9 +86,9 @@ func TestChaosPEPermBitsRejected(t *testing.T) {
 	peVA := addr.VA(0x6000_0000)
 	n := tb.Root()
 	for n.Level > 2 {
-		n = n.child(n.Entries[indexAt(peVA, n.Level)])
+		n = n.child(n.entry(indexAt(peVA, n.Level)))
 	}
-	e := n.Entries[indexAt(peVA, 2)]
+	e := n.entry(indexAt(peVA, 2))
 	if e.Kind() != EntryPE {
 		t.Fatalf("expected PE at level 2, got %v", e.Kind())
 	}
@@ -135,11 +135,13 @@ func TestWalkFaultKindBaseline(t *testing.T) {
 }
 
 // Map, MapRange and SetPE stop at an entry of unknown kind, or at a
-// table link with no subtree, with an error rather than descending
-// through it, and leave the table as it was.
+// table link with no subtree, a cyclic one or one to a node of the wrong
+// level, with an error rather than descending through it, and leave the
+// table as it was.
 func TestChaosMutateOverUnknownKind(t *testing.T) {
 	probes := []addr.VA{0x1000, 0x2000, 0x4000_0000, 0x6000_0000, 0x8000_0000}
-	for _, raw := range []uint64{5, uint64(EntryTable)} { // unknown kind; truncated link
+	// Unknown kind; truncated, self- and cross-linked table entries.
+	for _, raw := range []uint64{5, uint64(EntryTable), uint64(EntryTable) | 1<<3, uint64(EntryTable) | 2<<3} {
 		tb := corruptTestTable(t)
 		if err := tb.CorruptEntry(0x1000, 2, raw); err != nil {
 			t.Fatal(err)

@@ -50,7 +50,8 @@ func (t *Table) dumpNode(n *Node, base addr.VA, b *strings.Builder) {
 			addr.VRange{Start: open.start, Size: open.size}, open.perm)
 		open = nil
 	}
-	for i, e := range &n.Entries {
+	for i := 0; i < EntriesPerNode; i++ {
+		e := n.entry(i)
 		eBase := base + addr.VA(uint64(i)*span)
 		switch e.Kind() {
 		case EntryEmpty:

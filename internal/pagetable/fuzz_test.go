@@ -126,7 +126,7 @@ func FuzzPEPermDecode(f *testing.F) {
 		// corrupted table would.
 		n := tab.Root()
 		for n.Level > 2 {
-			n = n.child(n.Entries[indexAt(0x6000_0000, n.Level)])
+			n = n.child(n.entry(indexAt(0x6000_0000, n.Level)))
 		}
 		perms := make([]addr.Perm, nfields%65)
 		for i := range perms {
@@ -166,13 +166,13 @@ func FuzzEntryWord(f *testing.F) {
 		lvl := int(level%4) + 1
 		n := tab.Root()
 		for n.Level > lvl {
-			n = n.child(n.Entries[indexAt(va, n.Level)])
+			n = n.child(n.entry(indexAt(va, n.Level)))
 		}
 		nextPA := tab.nextPA
 		if err := tab.CorruptEntry(va, lvl, raw); err != nil {
 			t.Fatal(err)
 		}
-		e := n.Entries[indexAt(va, lvl)]
+		e := n.entry(indexAt(va, lvl))
 		if e.Kind() != EntryKind(raw&7) {
 			t.Fatalf("raw %#x: kind %d, want raw&7 = %d", raw, e.Kind(), raw&7)
 		}
@@ -201,7 +201,7 @@ func FuzzEntryWord(f *testing.F) {
 				if n.Level < 2 {
 					ok = child == nil
 				} else {
-					ok = child != nil && child.Level == n.Level-1 && uint64(child.PA) == nextPA && child.Entries == [EntriesPerNode]Entry{}
+					ok = child != nil && child.Level == n.Level-1 && uint64(child.PA) == nextPA && nodeIsEmpty(child)
 				}
 			}
 			if !ok || e.Perm() != addr.NoPerm {
@@ -225,4 +225,14 @@ func FuzzEntryWord(f *testing.F) {
 			}
 		}
 	})
+}
+
+// nodeIsEmpty reports whether every entry of n is empty.
+func nodeIsEmpty(n *Node) bool {
+	for i := 0; i < EntriesPerNode; i++ {
+		if n.entry(i) != 0 {
+			return false
+		}
+	}
+	return true
 }

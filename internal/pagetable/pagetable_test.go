@@ -593,3 +593,21 @@ func BenchmarkWalkPE(b *testing.B) {
 		}
 	}
 }
+
+// TestLookupZeroAlloc pins Lookup, which osmodel calls once per huge-page
+// expanse while building a THP table, to a walk whose steps stay on the
+// stack: translating, missing and walking a 5-level table allocate
+// nothing.
+func TestLookupZeroAlloc(t *testing.T) {
+	for _, levels := range []int{4, 5} {
+		tbl := MustNew(Config{Levels: levels})
+		if err := tbl.MapRange(addr.VRange{Start: 0x20_0000, Size: 16 * addr.PageSize4K}, 0x20_0000, addr.ReadWrite, addr.PageSize4K); err != nil {
+			t.Fatal(err)
+		}
+		for _, va := range []addr.VA{0x20_3000, 0x40_0000, 0xdead_0000_0000} {
+			if n := testing.AllocsPerRun(100, func() { tbl.Lookup(va) }); n != 0 {
+				t.Errorf("%d levels: Lookup(%#x) allocates %v times per call, want 0", levels, uint64(va), n)
+			}
+		}
+	}
+}

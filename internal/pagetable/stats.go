@@ -42,7 +42,8 @@ func (t *Table) statsNode(n *Node, base addr.VA, s *SizeStats) {
 	s.Nodes++
 	s.NodesPerLevel[n.Level]++
 	span := entrySpan(n.Level)
-	for i, e := range &n.Entries {
+	for i := 0; i < EntriesPerNode; i++ {
+		e := n.entry(i)
 		eBase := base + addr.VA(uint64(i)*span)
 		switch e.Kind() {
 		case EntryTable:

@@ -121,7 +121,13 @@ func (t *Table) Walk(va addr.VA) WalkResult {
 
 // WalkInto performs a page walk for va into res, reusing res.Steps. This is
 // the allocation-free path used on the simulator's hot loop.
-func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
+func (t *Table) WalkInto(va addr.VA, res *WalkResult) { t.walk(va, res, true) }
+
+// walk is WalkInto, recording the steps only if steps is set. Appending
+// to res.Steps makes the compiler treat everything res points to as
+// escaping, so Lookup, which needs no steps, walks without them to
+// allocate nothing.
+func (t *Table) walk(va addr.VA, res *WalkResult, steps bool) {
 	res.Steps = res.Steps[:0]
 	res.Outcome = WalkFault
 	res.Fault = FaultUnmapped
@@ -139,8 +145,10 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 	n := t.root
 	for {
 		i := indexAt(va, n.Level)
-		e := n.Entries[i]
-		res.Steps = append(res.Steps, WalkStep{Level: n.Level, EntryPA: n.EntryPA(i), Kind: e.Kind()})
+		e := n.entry(i)
+		if steps {
+			res.Steps = append(res.Steps, WalkStep{Level: n.Level, EntryPA: n.EntryPA(i), Kind: e.Kind()})
+		}
 		switch e.Kind() {
 		case EntryEmpty:
 			return
@@ -215,7 +223,8 @@ func (t *Table) WalkInto(va addr.VA, res *WalkResult) {
 
 // Lookup resolves va to (pa, perm). ok is false if va is unmapped.
 func (t *Table) Lookup(va addr.VA) (pa addr.PA, perm addr.Perm, ok bool) {
-	r := t.Walk(va)
+	var r WalkResult
+	t.walk(va, &r, false)
 	if r.Outcome == WalkFault {
 		return 0, addr.NoPerm, false
 	}
@@ -232,7 +241,8 @@ func (t *Table) ForEachPage(fn func(va addr.VA, pa addr.PA, perm addr.Perm)) {
 
 func (t *Table) forEachPage(n *Node, base addr.VA, fn func(addr.VA, addr.PA, addr.Perm)) {
 	span := entrySpan(n.Level)
-	for i, e := range &n.Entries {
+	for i := 0; i < EntriesPerNode; i++ {
+		e := n.entry(i)
 		eBase := base + addr.VA(uint64(i)*span)
 		switch e.Kind() {
 		case EntryTable:
