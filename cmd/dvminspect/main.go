@@ -37,10 +37,16 @@ func main() {
 	if err != nil {
 		lg.Exitf(2, "%v", err)
 	}
-	p, err := core.Prepare(core.Workload{
+	// The layout and its tables read only the dataset's shape, so no
+	// graph is generated.
+	p, err := core.PrepareLayout(core.Workload{
 		Algorithm: *alg, Dataset: d, Scale: prof.Scale,
 		PageRankIters: prof.PageRankIters, Seed: 42,
 	})
+	if err != nil {
+		lg.Exitf(1, "%v", err)
+	}
+	v, e, err := d.Shape(prof.Scale)
 	if err != nil {
 		lg.Exitf(1, "%v", err)
 	}
@@ -49,12 +55,12 @@ func main() {
 		lg.Exitf(1, "%v", err)
 	}
 	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, Seed: 42})
-	lay, err := accel.BuildLayout(proc, p.G, p.Prog.PropBytes)
+	lay, err := accel.BuildShapeLayout(proc, v, e, p.Prog.PropBytes)
 	if err != nil {
 		lg.Exitf(1, "%v", err)
 	}
 	fmt.Printf("%s/%s: %d vertices, %d edges, heap %d KB, identity=%v\n",
-		*alg, *dataset, p.G.V, p.G.E(), lay.HeapBytes>>10, lay.IdentityMapped)
+		*alg, *dataset, v, e, lay.HeapBytes>>10, lay.IdentityMapped)
 	fmt.Printf("arrays: props=%#x temps=%#x index=%#x edges=%#x frontier=%#x\n\n",
 		uint64(lay.VertexProp), uint64(lay.TempProp), uint64(lay.EdgeIndex), uint64(lay.Edges), uint64(lay.Frontier))
 

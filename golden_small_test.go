@@ -18,11 +18,13 @@ import (
 //
 //	dvmrepro -profile small -only table3,table1,virt -j 1 -q
 //
-// The tiny golden covers every artifact; this one exists so the *small*
-// profile — the first profile whose graphs are big enough to cross the
-// parallel CSR build's edge minimum — has a cheap byte-identity referee
-// too. It runs the sweep twice: sequentially, and with a worker budget
-// (Jobs 8) that engages parallel Prepare wherever thresholds allow. Both must reproduce the committed file exactly.
+// The tiny golden covers every artifact; this one gives the *small*
+// profile a cheap byte-identity referee too. Table 3 and Table 1 read
+// only the datasets' shapes, so the sweep generates no graph and does
+// not drive the parallel CSR build; TestFromEdgesParallelMatchesSequential
+// and TestBipartiteParallelMatchesSequential (internal/graph) do. It
+// runs the sweep twice, sequentially and with a worker budget (Jobs 8),
+// and both must reproduce the committed file exactly.
 //
 // Refresh (only when an intentional modeling change lands):
 //

@@ -40,11 +40,18 @@ type Layout struct {
 	IdentityMapped bool
 }
 
-// BuildLayout allocates the workload's arrays in the process's address
-// space (identity mapped when the process policy allows) and returns their
-// placement. The arrays are "touched" so demand-paged fallbacks are backed,
-// as the host would populate them before offloading.
+// BuildLayout is BuildShapeLayout for g's shape.
 func BuildLayout(p *osmodel.Process, g *graph.Graph, propBytes uint64) (Layout, error) {
+	return BuildShapeLayout(p, g.V, g.E(), propBytes)
+}
+
+// BuildShapeLayout allocates the arrays of a workload with v vertices and
+// e edges in the process's address space (identity mapped when the
+// process policy allows) and returns their placement. The layout reads
+// nothing but the shape, so it needs no graph. The arrays are "touched"
+// so demand-paged fallbacks are backed, as the host would populate them
+// before offloading.
+func BuildShapeLayout(p *osmodel.Process, v, e int, propBytes uint64) (Layout, error) {
 	if propBytes == 0 {
 		return Layout{}, fmt.Errorf("accel: propBytes must be positive")
 	}
@@ -83,22 +90,21 @@ func BuildLayout(p *osmodel.Process, g *graph.Graph, propBytes uint64) (Layout, 
 		lay.HeapBytes += r.Size
 		return r.Start, nil
 	}
-	v := uint64(g.V)
-	e := uint64(g.E())
+	nv, ne := uint64(v), uint64(e)
 	var err error
-	if lay.VertexProp, err = alloc(v*propBytes, addr.ReadWrite); err != nil {
+	if lay.VertexProp, err = alloc(nv*propBytes, addr.ReadWrite); err != nil {
 		return lay, err
 	}
-	if lay.TempProp, err = alloc(v*propBytes, addr.ReadWrite); err != nil {
+	if lay.TempProp, err = alloc(nv*propBytes, addr.ReadWrite); err != nil {
 		return lay, err
 	}
-	if lay.EdgeIndex, err = alloc((v+1)*IndexBytes, addr.ReadOnly); err != nil {
+	if lay.EdgeIndex, err = alloc((nv+1)*IndexBytes, addr.ReadOnly); err != nil {
 		return lay, err
 	}
-	if lay.Edges, err = alloc(e*EdgeBytes, addr.ReadOnly); err != nil {
+	if lay.Edges, err = alloc(ne*EdgeBytes, addr.ReadOnly); err != nil {
 		return lay, err
 	}
-	if lay.Frontier, err = alloc(v*4, addr.ReadWrite); err != nil {
+	if lay.Frontier, err = alloc(nv*4, addr.ReadWrite); err != nil {
 		return lay, err
 	}
 	return lay, nil

@@ -200,7 +200,7 @@ func TestTable1Shape(t *testing.T) {
 // the cached-machine Table1 to.
 func table1Fresh(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	cfg = cfg.withDefaults()
-	row := Table1Row{Input: p.G.Name}
+	row := Table1Row{Input: p.Workload.Dataset.Name}
 	sys, err := osmodel.NewSystem(cfg.MemBytes)
 	if err != nil {
 		return row, err
@@ -222,7 +222,9 @@ func table1Fresh(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 
 // TestTable1OnCachedMachine: for every tiny Table 1 workload, Table1
 // read off the cached machine's tables equals the fresh-machine
-// reference, and a second call builds no table.
+// reference, and a second call builds no table. A layout-only Prepared,
+// which lays out the dataset's shape and has no graph, gives the same
+// row.
 func TestTable1OnCachedMachine(t *testing.T) {
 	n := 0
 	for _, w := range ProfileTiny.Workloads() {
@@ -258,9 +260,52 @@ func TestTable1OnCachedMachine(t *testing.T) {
 				t.Errorf("%s call %d recorded %d ptbuild spans, want builds=%v", w.Dataset.Name, call+1, builds, wantBuilds)
 			}
 		}
+		l, err := PrepareLayout(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Table1(l, ProfileTiny.SystemConfig()); err != nil || got != want {
+			t.Errorf("%s: layout-only Table1 = %+v (err %v), fresh machine %+v", w.Dataset.Name, got, err, want)
+		}
 	}
 	if n != 7 {
 		t.Errorf("%d Table 1 workloads, want 7", n)
+	}
+}
+
+// TestLayoutOnlyPreparedCannotRun: a PrepareLayout Prepared has no
+// graph, so Run and the artifacts built on it return an error instead
+// of panicking; PrepareLayout rejects what Prepare rejects.
+func TestLayoutOnlyPreparedCannotRun(t *testing.T) {
+	p, err := PrepareLayout(wikiTiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.G != nil {
+		t.Fatal("layout-only Prepared holds a graph")
+	}
+	cfg := ProfileTiny.SystemConfig()
+	if _, err := p.Run(ModeConv4K, cfg); err == nil || !strings.Contains(err.Error(), "layout only") {
+		t.Errorf("Run = %v, want a layout-only error", err)
+	}
+	if _, err := Figure2(p, cfg); err == nil {
+		t.Error("Figure2 on a layout-only Prepared succeeded")
+	}
+	if _, err := Figure8(p, cfg); err == nil {
+		t.Error("Figure8 on a layout-only Prepared succeeded")
+	}
+
+	nf, _ := graph.DatasetByName("NF")
+	fr, _ := graph.DatasetByName("FR")
+	for _, w := range []Workload{
+		{Algorithm: "BFS", Dataset: nf, Scale: 0.01},
+		{Algorithm: "CF", Dataset: fr, Scale: 0.01},
+		{Algorithm: "Nope", Dataset: fr, Scale: 0.01},
+		{Algorithm: "BFS", Dataset: fr, Scale: 1.5},
+	} {
+		if _, err := PrepareLayout(w); err == nil {
+			t.Errorf("PrepareLayout accepted %s on %s at scale %g", w.Algorithm, w.Dataset.Name, w.Scale)
+		}
 	}
 }
 

@@ -117,7 +117,7 @@ type Figure2Row struct {
 
 // Figure2 measures TLB miss rates for one prepared workload.
 func Figure2(p *Prepared, cfg SystemConfig) (Figure2Row, error) {
-	row := Figure2Row{Algorithm: p.Workload.Algorithm, Dataset: p.G.Name}
+	row := Figure2Row{Algorithm: p.Workload.Algorithm, Dataset: p.Workload.Dataset.Name}
 	r4, err := p.Run(ModeConv4K, cfg)
 	if err != nil {
 		return row, err
@@ -151,7 +151,7 @@ type Table1Row struct {
 // tables, the ones its Conv4K and DVM-PE runs walk.
 func Table1(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	cfg = cfg.withDefaults()
-	row := Table1Row{Input: p.G.Name}
+	row := Table1Row{Input: p.Workload.Dataset.Name}
 	st, err := p.machine(cfg)
 	if err != nil {
 		return row, err
@@ -198,7 +198,7 @@ func Figure8(p *Prepared, cfg SystemConfig) (Figure8Cell, error) {
 func Figure8ModesCtx(ctx context.Context, p *Prepared, modes []Mode, cfg SystemConfig, jobs int) (Figure8Cell, error) {
 	cell := Figure8Cell{
 		Algorithm:  p.Workload.Algorithm,
-		Dataset:    p.G.Name,
+		Dataset:    p.Workload.Dataset.Name,
 		Cycles:     map[Mode]uint64{},
 		Normalized: map[Mode]float64{},
 	}

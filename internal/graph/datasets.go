@@ -89,44 +89,67 @@ func (d DatasetSpec) Generate(scale float64, seed int64) (*Graph, error) {
 // the RNG edge streams stay sequential, so the graph is bit-identical to
 // Generate's at every budget population.
 func (d DatasetSpec) GenerateB(scale float64, seed int64, b *runner.Budget) (*Graph, error) {
-	if scale <= 0 || scale > 1 {
-		return nil, fmt.Errorf("graph: scale %v out of (0,1]", scale)
+	rmat, bip, err := d.generator(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	var g *Graph
+	if d.Bipartite {
+		bip.Workers = b
+		g, err = GenerateBipartite(bip)
+	} else {
+		rmat.Workers = b
+		g, err = GenerateRMAT(rmat)
+	}
+	if err != nil {
+		return nil, err
+	}
+	g.Name = d.Name
+	return g, nil
+}
+
+// Shape returns the vertex and edge counts Generate produces at scale,
+// without generating anything: the sizes a workload's heap arrays are
+// laid out from. It fails exactly where Generate does.
+func (d DatasetSpec) Shape(scale float64) (v, e int, err error) {
+	rmat, bip, err := d.generator(scale, 0)
+	if err != nil {
+		return 0, 0, err
+	}
+	if d.Bipartite {
+		return bip.Users + bip.Items, bip.Edges, nil
+	}
+	return 1 << rmat.Scale, rmat.EdgeFactor << rmat.Scale, nil
+}
+
+// generator returns the validated generator configuration d scales to:
+// the R-MAT config of a graph dataset, or the bipartite config of a CF
+// dataset (the other is zero). It is the one place the scale is checked
+// and the scaled sizes are derived, so Shape and GenerateB cannot drift.
+// The negated range test also rejects a NaN scale.
+func (d DatasetSpec) generator(scale float64, seed int64) (RMATConfig, BipartiteConfig, error) {
+	if !(scale > 0 && scale <= 1) {
+		return RMATConfig{}, BipartiteConfig{}, fmt.Errorf("graph: scale %v out of (0,1]", scale)
 	}
 	if d.Bipartite {
 		users := scaleInt(d.Users, scale, 64)
-		items := scaleInt(d.Items, scale, 16)
-		edges := scaleInt(d.Edges, scale, 256)
-		g, err := GenerateBipartite(BipartiteConfig{
-			Users: users, Items: items, Edges: edges,
-			Skew:    DefaultRMAT(sizeScale(users), seed),
-			Workers: b,
-		})
-		if err != nil {
-			return nil, err
+		cfg := BipartiteConfig{
+			Users: users, Items: scaleInt(d.Items, scale, 16), Edges: scaleInt(d.Edges, scale, 256),
+			Skew: DefaultRMAT(sizeScale(users), seed),
 		}
-		g.Name = d.Name
-		return g, nil
+		return RMATConfig{}, cfg, cfg.Skew.validate()
 	}
-	wantV := float64(d.Vertices) * scale
-	rmatScale := int(math.Round(math.Log2(wantV)))
+	rmatScale := int(math.Round(math.Log2(float64(d.Vertices) * scale)))
 	if rmatScale < 4 {
 		rmatScale = 4
 	}
-	v := 1 << rmatScale
 	ef := int(math.Round(float64(d.Edges) / float64(d.Vertices)))
 	if ef < 1 {
 		ef = 1
 	}
 	cfg := DefaultRMAT(rmatScale, seed)
 	cfg.EdgeFactor = ef
-	cfg.Workers = b
-	_ = v
-	g, err := GenerateRMAT(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g.Name = d.Name
-	return g, nil
+	return cfg, BipartiteConfig{}, cfg.validate()
 }
 
 // scaleInt scales n by f with a floor.

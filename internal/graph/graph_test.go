@@ -209,6 +209,61 @@ func TestDatasetGenerateValidation(t *testing.T) {
 	if _, err := Datasets[0].Generate(1.5, 1); err == nil {
 		t.Error("scale > 1 accepted")
 	}
+	// NaN fails every comparison, so a range test written as
+	// "scale <= 0 || scale > 1" would accept it and generate the
+	// floor-sized R-MAT graph.
+	for _, d := range []DatasetSpec{Datasets[0], BipartiteDatasets()[0]} {
+		if _, err := d.Generate(math.NaN(), 42); err == nil {
+			t.Errorf("%s: scale NaN accepted", d.Name)
+		}
+		if _, _, err := d.Shape(math.NaN()); err == nil {
+			t.Errorf("%s: Shape accepted scale NaN", d.Name)
+		}
+	}
+}
+
+// TestShapeMatchesGenerate pins Shape to the graphs GenerateB builds:
+// every dataset at the tiny and small profile scales and at a scale
+// small enough that every size hits its floor (64 users, 16 items, 256
+// ratings, R-MAT scale 4) has Generate's (V, E), and Shape fails at
+// every scale Generate rejects.
+func TestShapeMatchesGenerate(t *testing.T) {
+	scales := []float64{1.0 / 512, 1e-6}
+	if !testing.Short() {
+		scales = append(scales, 1.0/64)
+	}
+	for _, d := range Datasets {
+		for _, scale := range scales {
+			v, e, err := d.Shape(scale)
+			if err != nil {
+				t.Fatalf("%s at %g: %v", d.Name, scale, err)
+			}
+			g, err := d.GenerateB(scale, 42, nil)
+			if err != nil {
+				t.Fatalf("%s at %g: %v", d.Name, scale, err)
+			}
+			if v != g.V || e != g.E() {
+				t.Errorf("%s at %g: Shape = (%d, %d), GenerateB built V=%d E=%d", d.Name, scale, v, e, g.V, g.E())
+			}
+		}
+		for _, scale := range []float64{0, -1, 1.5, math.Inf(1), math.NaN()} {
+			_, _, shapeErr := d.Shape(scale)
+			_, genErr := d.Generate(scale, 42)
+			if shapeErr == nil || genErr == nil {
+				t.Errorf("%s at %g: Shape error %v, Generate error %v; want both to fail", d.Name, scale, shapeErr, genErr)
+			}
+		}
+	}
+	floor := map[string][2]int{"FR": {16, 16 * 12}, "NF": {64 + 16, 256}}
+	for name, want := range floor {
+		d, err := DatasetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, e, _ := d.Shape(1e-6); v != want[0] || e != want[1] {
+			t.Errorf("%s at the floor: Shape = (%d, %d), want (%d, %d)", name, v, e, want[0], want[1])
+		}
+	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {

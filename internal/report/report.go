@@ -172,6 +172,14 @@ func (o Options) prepare(w core.Workload) (*core.Prepared, error) {
 	return o.Prepared.PrepareB(w, o.Workers)
 }
 
+// prepareLayout is prepare for an artifact that reads only the
+// workload's layout and page tables: it generates no graph.
+func (o Options) prepareLayout(w core.Workload) (*core.Prepared, error) {
+	sp := o.Spans.Begin("prepare:" + w.Algorithm + "/" + w.Dataset.Name)
+	defer sp.End()
+	return o.Prepared.PrepareLayout(w)
+}
+
 // progressFor returns a per-cell completion logger over total cells,
 // adding the live count/percent/ETA prefix; the returned Progress is
 // goroutine-safe and non-nil only when reporting is enabled.
@@ -270,7 +278,8 @@ func Figure2(prof core.Profile, w io.Writer, opts Options) error {
 }
 
 // Table1 regenerates the page-table-size table for the PageRank and CF
-// heaps.
+// heaps. The tables depend only on the heap layout, so no graph is
+// generated.
 func Table1(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Table 1: page table sizes (profile %s; paper: PEs cut tables from MBs to ~48-68 KB, L1 PTEs ~98%%)", prof.Name),
@@ -284,7 +293,7 @@ func Table1(prof core.Profile, w io.Writer, opts Options) error {
 	progress := opts.progressFor(len(wls))
 	rows, err := mapCells(opts, len(wls), func(_ context.Context, i int) (core.Table1Row, error) {
 		row, err := checkpointed(opts, "table1/"+wls[i].Dataset.Name, func() (core.Table1Row, error) {
-			p, err := opts.prepare(wls[i])
+			p, err := opts.prepareLayout(wls[i])
 			if err != nil {
 				return core.Table1Row{}, err
 			}
@@ -307,8 +316,8 @@ func Table1(prof core.Profile, w io.Writer, opts Options) error {
 }
 
 // Table3 prints the dataset registry (paper-scale sizes plus the sizes
-// generated at the profile's scale), reading each dataset's graph from
-// the shared cache when one is configured.
+// generated at the profile's scale). The scaled sizes are the datasets'
+// shapes (graph.DatasetSpec.Shape), so no graph is generated.
 func Table3(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Table 3: graph datasets (paper scale, generated at scale %.4g for profile %s)", prof.Scale, prof.Name),
@@ -319,11 +328,8 @@ func Table3(prof core.Profile, w io.Writer, opts Options) error {
 	rows, err := mapCells(opts, len(graph.Datasets), func(_ context.Context, i int) (scaled, error) {
 		d := graph.Datasets[i]
 		row, err := checkpointed(opts, "table3/"+d.Name, func() (scaled, error) {
-			g, err := opts.Prepared.Graph(d, prof.Scale, 42)
-			if err != nil {
-				return scaled{}, err
-			}
-			return scaled{g.V, g.E()}, nil
+			v, e, err := d.Shape(prof.Scale)
+			return scaled{v, e}, err
 		})
 		if err != nil {
 			return scaled{}, err

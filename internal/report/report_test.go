@@ -2,6 +2,9 @@ package report
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,9 +29,11 @@ func TestTable5(t *testing.T) {
 	}
 }
 
-// TestTable3 renders the dataset table without a cache and from a cache
-// Table 1 warmed: the output is byte-identical, and the cache serves
-// Table 3 the very graphs the PageRank and CF workloads hold.
+// TestTable3 renders the dataset table without a cache and after Table
+// 1 on a fresh cache: the output is byte-identical, and neither table
+// generated a graph. The cache is dir-backed, and such a cache writes
+// every graph it generates to its directory, so that directory must
+// still be absent or empty.
 func TestTable3(t *testing.T) {
 	var b strings.Builder
 	if err := Table3(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
@@ -41,7 +46,8 @@ func TestTable3(t *testing.T) {
 		}
 	}
 
-	cache := core.NewPreparedCache()
+	dir := filepath.Join(t.TempDir(), "graphs")
+	cache := core.NewPreparedCacheDir(dir)
 	defer cache.Close()
 	opts := Options{Jobs: 2, Prepared: cache}
 	if err := Table1(core.ProfileTiny, io.Discard, opts); err != nil {
@@ -52,23 +58,37 @@ func TestTable3(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm.String() != out {
-		t.Errorf("Table 3 from a warm cache differs from a nil-cache run:\n%s\nwant:\n%s", warm.String(), out)
+		t.Errorf("Table 3 after Table 1 differs from a nil-cache run:\n%s\nwant:\n%s", warm.String(), out)
 	}
-	for _, w := range core.ProfileTiny.Workloads() {
-		if w.Algorithm != "PageRank" && w.Algorithm != "CF" {
-			continue
-		}
-		p, err := cache.Prepare(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := cache.Graph(w.Dataset, w.Scale, w.Seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g != p.G {
-			t.Errorf("%s: cache.Graph is not the graph %s/%s holds", w.Dataset.Name, w.Algorithm, w.Dataset.Name)
-		}
+	if ents, err := os.ReadDir(dir); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	} else if len(ents) != 0 {
+		t.Errorf("Table 1 and Table 3 generated graphs: the cache dir holds %d files", len(ents))
+	}
+}
+
+// TestTable1Table3SmallAlloc pins what Table 1 and Table 3 allocate at
+// the small profile. Both read only the datasets' shapes, so they build
+// seven layouts and their page tables but generate no graph; generating
+// the seven small graphs allocates about 266 MB.
+//
+// Not parallel: TotalAlloc counts every goroutine's allocations.
+func TestTable1Table3SmallAlloc(t *testing.T) {
+	opts := Options{Jobs: 1, Prepared: core.NewPreparedCache()}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := Table1(core.ProfileSmall, io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := Table3(core.ProfileSmall, io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Table 1 + Table 3 at the small profile allocate %d B", got)
+	const limit = 4 << 20
+	if got > limit {
+		t.Errorf("Table 1 + Table 3 at the small profile allocate %d B, want under %d", got, limit)
 	}
 }
 
