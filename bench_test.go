@@ -94,10 +94,11 @@ func BenchmarkTable1PageTableSizes(b *testing.B) {
 	}
 }
 
-// BenchmarkTable3DatasetGeneration generates one scaled Table 3 input,
-// the work every graph-reading artifact's preparation does. Table 3
-// itself reads only the datasets' shapes and generates nothing.
-func BenchmarkTable3DatasetGeneration(b *testing.B) {
+// BenchmarkDatasetGeneration generates and validates one tiny-scale
+// FR graph, the work every graph-reading artifact's preparation does.
+// Table 1, Table 3 and dvminspect read only the datasets' shapes and
+// generate no graph.
+func BenchmarkDatasetGeneration(b *testing.B) {
 	d, err := dvm.DatasetByName("FR")
 	if err != nil {
 		b.Fatal(err)

@@ -45,8 +45,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	stdStats, err := std.SizeStats()
+	if err != nil {
+		log.Fatal(err)
+	}
+	peStats, err := pe.SizeStats()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("page table: %d B conventional -> %d B with Permission Entries\n",
-		std.SizeStats().Bytes, pe.SizeStats().Bytes)
+		stdStats.Bytes, peStats.Bytes)
 
 	// An IOMMU in DVM-PE+ mode performs Devirtualized Access Validation:
 	// most accesses validate from the Access Validation Cache and read

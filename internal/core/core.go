@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -483,7 +484,11 @@ func (p *Prepared) Run(mode Mode, cfg SystemConfig) (RunResult, error) {
 		return res, err
 	}
 	if state.Table != nil {
-		res.PageTableBytes = state.Table.SizeStats().Bytes
+		stats, err := state.Table.SizeStats()
+		if err != nil {
+			return res, err
+		}
+		res.PageTableBytes = stats.Bytes
 	}
 
 	iommu, err := mmu.NewState(mmu.Config{
@@ -645,24 +650,22 @@ func CrossCheck(r RunResult) error {
 // table configured with it, filled from std's pages and then compacted.
 func derivePETable(std *pagetable.Table, peFields int) (*pagetable.Table, error) {
 	if peFields == std.Config().PEFields {
-		return std.Compacted(), nil
+		return std.Compacted()
 	}
 	tbl, err := pagetable.New(pagetable.Config{PEFields: peFields})
 	if err != nil {
 		return nil, err
 	}
 	var mapErr error
-	std.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
-		if mapErr != nil {
-			return
+	err = std.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+		if mapErr == nil {
+			mapErr = tbl.Map(va, pa, perm, addr.PageSize4K)
 		}
-		mapErr = tbl.Map(va, pa, perm, addr.PageSize4K)
 	})
-	if mapErr != nil {
-		return nil, mapErr
+	if err := errors.Join(err, mapErr); err != nil {
+		return nil, err
 	}
-	tbl.Compact()
-	return tbl, nil
+	return tbl.Compacted()
 }
 
 // RunAll executes the prepared workload under every mode, sequentially.

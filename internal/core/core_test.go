@@ -213,10 +213,21 @@ func table1Fresh(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	if err != nil {
 		return row, err
 	}
-	stdStats := std.SizeStats()
+	pe, err := std.Compacted()
+	if err != nil {
+		return row, err
+	}
+	stdStats, err := std.SizeStats()
+	if err != nil {
+		return row, err
+	}
+	peStats, err := pe.SizeStats()
+	if err != nil {
+		return row, err
+	}
 	row.StdBytes = stdStats.Bytes
 	row.L1Fraction = stdStats.L1Fraction
-	row.PEBytes = std.Compacted().SizeStats().Bytes
+	row.PEBytes = peStats.Bytes
 	return row, nil
 }
 
@@ -310,8 +321,8 @@ func TestLayoutOnlyPreparedCannotRun(t *testing.T) {
 }
 
 // peTableRebuild is the PE table built without the cached 4K table: a
-// second canonical build, compacted in place at the default fan-out or
-// copied page by page into a table at any other.
+// second canonical build, compacted at the default fan-out or copied
+// page by page into a table at any other.
 func peTableRebuild(proc *osmodel.Process, peFields int) (*pagetable.Table, error) {
 	if peFields == pagetable.DefaultPEFields {
 		return proc.BuildCanonicalTable(true)
@@ -325,16 +336,17 @@ func peTableRebuild(proc *osmodel.Process, peFields int) (*pagetable.Table, erro
 		return nil, err
 	}
 	var mapErr error
-	std.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+	if err := std.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
 		if mapErr == nil {
 			mapErr = tbl.Map(va, pa, perm, addr.PageSize4K)
 		}
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if mapErr != nil {
 		return nil, mapErr
 	}
-	tbl.Compact()
-	return tbl, nil
+	return tbl.Compacted()
 }
 
 // TestDerivedPETableMatchesBuild: the PE table a cached machine derives
@@ -370,7 +382,7 @@ func TestDerivedPETableMatchesBuild(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Table, want) {
 				t.Errorf("%s/%s fan-out %d: derived PE table differs from a rebuild: %+v, want %+v",
-					w.Algorithm, w.Dataset.Name, fields, got.Table.SizeStats(), want.SizeStats())
+					w.Algorithm, w.Dataset.Name, fields, sizeStats(t, got.Table), sizeStats(t, want))
 			}
 		}
 		// Deriving needed the 4K table, so it is cached for Conv4K and
@@ -499,6 +511,16 @@ func TestRunResultPlausibility(t *testing.T) {
 	}
 }
 
+// sizeStats is tbl.SizeStats, failing the test on an error.
+func sizeStats(t testing.TB, tbl *pagetable.Table) pagetable.SizeStats {
+	t.Helper()
+	s, err := tbl.SizeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // tableFingerprint is what a run could observe of a page table: its size
 // statistics, a digest of every mapped page and the walks at probe VAs.
 type tableFingerprint struct {
@@ -507,16 +529,19 @@ type tableFingerprint struct {
 	walks []pagetable.WalkResult
 }
 
-func fingerprint(tbl *pagetable.Table, probes []addr.VA) tableFingerprint {
-	f := tableFingerprint{stats: tbl.SizeStats()}
+func fingerprint(t *testing.T, tbl *pagetable.Table, probes []addr.VA) tableFingerprint {
+	t.Helper()
+	f := tableFingerprint{stats: sizeStats(t, tbl)}
 	h := fnv.New64a()
 	var buf [17]byte
-	tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+	if err := tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
 		binary.LittleEndian.PutUint64(buf[:8], uint64(va))
 		binary.LittleEndian.PutUint64(buf[8:16], uint64(pa))
 		buf[16] = byte(perm)
 		h.Write(buf[:])
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	f.pages = h.Sum64()
 	for _, va := range probes {
 		f.walks = append(f.walks, tbl.Walk(va))
@@ -557,7 +582,7 @@ func TestRunsLeaveCachedTablesUnchanged(t *testing.T) {
 	want := make(map[tableKey]tableFingerprint)
 	for key, e := range st.tables {
 		built[key] = e.table
-		want[key] = fingerprint(e.table, probes)
+		want[key] = fingerprint(t, e.table, probes)
 	}
 	if len(built) != 4 {
 		t.Fatalf("machine caches %d tables, want 4 (4K, PE, 2M, 1G)", len(built))
@@ -578,7 +603,7 @@ func TestRunsLeaveCachedTablesUnchanged(t *testing.T) {
 				t.Errorf("after %s runs table %+v was replaced", run.name, key)
 				continue
 			}
-			if got := fingerprint(tbl, probes); !reflect.DeepEqual(got, want[key]) {
+			if got := fingerprint(t, tbl, probes); !reflect.DeepEqual(got, want[key]) {
 				t.Errorf("after %s runs table %+v changed: %+v, want %+v", run.name, key, got.stats, want[key].stats)
 			}
 		}

@@ -164,10 +164,17 @@ func Table1(p *Prepared, cfg SystemConfig) (Table1Row, error) {
 	if err != nil {
 		return row, err
 	}
-	stdStats := std.Table.SizeStats()
+	stdStats, err := std.Table.SizeStats()
+	if err != nil {
+		return row, err
+	}
+	peStats, err := pe.Table.SizeStats()
+	if err != nil {
+		return row, err
+	}
 	row.StdBytes = stdStats.Bytes
 	row.L1Fraction = stdStats.L1Fraction
-	row.PEBytes = pe.Table.SizeStats().Bytes
+	row.PEBytes = peStats.Bytes
 	return row, nil
 }
 

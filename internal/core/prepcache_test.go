@@ -204,8 +204,9 @@ func TestPreparedCacheConcurrentSharing(t *testing.T) {
 		}
 	}
 	for i, row := range rows {
-		if row != rows[0] || row.StdBytes != tables[0].SizeStats().Bytes || row.PEBytes != tables[1].SizeStats().Bytes {
-			t.Errorf("Table1 call %d = %+v, tables hold %d and %d bytes", i, row, tables[0].SizeStats().Bytes, tables[1].SizeStats().Bytes)
+		std, pe := sizeStats(t, tables[0]).Bytes, sizeStats(t, tables[1]).Bytes
+		if row != rows[0] || row.StdBytes != std || row.PEBytes != pe {
+			t.Errorf("Table1 call %d = %+v, tables hold %d and %d bytes", i, row, std, pe)
 		}
 	}
 }

@@ -24,7 +24,11 @@ func TestBuildTablesAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages += tables[Scheme4K].SizeStats().NodesPerLevel[1]
+		stats, err := tables[Scheme4K].SizeStats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages += stats.NodesPerLevel[1]
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc

@@ -267,8 +267,8 @@ func buildTables(spec WorkloadSpec) (tables [3]*pagetable.Table, heapBase addr.V
 	if tables[SchemeTHP], err = proc.BuildHugeTable(addr.PageSize2M); err != nil {
 		return tables, 0, err
 	}
-	tables[SchemeCDVM] = tables[Scheme4K].Compacted()
-	return tables, heap.Start, nil
+	tables[SchemeCDVM], err = tables[Scheme4K].Compacted()
+	return tables, heap.Start, err
 }
 
 // pageSize is the page size a scheme's TLBs cache.

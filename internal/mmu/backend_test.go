@@ -66,7 +66,7 @@ func confState(t testing.TB, m Mode) State {
 			}
 		}
 		if d.Table == TablePE {
-			tbl.Compact()
+			tbl = compacted(tbl)
 		}
 		st.Table = tbl
 	}
@@ -471,7 +471,7 @@ func TestFaultTraceCarriesAddresses(t *testing.T) {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(confBase), Size: 2 << 20}, addr.PA(confBase), addr.ReadOnly, addr.PageSize4K); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Compact()
+	tbl = compacted(tbl)
 	u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
 	tr := obs.NewTracer(64, obs.MaskAll)
 	u.SetTracer(tr)

@@ -63,7 +63,7 @@ func randomPETable(rng *rand.Rand, levels, fields int) (*pagetable.Table, []addr
 		ranges = append(ranges, addr.VRange{Start: addr.VA(va), Size: addr.PageSize4K})
 		va += addr.PageSize4K
 	}
-	tbl.Compact()
+	tbl = compacted(tbl)
 	return tbl, ranges
 }
 

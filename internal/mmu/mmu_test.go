@@ -204,6 +204,16 @@ func TestPermBitmap(t *testing.T) {
 	}
 }
 
+// compacted returns tbl.Compacted(), panicking on an error: the tests
+// compact only tables they built whole.
+func compacted(tbl *pagetable.Table) *pagetable.Table {
+	c, err := tbl.Compacted()
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // buildIdentityTable maps [base, base+size) identity with the given page
 // size and returns the table.
 func buildIdentityTable(t *testing.T, base, size, pageSize uint64, compact bool) *pagetable.Table {
@@ -213,7 +223,7 @@ func buildIdentityTable(t *testing.T, base, size, pageSize uint64, compact bool)
 		t.Fatal(err)
 	}
 	if compact {
-		tbl.Compact()
+		tbl = compacted(tbl)
 	}
 	return tbl
 }
@@ -377,7 +387,7 @@ func TestIOMMUPermissionFault(t *testing.T) {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: 2 << 20}, addr.PA(base), addr.ReadOnly, addr.PageSize4K); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Compact()
+	tbl = compacted(tbl)
 	u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
 	p := u.Translate(addr.VA(base), addr.Write)
 	if !p.Fault {
@@ -450,7 +460,7 @@ func TestIOMMUAgreesWithTable(t *testing.T) {
 				return false
 			}
 		}
-		tbl.Compact()
+		tbl = compacted(tbl)
 		for _, mode := range []Mode{ModeDVMBM, ModeDVMPE, ModeDVMPEPlus} {
 			var u *IOMMU
 			if mode == ModeDVMBM {
@@ -496,7 +506,7 @@ func BenchmarkIOMMUDVMPE(b *testing.B) {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: size}, addr.PA(base), addr.ReadWrite, addr.PageSize4K); err != nil {
 		b.Fatal(err)
 	}
-	tbl.Compact()
+	tbl = compacted(tbl)
 	b.Run("random", func(b *testing.B) {
 		u := MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
 		rng := rand.New(rand.NewSource(3))

@@ -121,7 +121,7 @@ func newDVMPEIOMMU(t testing.TB) *IOMMU {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: 64 << 20}, addr.PA(base), addr.ReadWrite, addr.PageSize4K); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Compact()
+	tbl = compacted(tbl)
 	return MustNew(Config{Mode: ModeDVMPE}, tbl, nil)
 }
 

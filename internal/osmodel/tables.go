@@ -32,7 +32,7 @@ func (p *Process) BuildCanonicalTable(usePE bool) (*pagetable.Table, error) {
 		}
 	}
 	if usePE {
-		tbl.Compact()
+		return tbl.Compacted()
 	}
 	return tbl, nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // entrySummary is the bottom-up analysis result for one entry, used by
-// Compact to decide where Permission Entries can replace subtrees.
+// Compacted to decide where Permission Entries can replace subtrees.
 type entrySummary struct {
 	// identity: every mapped page under this entry satisfies PA == VA
 	// (empty ranges count as identity).
@@ -21,10 +21,24 @@ type entrySummary struct {
 	empty bool
 }
 
-// Compact folds identity-mapped, permission-uniform subtrees into
-// Permission Entries (paper Section 4.1.1) and prunes empty subtrees. It
-// returns the number of PEs created. Compact is idempotent: running it
-// twice yields no further change.
+// emptySummary summarizes a range with nothing mapped.
+var emptySummary = entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
+
+// join returns the summary of the range a summarizes followed by the one
+// s summarizes.
+func (a entrySummary) join(s entrySummary) entrySummary {
+	return entrySummary{
+		identity: a.identity && s.identity,
+		uniform:  a.uniform && s.uniform && a.perm == s.perm,
+		perm:     a.perm,
+		empty:    a.empty && s.empty,
+	}
+}
+
+// Compacted returns the table with identity-mapped, permission-uniform
+// subtrees folded into Permission Entries (paper Section 4.1.1) and
+// empty subtrees pruned. It is the one way a table is compacted, and
+// compacting its result changes nothing.
 //
 // An interior entry at level L (span S) becomes a PE when every mapped page
 // beneath it is identity mapped and each of the PEFields aligned S/PEFields
@@ -32,67 +46,64 @@ type entrySummary struct {
 // as NoPerm). This is exactly the paper's rule: a 2 MB L2 entry folds when
 // its sixteen 128 KB sub-regions are uniform; a 1 GB L3 entry folds over
 // sixteen 64 MB sub-regions, and so on.
-func (t *Table) Compact() int {
-	created := 0
-	t.compactNode(t.root, 0, false, &created)
-	return created
-}
-
-// Compacted returns the table Compact would leave, built on a copy: t is
-// not modified and shares no node or PE field slice with the result.
-// Every surviving node keeps its simulated PA and the copy continues
-// t's node allocator, so walks of the copy touch exactly the entry
-// addresses walks of t.Compact() would — the physically indexed PWC and
-// AVC see the same lines. Leaf nodes that fold into PEs are never
-// copied, which is what makes this cheaper than building the table a
-// second time and compacting it.
-func (t *Table) Compacted() *Table {
-	c := &Table{cfg: t.cfg, nextPA: t.nextPA}
-	created := 0
-	c.root = t.compactNode(t.root, 0, true, &created)
-	return c
-}
-
-// compactNode post-order compacts the subtrees under n, whose base
-// virtual address is base, and returns the node that now holds them: n
-// itself in place, or with clone a copy of n, leaving n untouched. A
-// level-1 child has nothing beneath it to fold, so it is summarized
-// where it is and, with clone, copied only if it survives. A folded or
-// emptied entry clears its kids slot, so the subtree it dropped is
-// garbage even when n is compacted in place.
-func (t *Table) compactNode(n *Node, base addr.VA, clone bool, created *int) *Node {
-	if clone {
-		n = cloneNode(n)
+//
+// t is not modified and shares no node or PE field slice with the
+// result. Every surviving node keeps its simulated PA and the result
+// continues t's node allocator, so its walks touch the entry addresses
+// (and the physically indexed PWC and AVC the lines) that folding t
+// where it stands would give. Leaf nodes that fold into PEs are never
+// copied. At an entry the walker would fault as corrupt or as a bad PE
+// it returns an error.
+func (t *Table) Compacted() (*Table, error) {
+	root, _, err := t.compactNode(t.root, 0)
+	if err != nil {
+		return nil, err
 	}
+	return &Table{cfg: t.cfg, root: root, nextPA: t.nextPA}, nil
+}
+
+// compactNode returns the subtree n, whose base virtual address is base,
+// compacted, with the summary of its entries, and leaves n untouched. A
+// level-1 n has nothing beneath it to fold, so it is returned as it is,
+// and its parent copies it only if it survives; an interior n is copied,
+// and each of its table entries is cleared if nothing is mapped beneath
+// it, made a PE if its subtree folds, or linked to the compacted copy.
+func (t *Table) compactNode(n *Node, base addr.VA) (*Node, entrySummary, error) {
+	if n.Level == 1 {
+		s, err := t.rangeSummary(n, base, 0, EntriesPerNode)
+		return n, s, err
+	}
+	n = cloneNode(n)
 	span := entrySpan(n.Level)
 	for i := 0; i < EntriesPerNode; i++ {
-		e := n.entry(i)
+		e, eBase := n.entry(i), base+addr.VA(uint64(i)*span)
 		if e.Kind() != EntryTable {
 			continue
 		}
-		eBase := base + addr.VA(uint64(i)*span)
-		child := n.child(e)
-		if child.Level > 1 {
-			child = t.compactNode(child, eBase, clone, created)
+		child := n.link(e)
+		if child == nil {
+			return nil, entrySummary{}, errInvalid(eBase, n.Level, e)
 		}
-		s := t.nodeSummaryAt(child, eBase)
-		if s.empty {
+		child, s, err := t.compactNode(child, eBase)
+		switch {
+		case err != nil:
+			return nil, s, err
+		case s.empty:
 			n.set(i, 0)
 			continue
-		}
-		if s.identity && n.Level >= 2 {
+		case s.identity:
 			if perms, ok := t.groupPerms(child, eBase); ok {
 				n.setPE(i, perms)
-				*created++
 				continue
 			}
 		}
-		if clone && child.Level == 1 {
+		if child.Level == 1 {
 			child = cloneNode(child)
 		}
 		n.kids[e.slot()] = child
 	}
-	return n
+	s, err := t.rangeSummary(n, base, 0, EntriesPerNode)
+	return n, s, err
 }
 
 // cloneNode returns a copy of n with its own entry words, kids and PE
@@ -113,67 +124,64 @@ func cloneNode(n *Node) *Node {
 }
 
 // summarize produces the summary for entry e of node n, whose base
-// virtual address is baseVA.
-func (t *Table) summarize(n *Node, e Entry, baseVA addr.VA) entrySummary {
+// virtual address is baseVA, or an error if valid rejects e.
+func (t *Table) summarize(n *Node, e Entry, baseVA addr.VA) (entrySummary, error) {
+	if !t.valid(n, e) {
+		return entrySummary{}, errInvalid(baseVA, n.Level, e)
+	}
 	switch e.Kind() {
 	case EntryEmpty:
-		return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
+		return emptySummary, nil
 	case EntryLeaf:
 		if e.Perm() == addr.NoPerm {
-			return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
+			return emptySummary, nil
 		}
-		span := entrySpan(n.Level)
-		ident := e.PFN()*span == uint64(baseVA)
-		return entrySummary{identity: ident, uniform: true, perm: e.Perm()}
+		ident := e.PFN()*entrySpan(n.Level) == uint64(baseVA)
+		return entrySummary{identity: ident, uniform: true, perm: e.Perm()}, nil
 	case EntryPE:
-		perms := n.fields(e)
-		first := perms[0]
-		uniform := true
-		empty := first == addr.NoPerm
-		for _, p := range perms[1:] {
-			if p != first {
-				uniform = false
-			}
-			if p != addr.NoPerm {
-				empty = false
-			}
+		s := entrySummary{identity: true, uniform: true, perm: n.fields(e)[0], empty: true}
+		for _, p := range n.fields(e) {
+			s = s.join(entrySummary{identity: true, uniform: true, perm: p, empty: p == addr.NoPerm})
 		}
-		return entrySummary{identity: true, uniform: uniform, perm: first, empty: empty}
-	case EntryTable:
-		return t.nodeSummaryAt(n.child(e), baseVA)
-	default:
-		return entrySummary{}
+		return s, nil
 	}
+	// A table entry is summarized only once compactNode has kept its
+	// subtree, which maps something and does not fold: all a summary of
+	// it is used for.
+	return entrySummary{}, nil
 }
 
-// nodeSummaryAt aggregates the summaries of all entries of n, whose base
-// virtual address is base.
-func (t *Table) nodeSummaryAt(n *Node, base addr.VA) entrySummary {
-	if n.words == nil {
-		return n.runSummary(base)
+// rangeSummary aggregates the summaries of entries [a, b) of n, whose
+// base virtual address is base. It reads a valid run-state page in
+// O(1), not entry by entry: the entries outside the run are empty, so
+// the range is uniform only if the run covers it, and its permission is
+// entry a's.
+func (t *Table) rangeSummary(n *Node, base addr.VA, a, b int) (entrySummary, error) {
+	if lo, hi := int(n.lo), int(n.hi); n.words == nil && n.runValid() {
+		if max(a, lo) >= min(b, hi) || n.run.Perm() == addr.NoPerm {
+			return emptySummary, nil
+		}
+		span := entrySpan(n.Level)
+		s := entrySummary{identity: n.run.PFN()*span == uint64(base)+uint64(lo)*span, uniform: lo <= a && b <= hi}
+		if lo <= a {
+			s.perm = n.run.Perm()
+		}
+		return s, nil
 	}
 	span := entrySpan(n.Level)
-	agg := entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
-	first := true
-	for i, e := range n.words {
-		s := t.summarize(n, e, base+addr.VA(uint64(i)*span))
-		if !s.identity {
-			agg.identity = false
+	agg := emptySummary
+	for i := a; i < b; i++ {
+		s, err := t.summarize(n, n.entry(i), base+addr.VA(uint64(i)*span))
+		if err != nil {
+			return s, err
 		}
-		if !s.empty {
-			agg.empty = false
-		}
-		if !s.uniform {
-			agg.uniform = false
-		}
-		if first {
-			agg.perm = s.perm
-			first = false
-		} else if s.perm != agg.perm {
-			agg.uniform = false
+		if i == a {
+			agg = s
+		} else {
+			agg = agg.join(s)
 		}
 	}
-	return agg
+	return agg, nil
 }
 
 // groupPerms computes the PEFields per-group permissions for replacing the
@@ -182,77 +190,20 @@ func (t *Table) nodeSummaryAt(n *Node, base addr.VA) entrySummary {
 func (t *Table) groupPerms(n *Node, base addr.VA) ([]addr.Perm, bool) {
 	group := EntriesPerNode / t.cfg.PEFields
 	perms := make([]addr.Perm, t.cfg.PEFields)
-	if n.words == nil {
-		return n.runGroupPerms(base, group, perms)
-	}
-	span := entrySpan(n.Level)
-	for g := 0; g < t.cfg.PEFields; g++ {
-		var gp addr.Perm
-		firstSet := false
-		for k := 0; k < group; k++ {
-			i := g*group + k
-			s := t.summarize(n, n.words[i], base+addr.VA(uint64(i)*span))
-			if !s.identity || !s.uniform {
-				return nil, false
-			}
-			if !firstSet {
-				gp = s.perm
-				firstSet = true
-			} else if s.perm != gp {
-				return nil, false
-			}
-		}
-		perms[g] = gp
-	}
-	return perms, true
-}
-
-// runMapped reports whether a run-state page maps anything: its run is
-// not empty and its leaves carry a permission.
-func (n *Node) runMapped() bool { return n.lo < n.hi && n.run.Perm() != addr.NoPerm }
-
-// runIdentity reports whether the leaves of a run-state page at base are
-// identity mapped. The frames count up with the entries, so either all
-// of them are or none is.
-func (n *Node) runIdentity(base addr.VA) bool {
-	span := entrySpan(n.Level)
-	return n.run.PFN()*span == uint64(base)+uint64(n.lo)*span
-}
-
-// runSummary is nodeSummaryAt of a run-state page, in O(1): the entries
-// outside the run are empty, so the page is uniform only if the run
-// fills it, and its permission is entry 0's.
-func (n *Node) runSummary(base addr.VA) entrySummary {
-	if !n.runMapped() {
-		return entrySummary{identity: true, uniform: true, perm: addr.NoPerm, empty: true}
-	}
-	s := entrySummary{identity: n.runIdentity(base), uniform: n.lo == 0 && n.hi == EntriesPerNode, perm: addr.NoPerm}
-	if n.lo == 0 {
-		s.perm = n.run.Perm()
-	}
-	return s
-}
-
-// runGroupPerms is groupPerms of a run-state page, in O(len(perms)): a
-// group inside the run has the run's permission, a group outside it
-// none, and a group the run's edge cuts is not uniform.
-func (n *Node) runGroupPerms(base addr.VA, group int, perms []addr.Perm) ([]addr.Perm, bool) {
-	if !n.runMapped() {
-		return perms, true
-	}
-	if !n.runIdentity(base) {
-		return nil, false
-	}
-	lo, hi := int(n.lo), int(n.hi)
 	for g := range perms {
-		switch first, end := g*group, (g+1)*group; {
-		case end <= lo || first >= hi:
-			perms[g] = addr.NoPerm
-		case first >= lo && end <= hi:
-			perms[g] = n.run.Perm()
-		default:
+		s, err := t.rangeSummary(n, base, g*group, (g+1)*group)
+		if err != nil || !s.identity || !s.uniform {
 			return nil, false
 		}
+		perms[g] = s.perm
 	}
 	return perms, true
+}
+
+// runValid reports whether valid accepts every leaf of a run-state page:
+// its permission bits are valid and, the frame numbers counting up from
+// entry lo, so are its first and last frames.
+func (n *Node) runValid() bool {
+	shift := levelShift(n.Level)
+	return n.lo == n.hi || leafValid(n.run, shift) && leafValid(n.runEntry(int(n.hi)-1), shift)
 }

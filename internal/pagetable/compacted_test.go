@@ -1,6 +1,8 @@
 package pagetable
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
@@ -11,16 +13,14 @@ import (
 	"github.com/dvm-sim/dvm/internal/addr"
 )
 
-// refCompact is a plain in-place post-order compaction, descending into
-// every child: the reference TestCompactedMatchesInPlace checks Compact
-// and Compacted against.
-func (t *Table) refCompact() int {
-	created := 0
-	t.refCompactNode(t.root, 0, &created)
-	return created
+// refCompact is a plain in-place post-order compaction of a valid
+// table, descending into every child: the reference
+// TestCompactedMatchesInPlace checks Compacted against.
+func (t *Table) refCompact() {
+	t.refCompactNode(t.root, 0)
 }
 
-func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
+func (t *Table) refCompactNode(n *Node, base addr.VA) {
 	span := entrySpan(n.Level)
 	for i := 0; i < EntriesPerNode; i++ {
 		e := n.entry(i)
@@ -28,9 +28,9 @@ func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
 			continue
 		}
 		eBase := base + addr.VA(uint64(i)*span)
-		child := n.child(e)
-		t.refCompactNode(child, eBase, created)
-		s := t.nodeSummaryAt(child, eBase)
+		child := n.link(e)
+		t.refCompactNode(child, eBase)
+		s, _ := t.rangeSummary(child, eBase, 0, EntriesPerNode)
 		if s.empty {
 			n.set(i, 0)
 			continue
@@ -43,7 +43,6 @@ func (t *Table) refCompactNode(n *Node, base addr.VA, created *int) {
 			continue
 		}
 		n.setPE(i, perms)
-		*created++
 	}
 }
 
@@ -67,15 +66,17 @@ type tableView struct {
 	stats  SizeStats
 	pages  uint64 // FNV-1a digest of ForEachPage's (va, pa, perm) stream
 	npages int
+	err    error // SizeStats' and ForEachPage's errors
 	nextPA uint64
 	walks  []WalkResult
 }
 
 func viewOf(tbl *Table, probes []addr.VA) tableView {
-	v := tableView{stats: tbl.SizeStats(), nextPA: tbl.nextPA}
+	stats, statsErr := tbl.SizeStats()
+	v := tableView{stats: stats, nextPA: tbl.nextPA}
 	h := fnv.New64a()
 	var buf [17]byte
-	tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+	pagesErr := tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
 		v.npages++
 		for i := 0; i < 8; i++ {
 			buf[i] = byte(uint64(va) >> (8 * i))
@@ -85,6 +86,7 @@ func viewOf(tbl *Table, probes []addr.VA) tableView {
 		h.Write(buf[:])
 	})
 	v.pages = h.Sum64()
+	v.err = errors.Join(statsErr, pagesErr)
 	for _, va := range probes {
 		v.walks = append(v.walks, tbl.Walk(va))
 	}
@@ -94,6 +96,9 @@ func viewOf(tbl *Table, probes []addr.VA) tableView {
 // diffViews reports the first difference between two views.
 func diffViews(t testing.TB, what string, got, want tableView, probes []addr.VA) {
 	t.Helper()
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Errorf("%s: errors %v, want %v", what, got.err, want.err)
+	}
 	if got.stats != want.stats {
 		t.Errorf("%s: SizeStats %+v, want %+v", what, got.stats, want.stats)
 	}
@@ -118,24 +123,20 @@ func diffViews(t testing.TB, what string, got, want tableView, probes []addr.VA)
 }
 
 // checkCompacted checks src.Compacted() against cloning src and running
-// the reference compaction on the clone, checks that in-place Compact on
-// another clone agrees, and that neither src nor its walks change — not
-// even when entries of the derived copy are then overwritten.
+// the reference compaction on the clone, and that neither src nor its
+// walks change — not even when entries of the derived copy are then
+// overwritten.
 func checkCompacted(t testing.TB, src *Table, probes []addr.VA) {
 	t.Helper()
 	before := viewOf(src, probes)
+	if before.err != nil {
+		t.Fatal(before.err)
+	}
 	ref := src.deepClone()
-	refN := ref.refCompact()
+	ref.refCompact()
 	want := viewOf(ref, probes)
 
-	inPlace := src.deepClone()
-	if n := inPlace.Compact(); n != refN {
-		t.Errorf("Compact created %d PEs, reference %d", n, refN)
-	}
-	diffViews(t, "in-place Compact", viewOf(inPlace, probes), want, probes)
-	checkNoDeadKids(t, "in-place Compact", inPlace)
-
-	got := src.Compacted()
+	got := mustCompacted(t, src)
 	diffViews(t, "Compacted", viewOf(got, probes), want, probes)
 	checkNoDeadKids(t, "Compacted", got)
 	diffViews(t, "source after Compacted", viewOf(src, probes), before, probes)
@@ -176,7 +177,7 @@ func checkNoDeadKids(t testing.TB, what string, tbl *Table) {
 		}
 		return c
 	}
-	if got, want := count(tbl.root), tbl.SizeStats().Nodes-1; got != want {
+	if got, want := count(tbl.root), mustStats(t, tbl).Nodes-1; got != want {
 		t.Errorf("%s: %d non-nil kids reachable from the root, want %d (one per node below it)", what, got, want)
 	}
 }
@@ -200,7 +201,7 @@ func TestCompactedMatchesInPlace(t *testing.T) {
 			checkCompacted(t, tbl, probes)
 			// A source that already holds PEs: its PEPerms must be
 			// copied, not shared.
-			checkCompacted(t, tbl.Compacted(), probes)
+			checkCompacted(t, mustCompacted(t, tbl), probes)
 		}
 	})
 	t.Run("five-level", func(t *testing.T) {
@@ -253,7 +254,7 @@ func TestNodeFootprint(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
-			got := (after.TotalAlloc - before.TotalAlloc) / uint64(tbl.SizeStats().Nodes)
+			got := (after.TotalAlloc - before.TotalAlloc) / uint64(mustStats(t, tbl).Nodes)
 			if trial == 0 || got < least {
 				least = got
 			}

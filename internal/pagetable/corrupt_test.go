@@ -2,6 +2,7 @@ package pagetable
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/addr"
@@ -78,15 +79,92 @@ func TestChaosWalkerCorruptionTyped(t *testing.T) {
 	}
 }
 
+// TestChaosReadersRejectCorruption: after each corruption the walker
+// faults on, every whole-table reader returns an error, and none panics
+// or loops. Cycles through the table must not recurse forever, PEs of
+// the wrong shape must not be indexed, and invalid leaves and PE fields
+// must not be reported as pages.
+func TestChaosReadersRejectCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(tb *Table) error
+	}{
+		{"nil-link", corruptAt(0x1000, 2, uint64(EntryTable))},
+		{"self-link", corruptAt(0x1000, 2, uint64(EntryTable)|1<<3)},
+		{"mis-leveled-link", corruptAt(0x1000, 3, uint64(EntryTable)|2<<3)},
+		// A level-2 entry linking back up to the root: a cycle through
+		// three levels.
+		{"cross-link", func(tb *Table) error {
+			n, err := tb.nodeAt(0x1000, 2)
+			if err == nil {
+				n.setTable(indexAt(0x1000, 2), tb.root)
+			}
+			return err
+		}},
+		{"pe-0-fields", corruptAt(0x6000_0000, 2, uint64(EntryPE))},
+		{"pe-3-fields", corruptAt(0x6000_0000, 2, uint64(EntryPE)|3<<3|0x2aa<<9)},
+		{"pe-field-perm-5", func(tb *Table) error {
+			n, err := tb.nodeAt(0x6000_0000, 2)
+			if err == nil {
+				n.fields(n.entry(indexAt(0x6000_0000, 2)))[4] = addr.Perm(5)
+			}
+			return err
+		}},
+		{"leaf-perm-5", corruptAt(0x1000, 1, uint64(EntryLeaf)|5<<8|1<<12)},
+		{"leaf-wild-pfn", corruptAt(0x1000, 1, uint64(EntryLeaf)|1<<8|1<<57)},
+		{"unknown-kind", corruptAt(0x4000_0000, 2, 5)},
+	}
+	readers := []struct {
+		name string
+		read func(t *testing.T, tb *Table) error
+	}{
+		{"SizeStats", func(_ *testing.T, tb *Table) error { _, err := tb.SizeStats(); return err }},
+		{"ForEachPage", func(_ *testing.T, tb *Table) error { return tb.ForEachPage(func(addr.VA, addr.PA, addr.Perm) {}) }},
+		{"Dump", func(t *testing.T, tb *Table) error {
+			var b strings.Builder
+			err := tb.Dump(&b)
+			if err != nil && b.Len() != 0 {
+				t.Errorf("Dump wrote %d bytes before failing", b.Len())
+			}
+			return err
+		}},
+		{"Compacted", func(_ *testing.T, tb *Table) error { _, err := tb.Compacted(); return err }},
+	}
+	for _, c := range cases {
+		tb := corruptTestTable(t)
+		for _, r := range readers {
+			if err := r.read(t, tb); err != nil {
+				t.Fatalf("%s on the intact table: %v", r.name, err)
+			}
+		}
+		if err := c.corrupt(tb); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, r := range readers {
+			t.Run(c.name+"/"+r.name, func(t *testing.T) {
+				if err := r.read(t, tb); err == nil {
+					t.Errorf("%s read a table with a %s", r.name, c.name)
+				}
+			})
+		}
+	}
+}
+
+// corruptAt returns a corruption that overwrites the entry covering va
+// at level with CorruptEntry's decoding of raw.
+func corruptAt(va addr.VA, level int, raw uint64) func(*Table) error {
+	return func(tb *Table) error { return tb.CorruptEntry(va, level, raw) }
+}
+
 // A PE whose field count is right but whose permission bits are outside
 // the 2-bit domain must fault as FaultBadPE, not decode to a bogus
 // permission.
 func TestChaosPEPermBitsRejected(t *testing.T) {
 	tb := corruptTestTable(t)
 	peVA := addr.VA(0x6000_0000)
-	n := tb.Root()
-	for n.Level > 2 {
-		n = n.child(n.entry(indexAt(peVA, n.Level)))
+	n, err := tb.nodeAt(peVA, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	e := n.entry(indexAt(peVA, 2))
 	if e.Kind() != EntryPE {

@@ -32,7 +32,7 @@ func TestDumpRendersRegions(t *testing.T) {
 		t.Errorf("adjacent same-perm leaves not coalesced into 2 runs:\n%s", out)
 	}
 
-	tbl.Compact()
+	tbl = mustCompacted(t, tbl)
 	b.Reset()
 	if err := tbl.Dump(&b); err != nil {
 		t.Fatal(err)
@@ -78,9 +78,8 @@ func TestFiveLevelCompaction(t *testing.T) {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(high), Size: uint64(addr.PageSize2M)}, addr.PA(high), addr.ReadWrite, addr.PageSize4K); err != nil {
 		t.Fatal(err)
 	}
-	if n := tbl.Compact(); n != 1 {
-		t.Fatalf("Compact created %d PEs, want 1", n)
-	}
+	tbl = mustCompacted(t, tbl)
+	checkPECount(t, tbl, 1)
 	r := tbl.Walk(addr.VA(high + 12345))
 	if r.Outcome != WalkPE || !r.Identity {
 		t.Fatalf("5-level PE walk: %+v", r)

@@ -46,13 +46,9 @@ func (t *Table) CorruptEntry(va addr.VA, level int, raw uint64) error {
 	if level < 1 || level > t.cfg.Levels {
 		return fmt.Errorf("pagetable: corrupt level %d out of range", level)
 	}
-	n := t.root
-	for n.Level > level {
-		e := n.entry(indexAt(va, n.Level))
-		if e.Kind() != EntryTable || n.child(e) == nil || n.child(e).Level != n.Level-1 {
-			return fmt.Errorf("pagetable: no subtree at level %d for %#x", n.Level, uint64(va))
-		}
-		n = n.child(e)
+	n, err := t.nodeAt(va, level)
+	if err != nil {
+		return err
 	}
 	i := indexAt(va, level)
 	switch kind := EntryKind(raw & 7); kind { // kinds 4-7 do not exist: unknown-kind corruption
@@ -82,4 +78,18 @@ func (t *Table) CorruptEntry(va addr.VA, level int, raw uint64) error {
 		n.set(i, makeEntry(kind, addr.NoPerm, 0))
 	}
 	return nil
+}
+
+// nodeAt returns the node at level whose entries cover va, descending
+// from the root through valid links only; it never creates a node.
+func (t *Table) nodeAt(va addr.VA, level int) (*Node, error) {
+	n := t.root
+	for n.Level > level {
+		next := n.link(n.entry(indexAt(va, n.Level)))
+		if next == nil {
+			return nil, fmt.Errorf("pagetable: no subtree at level %d for %#x", n.Level, uint64(va))
+		}
+		n = next
+	}
+	return n, nil
 }

@@ -18,6 +18,34 @@ func newTable(t *testing.T) *Table {
 	return tbl
 }
 
+// mustCompacted returns tbl.Compacted(), failing the test on an error.
+func mustCompacted(t testing.TB, tbl *Table) *Table {
+	t.Helper()
+	c, err := tbl.Compacted()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// mustStats returns tbl.SizeStats(), failing the test on an error.
+func mustStats(t testing.TB, tbl *Table) SizeStats {
+	t.Helper()
+	s, err := tbl.SizeStats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// checkPECount fails the test unless tbl holds want Permission Entries.
+func checkPECount(t *testing.T, tbl *Table, want int) {
+	t.Helper()
+	if got := mustStats(t, tbl).PECount; got != want {
+		t.Fatalf("compacted table holds %d PEs, want %d", got, want)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Levels: 3}); err == nil {
 		t.Error("Levels=3 should be rejected")
@@ -154,7 +182,7 @@ func TestMapThroughPERejected(t *testing.T) {
 	tbl := newTable(t)
 	base := uint64(addr.PageSize1G)
 	mapIdentityRegion(t, tbl, base, 128<<10, addr.ReadWrite) // one field
-	tbl.Compact()
+	tbl = mustCompacted(t, tbl)
 	probes := []addr.VA{addr.VA(base), addr.VA(base + 0x5000), addr.VA(base + 128<<10)}
 	before := make([]WalkResult, len(probes))
 	for i, va := range probes {
@@ -163,14 +191,14 @@ func TestMapThroughPERejected(t *testing.T) {
 	if before[0].Outcome != WalkPE {
 		t.Fatalf("compacted field walks as %v, want a PE", before[0].Outcome)
 	}
-	stats := tbl.SizeStats()
+	stats := mustStats(t, tbl)
 	for _, size := range []uint64{addr.PageSize4K, addr.PageSize2M} {
 		va := addr.VA(addr.AlignDown(base+128<<10, size))
 		if err := tbl.Map(va, addr.PA(0x7000000), addr.ReadOnly, size); err == nil {
 			t.Errorf("%d-byte map into a PE-covered range accepted", size)
 		}
 	}
-	if got := tbl.SizeStats(); got != stats {
+	if got := mustStats(t, tbl); got != stats {
 		t.Errorf("rejected maps changed the table: %+v, want %+v", got, stats)
 	}
 	for i, va := range probes {
@@ -208,15 +236,12 @@ func TestCompactCreatesL2PE(t *testing.T) {
 	// Map an identity 2 MB region, uniform RW: should fold to one L2 PE.
 	base := uint64(addr.PageSize1G) // aligned
 	mapIdentityRegion(t, tbl, base, uint64(addr.PageSize2M), addr.ReadWrite)
-	before := tbl.SizeStats()
+	before := mustStats(t, tbl)
 	if before.NodesPerLevel[1] != 1 {
 		t.Fatalf("expected 1 L1 node before compaction, got %d", before.NodesPerLevel[1])
 	}
-	created := tbl.Compact()
-	if created != 1 {
-		t.Fatalf("Compact created %d PEs, want 1", created)
-	}
-	after := tbl.SizeStats()
+	tbl = mustCompacted(t, tbl)
+	after := mustStats(t, tbl)
 	if after.NodesPerLevel[1] != 0 {
 		t.Errorf("L1 node not freed: %d", after.NodesPerLevel[1])
 	}
@@ -246,9 +271,8 @@ func TestCompactPartialRegionUses00Fields(t *testing.T) {
 	tbl := newTable(t)
 	base := uint64(addr.PageSize1G)
 	mapIdentityRegion(t, tbl, base, 2*128<<10, addr.ReadOnly)
-	if created := tbl.Compact(); created != 1 {
-		t.Fatalf("Compact created %d PEs, want 1", created)
-	}
+	tbl = mustCompacted(t, tbl)
+	checkPECount(t, tbl, 1)
 	r := tbl.Walk(addr.VA(base))
 	if r.Outcome != WalkPE || r.Perm != addr.ReadOnly {
 		t.Fatalf("walk into mapped field: %+v", r)
@@ -267,9 +291,8 @@ func TestCompactNonUniformFieldStaysExpanded(t *testing.T) {
 	// so no L2 PE may be created.
 	mapIdentityRegion(t, tbl, base, uint64(addr.PageSize4K), addr.ReadOnly)
 	mapIdentityRegion(t, tbl, base+uint64(addr.PageSize4K), 128<<10-uint64(addr.PageSize4K), addr.ReadWrite)
-	if created := tbl.Compact(); created != 0 {
-		t.Fatalf("Compact created %d PEs, want 0", created)
-	}
+	tbl = mustCompacted(t, tbl)
+	checkPECount(t, tbl, 0)
 	r := tbl.Walk(addr.VA(base))
 	if r.Outcome != WalkLeaf || r.Perm != addr.ReadOnly {
 		t.Fatalf("walk: %+v", r)
@@ -284,9 +307,7 @@ func TestCompactNonIdentityNotFolded(t *testing.T) {
 		addr.PA(base+uint64(addr.PageSize2M)), addr.ReadWrite, addr.PageSize4K); err != nil {
 		t.Fatal(err)
 	}
-	if created := tbl.Compact(); created != 0 {
-		t.Fatalf("Compact created %d PEs on non-identity mapping", created)
-	}
+	checkPECount(t, mustCompacted(t, tbl), 0)
 }
 
 func TestCompactL3PE(t *testing.T) {
@@ -297,10 +318,8 @@ func TestCompactL3PE(t *testing.T) {
 		addr.PA(base), addr.ReadWrite, addr.PageSize2M); err != nil {
 		t.Fatal(err)
 	}
-	created := tbl.Compact()
-	if created != 1 {
-		t.Fatalf("Compact created %d PEs, want 1 L3PE", created)
-	}
+	tbl = mustCompacted(t, tbl)
+	checkPECount(t, tbl, 1)
 	r := tbl.Walk(addr.VA(base + 123456789))
 	if r.Outcome != WalkPE || len(r.Steps) != 2 {
 		t.Fatalf("L3 PE walk: %+v", r)
@@ -323,12 +342,12 @@ func TestCompactHierarchical(t *testing.T) {
 	}
 	last2M := base + uint64(addr.PageSize1G) - uint64(addr.PageSize2M)
 	mapIdentityRegion(t, tbl, last2M, uint64(addr.PageSize2M), addr.ReadWrite)
-	tbl.Compact()
+	tbl = mustCompacted(t, tbl)
 	r := tbl.Walk(addr.VA(base + 999999999))
 	if r.Outcome != WalkPE || len(r.Steps) != 2 {
 		t.Fatalf("hierarchical fold failed: %+v", r)
 	}
-	s := tbl.SizeStats()
+	s := mustStats(t, tbl)
 	if s.Nodes != 2 { // root + one L3 node holding the PE
 		t.Errorf("Nodes = %d, want 2", s.Nodes)
 	}
@@ -337,14 +356,13 @@ func TestCompactHierarchical(t *testing.T) {
 func TestCompactIdempotent(t *testing.T) {
 	tbl := newTable(t)
 	mapIdentityRegion(t, tbl, uint64(addr.PageSize1G), uint64(addr.PageSize2M)*3, addr.ReadWrite)
-	tbl.Compact()
-	s1 := tbl.SizeStats()
-	if n := tbl.Compact(); n != 0 {
-		t.Errorf("second Compact created %d PEs", n)
-	}
-	s2 := tbl.SizeStats()
-	if s1 != s2 {
+	once := mustCompacted(t, tbl)
+	twice := mustCompacted(t, once)
+	if s1, s2 := mustStats(t, once), mustStats(t, twice); s1 != s2 {
 		t.Errorf("stats changed on idempotent compact: %+v vs %+v", s1, s2)
+	}
+	if d1, d2 := dumpText(once), dumpText(twice); d1 != d2 || once.nextPA != twice.nextPA {
+		t.Errorf("compacting twice changed the table:\n%s\nwant\n%s", d2, d1)
 	}
 }
 
@@ -355,12 +373,11 @@ func TestTable1Shape(t *testing.T) {
 	heap := uint64(256 << 20) // 256 MB
 	base := uint64(addr.PageSize1G)
 	mapIdentityRegion(t, tbl, base, heap, addr.ReadWrite)
-	std := tbl.SizeStats()
+	std := mustStats(t, tbl)
 	if std.L1Fraction < 0.97 {
 		t.Errorf("standard table L1 fraction = %.3f, want > 0.97", std.L1Fraction)
 	}
-	tbl.Compact()
-	pe := tbl.SizeStats()
+	pe := mustStats(t, mustCompacted(t, tbl))
 	if pe.Bytes*20 > std.Bytes {
 		t.Errorf("PE table %d B not ≪ standard %d B", pe.Bytes, std.Bytes)
 	}
@@ -416,8 +433,9 @@ func TestPEFieldsVariants(t *testing.T) {
 		tbl := MustNew(Config{PEFields: fields})
 		base := uint64(addr.PageSize1G)
 		mapIdentityRegion(t, tbl, base, uint64(addr.PageSize2M), addr.ReadWrite)
-		if n := tbl.Compact(); n != 1 {
-			t.Errorf("fields=%d: Compact created %d, want 1", fields, n)
+		tbl = mustCompacted(t, tbl)
+		if n := mustStats(t, tbl).PECount; n != 1 {
+			t.Errorf("fields=%d: Compacted holds %d PEs, want 1", fields, n)
 		}
 		r := tbl.Walk(addr.VA(base + 0x1000))
 		if r.Outcome != WalkPE {
@@ -433,12 +451,14 @@ func TestForEachPage(t *testing.T) {
 	tbl := newTable(t)
 	mapIdentityRegion(t, tbl, 0x400000, 3*uint64(addr.PageSize4K), addr.ReadOnly)
 	var pages []addr.VA
-	tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+	if err := tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
 		pages = append(pages, va)
 		if addr.PA(va) != pa || perm != addr.ReadOnly {
 			t.Errorf("page %#x: pa=%#x perm=%v", uint64(va), uint64(pa), perm)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(pages) != 3 {
 		t.Fatalf("pages = %d, want 3", len(pages))
 	}
@@ -518,7 +538,12 @@ func TestWalkMatchesReference(t *testing.T) {
 		if !check() {
 			return false
 		}
-		tbl.Compact()
+		c, err := tbl.Compacted()
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		tbl = c
 		return check()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -539,13 +564,15 @@ func TestCompactPreservesPages(t *testing.T) {
 	}
 	collect := func() map[addr.VA]string {
 		m := map[addr.VA]string{}
-		tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
+		if err := tbl.ForEachPage(func(va addr.VA, pa addr.PA, perm addr.Perm) {
 			m[va] = perm.String() + ":" + addr.PRange{Start: pa, Size: addr.PageSize4K}.String()
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 		return m
 	}
 	before := collect()
-	tbl.Compact()
+	tbl = mustCompacted(t, tbl)
 	after := collect()
 	if len(before) != len(after) {
 		t.Fatalf("page count changed: %d -> %d", len(before), len(after))
@@ -581,7 +608,7 @@ func BenchmarkWalkPE(b *testing.B) {
 	if err := tbl.MapRange(addr.VRange{Start: addr.VA(base), Size: 64 << 20}, addr.PA(base), addr.ReadWrite, addr.PageSize4K); err != nil {
 		b.Fatal(err)
 	}
-	tbl.Compact()
+	tbl = mustCompacted(b, tbl)
 	var res WalkResult
 	rng := rand.New(rand.NewSource(7))
 	b.ResetTimer()

@@ -188,7 +188,10 @@ func NewMachine(scheme Scheme, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	if guestIdentity {
-		m.guest.Compact()
+		var err error
+		if m.guest, err = m.guest.Compacted(); err != nil {
+			return nil, err
+		}
 		m.guestCache = mmu.MustNewPTECache(mmu.DefaultAVCConfig())
 	} else {
 		m.guestCache = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
@@ -214,13 +217,21 @@ func NewMachine(scheme Scheme, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	// Guest page-table pages: their simulated gPAs live in the guest
-	// table's node region; cover it generously.
-	ptBase, ptSize := m.guestTableRegion()
+	// table's node region; cover it generously, aligned out to the
+	// identity granule so host-side PE folding works.
+	stats, err := m.guest.SizeStats()
+	if err != nil {
+		return nil, err
+	}
+	ptBase := m.guest.Root().PA.PageDown()
+	ptSize := addr.AlignUp(uint64(stats.Nodes)*pagetable.NodeBytes, 128<<10)
 	if err := mapHost(ptBase, ptSize); err != nil {
 		return nil, err
 	}
 	if hostIdentity {
-		m.host.Compact()
+		if m.host, err = m.host.Compacted(); err != nil {
+			return nil, err
+		}
 		m.hostCache = mmu.MustNewPTECache(mmu.DefaultAVCConfig())
 	} else {
 		m.hostCache = mmu.MustNewPTECache(mmu.DefaultPWCConfig())
@@ -236,15 +247,6 @@ func NewMachine(scheme Scheme, cfg Config) (*Machine, error) {
 		m.ptPages[i] = hostPage{steps: append([]pagetable.WalkStep(nil), m.hostWalk.Steps...), spa: m.hostWalk.PA}
 	}
 	return m, nil
-}
-
-// guestTableRegion returns the gPA range occupied by the guest table's
-// pages, aligned out to the identity granule so host-side PE folding works.
-func (m *Machine) guestTableRegion() (addr.PA, uint64) {
-	stats := m.guest.SizeStats()
-	base := m.guest.Root().PA
-	size := addr.AlignUp(uint64(stats.Nodes)*pagetable.NodeBytes, 128<<10)
-	return base.PageDown(), size
 }
 
 // Scheme returns the machine's scheme.
