@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -37,50 +38,57 @@ func main() {
 	if err != nil {
 		lg.Exitf(2, "%v", err)
 	}
+	if err := inspect(os.Stdout, *alg, d, prof, *peOnly); err != nil {
+		lg.Exitf(1, "%v", err)
+	}
+}
+
+// inspect writes to out the layout of algorithm alg on dataset d at
+// profile prof, then the Dump of its conventional 4K page table (unless
+// peOnly) and of its Permission Entry page table.
+func inspect(out io.Writer, alg string, d graph.DatasetSpec, prof core.Profile, peOnly bool) error {
 	// The layout and its tables read only the dataset's shape, so no
 	// graph is generated.
 	p, err := core.PrepareLayout(core.Workload{
-		Algorithm: *alg, Dataset: d, Scale: prof.Scale,
+		Algorithm: alg, Dataset: d, Scale: prof.Scale,
 		PageRankIters: prof.PageRankIters, Seed: 42,
 	})
 	if err != nil {
-		lg.Exitf(1, "%v", err)
+		return err
 	}
 	v, e, err := d.Shape(prof.Scale)
 	if err != nil {
-		lg.Exitf(1, "%v", err)
+		return err
 	}
 	sys, err := osmodel.NewSystem(32 << 30)
 	if err != nil {
-		lg.Exitf(1, "%v", err)
+		return err
 	}
 	proc := sys.NewProcess(osmodel.Policy{IdentityMapHeap: true, Seed: 42})
 	lay, err := accel.BuildShapeLayout(proc, v, e, p.Prog.PropBytes)
 	if err != nil {
-		lg.Exitf(1, "%v", err)
+		return err
 	}
-	fmt.Printf("%s/%s: %d vertices, %d edges, heap %d KB, identity=%v\n",
-		*alg, *dataset, v, e, lay.HeapBytes>>10, lay.IdentityMapped)
-	fmt.Printf("arrays: props=%#x temps=%#x index=%#x edges=%#x frontier=%#x\n\n",
+	fmt.Fprintf(out, "%s/%s: %d vertices, %d edges, heap %d KB, identity=%v\n",
+		alg, d.Name, v, e, lay.HeapBytes>>10, lay.IdentityMapped)
+	fmt.Fprintf(out, "arrays: props=%#x temps=%#x index=%#x edges=%#x frontier=%#x\n\n",
 		uint64(lay.VertexProp), uint64(lay.TempProp), uint64(lay.EdgeIndex), uint64(lay.Edges), uint64(lay.Frontier))
 
-	if !*peOnly {
+	if !peOnly {
 		std, err := proc.BuildCanonicalTable(false)
 		if err != nil {
-			lg.Exitf(1, "%v", err)
+			return err
 		}
-		fmt.Println("== conventional 4K page table ==")
-		if err := std.Dump(os.Stdout); err != nil {
-			lg.Exitf(1, "%v", err)
+		fmt.Fprintln(out, "== conventional 4K page table ==")
+		if err := std.Dump(out); err != nil {
+			return err
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	pe, err := proc.BuildCanonicalTable(true)
 	if err != nil {
-		lg.Exitf(1, "%v", err)
+		return err
 	}
-	fmt.Println("== Permission Entry page table ==")
-	if err := pe.Dump(os.Stdout); err != nil {
-		lg.Exitf(1, "%v", err)
-	}
+	fmt.Fprintln(out, "== Permission Entry page table ==")
+	return pe.Dump(out)
 }
