@@ -2,7 +2,6 @@ package dvm_test
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"testing"
 
@@ -56,19 +55,9 @@ func TestGoldenSmallFastArtifacts(t *testing.T) {
 				Prepared: core.NewPreparedCache(),
 			}
 			var out bytes.Buffer
-			steps := []struct {
-				name string
-				fn   func() error
-			}{
-				{"table3", func() error { return report.Table3(prof, &out, opts) }},
-				{"table1", func() error { return report.Table1(prof, &out, opts) }},
-				{"virt", func() error { return report.Virtualization(&out, opts) }},
-			}
-			for _, s := range steps {
-				if err := s.fn(); err != nil {
-					t.Fatalf("%s: %v", s.name, err)
-				}
-				fmt.Fprintln(&out)
+			wanted := map[string]bool{"table3": true, "table1": true, "virt": true}
+			if err := report.Sweep(prof, &out, opts, wanted, nil); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(out.Bytes(), want) {
 				t.Fatalf("small-profile fast artifacts diverged from testdata/golden_small_fast.txt "+

@@ -20,7 +20,7 @@ import (
 func TestMetricsDeterministicAcrossJobs(t *testing.T) {
 	collect := func(jobs int) (obs.Snapshot, string) {
 		coll := obs.NewCollector()
-		if err := Figure2(core.ProfileTiny, io.Discard, Options{Jobs: jobs, Metrics: coll}); err != nil {
+		if err := figure2(core.ProfileTiny, io.Discard, Options{Jobs: jobs, Metrics: coll}); err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
 		s := coll.Snapshot()
@@ -72,7 +72,7 @@ func TestProgressLinesCarryETAPrefix(t *testing.T) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}}
 	var out strings.Builder
-	if err := Table3(core.ProfileTiny, &out, opts); err != nil {
+	if err := table3(core.ProfileTiny, &out, opts); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) == 0 {

@@ -1,19 +1,22 @@
 // Package report regenerates every table and figure of the paper's
-// evaluation as formatted text, one function per artifact. The
-// reproduction commands (cmd/dvmrepro and the standalone tools) and the
-// repository's EXPERIMENTS.md are produced through this package.
+// evaluation as formatted text, one generator per artifact, all listed
+// in artifacts and rendered through Sweep. The reproduction commands
+// (cmd/dvmrepro and the standalone tools) and the repository's
+// EXPERIMENTS.md are produced through this package.
 //
-// Each artifact is a matrix of independent simulations, so the generators
-// fan their cells out on internal/runner's worker pool: Options.Jobs bounds
-// the concurrency, progress lines are emitted as cells complete, and table
-// rows are always rendered in cell-index order, making the rendered output
-// byte-identical at every Jobs value.
+// Each artifact is a matrix of independent simulations, so the
+// generators fan their cells out on internal/runner's worker pool
+// through runCells, the one cell protocol: Options.Jobs bounds the
+// concurrency, progress lines are emitted as cells complete, and table
+// rows are always rendered in cell-index order, making the rendered
+// output byte-identical at every Jobs value.
 package report
 
 import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"github.com/dvm-sim/dvm/internal/chaos"
@@ -28,23 +31,6 @@ import (
 	"github.com/dvm-sim/dvm/internal/virt"
 )
 
-// Progress receives one line per completed step; nil disables reporting.
-// The generators call it from worker goroutines, so callers passing a sink
-// that is not inherently safe get it wrapped via Synchronized.
-type Progress func(format string, args ...interface{})
-
-func (p Progress) log(format string, args ...interface{}) {
-	if p != nil {
-		p(format, args...)
-	}
-}
-
-// Synchronized returns a Progress that serializes calls behind a mutex, so
-// it is safe to invoke from multiple goroutines; nil stays nil.
-func (p Progress) Synchronized() Progress {
-	return Progress(runner.Synchronized(runner.Logf(p)))
-}
-
 // Options configures how the generators execute. The zero value runs one
 // experiment cell per CPU with progress reporting disabled.
 type Options struct {
@@ -55,7 +41,7 @@ type Options struct {
 	// Progress receives one line per completed cell (completion order);
 	// nil disables reporting. Lines are prefixed with a live
 	// "[done/total pct eta]" progress header.
-	Progress Progress
+	Progress runner.Logf
 	// Metrics, when non-nil, accumulates every simulation cell's
 	// registry snapshot plus harness counters (runner.cells.done).
 	// Merging is a commutative sum, so the collected snapshot is
@@ -137,28 +123,38 @@ func mapCells[T any](o Options, n int, fn func(ctx context.Context, i int) (T, e
 	}, n, fn)
 }
 
-// checkpointed serves one cell from the checkpoint when a previous run
-// already completed it, and computes-then-records it otherwise. With no
-// checkpoint configured it degrades to a plain compute. Callers run the
-// per-cell side effects (metrics fold, progress, cell counters) after
-// this returns, so restored and computed cells contribute identically
-// to every artifact.
-func checkpointed[T any](o Options, key string, compute func() (T, error)) (T, error) {
-	var v T
-	ok, err := o.Checkpoint.Lookup(key, &v)
-	if err != nil {
-		return v, err
-	}
-	if ok {
+// runCells runs an artifact's n cells through mapCells, one protocol
+// for every cell of every generator: cell i is served from the
+// checkpoint under key(i) when a previous run completed it, and is
+// computed and recorded otherwise; done then folds it into the metrics
+// (or cross-checks it) and returns its progress line, and the cell is
+// counted into runner.cells.done once. Restored and computed cells
+// therefore contribute identically to every artifact.
+func runCells[T any](o Options, progress *runner.Progress, n int, key func(i int) string,
+	compute func(ctx context.Context, i int) (T, error), done func(i int, v T) (string, error)) ([]T, error) {
+	return mapCells(o, n, func(ctx context.Context, i int) (T, error) {
+		var v T
+		k := key(i)
+		ok, err := o.Checkpoint.Lookup(k, &v)
+		if err != nil {
+			return v, err
+		}
+		if !ok {
+			if v, err = compute(ctx, i); err != nil {
+				return v, err
+			}
+			if err := o.Checkpoint.Record(k, v); err != nil {
+				return v, fmt.Errorf("report: checkpointing %s: %w", k, err)
+			}
+		}
+		line, err := done(i, v)
+		if err != nil {
+			return v, err
+		}
+		o.Metrics.Inc("runner.cells.done", 1)
+		progress.Done("%s", line)
 		return v, nil
-	}
-	if v, err = compute(); err != nil {
-		return v, err
-	}
-	if err := o.Checkpoint.Record(key, v); err != nil {
-		return v, fmt.Errorf("report: checkpointing %s: %w", key, err)
-	}
-	return v, nil
+	})
 }
 
 // prepare resolves a workload through the shared cache when one is
@@ -180,11 +176,11 @@ func (o Options) prepareLayout(w core.Workload) (*core.Prepared, error) {
 	return o.Prepared.PrepareLayout(w)
 }
 
-// progressFor returns a per-cell completion logger over total cells,
-// adding the live count/percent/ETA prefix; the returned Progress is
-// goroutine-safe and non-nil only when reporting is enabled.
-func (o Options) progressFor(total int) Progress {
-	logf := runner.Logf(o.Progress)
+// progressFor returns the live progress sink over total cells, which
+// adds the count/percent/ETA prefix to each line; it is nil (and
+// nil-safe) when reporting is off.
+func (o Options) progressFor(total int) *runner.Progress {
+	logf := o.Progress
 	if logf == nil && o.Board != nil {
 		// The /progress endpoint needs live accounting even with line
 		// reporting off; a no-op sink keeps NewProgress's nil contract.
@@ -192,10 +188,7 @@ func (o Options) progressFor(total int) Progress {
 	}
 	p := runner.NewProgress(total, logf)
 	o.Board.Set(p)
-	if p == nil {
-		return nil
-	}
-	return p.Done
+	return p
 }
 
 // system resolves the profile's machine configuration with the
@@ -212,7 +205,7 @@ func (o Options) system(prof core.Profile) core.SystemConfig {
 // collect cross-checks one RunResult against its own registry snapshot
 // (so a counter/table divergence aborts the artifact instead of
 // silently skewing it) and folds the snapshot into the collector.
-// runner.cells.done is counted separately, once per runner.Map cell.
+// runner.cells.done is counted separately, once per cell by runCells.
 func (o Options) collect(r core.RunResult) error {
 	if err := core.CrossCheck(r); err != nil {
 		return err
@@ -225,34 +218,27 @@ func (o Options) collect(r core.RunResult) error {
 	return nil
 }
 
-// cellDone counts one completed runner cell into the collector.
-func (o Options) cellDone() { o.Metrics.Inc("runner.cells.done", 1) }
-
-// Figure2 regenerates the TLB miss-rate figure: one row per workload/input,
+// figure2 regenerates the TLB miss-rate figure: one row per workload/input,
 // 4 KB vs 2 MB pages.
-func Figure2(prof core.Profile, w io.Writer, opts Options) error {
+func figure2(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Figure 2: TLB miss rates (%d-entry FA TLB, profile %s; paper: 128-entry, ~21%% avg at 4K, 2M within 1%%)",
 			prof.TLBEntries, prof.Name),
 		"Workload", "Input", "4K miss", "2M miss", "4K lookups", "2M lookups")
 	wls := prof.Workloads()
-	progress := opts.progressFor(len(wls))
-	rows, err := mapCells(opts, len(wls), func(_ context.Context, i int) (core.Figure2Row, error) {
-		row, err := checkpointed(opts, "fig2/"+wls[i].Algorithm+"/"+wls[i].Dataset.Name, func() (core.Figure2Row, error) {
+	rows, err := runCells(opts, opts.progressFor(len(wls)), len(wls),
+		func(i int) string { return "fig2/" + wls[i].Algorithm + "/" + wls[i].Dataset.Name },
+		func(_ context.Context, i int) (core.Figure2Row, error) {
 			p, err := opts.prepare(wls[i])
 			if err != nil {
 				return core.Figure2Row{}, err
 			}
 			return core.Figure2(p, opts.system(prof))
+		},
+		func(_ int, row core.Figure2Row) (string, error) {
+			opts.Metrics.Add(obs.Merge(row.Metrics4K, row.Metrics2M))
+			return fmt.Sprintf("fig2 %s/%s: 4K %.1f%% 2M %.1f%%", row.Algorithm, row.Dataset, 100*row.MissRate4K, 100*row.MissRate2M), nil
 		})
-		if err != nil {
-			return row, err
-		}
-		opts.Metrics.Add(obs.Merge(row.Metrics4K, row.Metrics2M))
-		opts.cellDone()
-		progress.log("fig2 %s/%s: 4K %.1f%% 2M %.1f%%", row.Algorithm, row.Dataset, 100*row.MissRate4K, 100*row.MissRate2M)
-		return row, nil
-	})
 	if err != nil {
 		return err
 	}
@@ -277,35 +263,37 @@ func Figure2(prof core.Profile, w io.Writer, opts Options) error {
 	return t.WriteASCII(w)
 }
 
-// Table1 regenerates the page-table-size table for the PageRank and CF
-// heaps. The tables depend only on the heap layout, so no graph is
-// generated.
-func Table1(prof core.Profile, w io.Writer, opts Options) error {
-	t := results.NewTable(
-		fmt.Sprintf("Table 1: page table sizes (profile %s; paper: PEs cut tables from MBs to ~48-68 KB, L1 PTEs ~98%%)", prof.Name),
-		"Input", "Page tables", "% L1 PTEs", "With PEs")
+// table1Workloads lists Table 1's inputs: the PageRank and CF heaps.
+func table1Workloads(prof core.Profile) []core.Workload {
 	var wls []core.Workload
 	for _, wl := range prof.Workloads() {
 		if wl.Algorithm == "PageRank" || wl.Algorithm == "CF" {
 			wls = append(wls, wl)
 		}
 	}
-	progress := opts.progressFor(len(wls))
-	rows, err := mapCells(opts, len(wls), func(_ context.Context, i int) (core.Table1Row, error) {
-		row, err := checkpointed(opts, "table1/"+wls[i].Dataset.Name, func() (core.Table1Row, error) {
+	return wls
+}
+
+// table1 regenerates the page-table-size table for the PageRank and CF
+// heaps. The tables depend only on the heap layout, so no graph is
+// generated.
+func table1(prof core.Profile, w io.Writer, opts Options) error {
+	t := results.NewTable(
+		fmt.Sprintf("Table 1: page table sizes (profile %s; paper: PEs cut tables from MBs to ~48-68 KB, L1 PTEs ~98%%)", prof.Name),
+		"Input", "Page tables", "% L1 PTEs", "With PEs")
+	wls := table1Workloads(prof)
+	rows, err := runCells(opts, opts.progressFor(len(wls)), len(wls),
+		func(i int) string { return "table1/" + wls[i].Dataset.Name },
+		func(_ context.Context, i int) (core.Table1Row, error) {
 			p, err := opts.prepareLayout(wls[i])
 			if err != nil {
 				return core.Table1Row{}, err
 			}
-			return core.Table1(p, prof.SystemConfig())
+			return core.Table1(p, opts.system(prof))
+		},
+		func(_ int, row core.Table1Row) (string, error) {
+			return fmt.Sprintf("table1 %s: std %s -> PE %s", row.Input, results.KB(row.StdBytes), results.KB(row.PEBytes)), nil
 		})
-		if err != nil {
-			return row, err
-		}
-		opts.cellDone()
-		progress.log("table1 %s: std %s -> PE %s", row.Input, results.KB(row.StdBytes), results.KB(row.PEBytes))
-		return row, nil
-	})
 	if err != nil {
 		return err
 	}
@@ -315,43 +303,39 @@ func Table1(prof core.Profile, w io.Writer, opts Options) error {
 	return t.WriteASCII(w)
 }
 
-// Table3 prints the dataset registry (paper-scale sizes plus the sizes
+// table3 prints the dataset registry (paper-scale sizes plus the sizes
 // generated at the profile's scale). The scaled sizes are the datasets'
 // shapes (graph.DatasetSpec.Shape), so no graph is generated.
-func Table3(prof core.Profile, w io.Writer, opts Options) error {
+func table3(prof core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		fmt.Sprintf("Table 3: graph datasets (paper scale, generated at scale %.4g for profile %s)", prof.Scale, prof.Name),
 		"Graph", "Vertices", "Edges", "Heap (paper)", "V (scaled)", "E (scaled)")
-	progress := opts.progressFor(len(graph.Datasets))
 	// Exported fields so the cell round-trips through checkpoint JSON.
 	type scaled struct{ V, E int }
-	rows, err := mapCells(opts, len(graph.Datasets), func(_ context.Context, i int) (scaled, error) {
-		d := graph.Datasets[i]
-		row, err := checkpointed(opts, "table3/"+d.Name, func() (scaled, error) {
-			v, e, err := d.Shape(prof.Scale)
+	ds := graph.Datasets
+	rows, err := runCells(opts, opts.progressFor(len(ds)), len(ds),
+		func(i int) string { return "table3/" + ds[i].Name },
+		func(_ context.Context, i int) (scaled, error) {
+			v, e, err := ds[i].Shape(prof.Scale)
 			return scaled{v, e}, err
+		},
+		func(i int, row scaled) (string, error) {
+			return fmt.Sprintf("table3 %s: V=%d E=%d", ds[i].Name, row.V, row.E), nil
 		})
-		if err != nil {
-			return scaled{}, err
-		}
-		opts.cellDone()
-		progress.log("table3 %s: V=%d E=%d", d.Name, row.V, row.E)
-		return row, nil
-	})
 	if err != nil {
 		return err
 	}
-	for i, d := range graph.Datasets {
+	for i, d := range ds {
 		t.MustAddRow(d.Name, fmt.Sprintf("%d", d.Vertices), fmt.Sprintf("%d", d.Edges),
 			results.Bytes(d.HeapBytes), fmt.Sprintf("%d", rows[i].V), fmt.Sprintf("%d", rows[i].E))
 	}
 	return t.WriteASCII(w)
 }
 
-// Figure8And9 runs the full mode matrix once and renders both the
+// figure8And9 runs the full mode matrix once and renders both the
 // normalized-execution-time figure (8) and the normalized-energy figure
 // (9).
-func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
+func figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 	modes := opts.Modes
 	if modes == nil {
 		modes = core.AllModes
@@ -371,7 +355,6 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 		fmt.Sprintf("Figure 9: MMU dynamic energy normalized to 4K baseline (profile %s; paper: PE ~0.24x, BM ~0.85x)", prof.Name),
 		head9...)
 	wls := prof.Workloads()
-	progress := opts.progressFor(len(wls))
 	// Exported fields so the cell round-trips through checkpoint JSON.
 	type pair struct {
 		Cell core.Figure8Cell
@@ -379,8 +362,9 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 	}
 	// Parallelism is across cells; each cell runs its modes sequentially
 	// so a full sweep never has more than Jobs runs in flight.
-	cells, err := mapCells(opts, len(wls), func(ctx context.Context, i int) (pair, error) {
-		pr, err := checkpointed(opts, "fig8/"+wls[i].Algorithm+"/"+wls[i].Dataset.Name, func() (pair, error) {
+	cells, err := runCells(opts, opts.progressFor(len(wls)), len(wls),
+		func(i int) string { return "fig8/" + wls[i].Algorithm + "/" + wls[i].Dataset.Name },
+		func(ctx context.Context, i int) (pair, error) {
 			p, err := opts.prepare(wls[i])
 			if err != nil {
 				return pair{}, err
@@ -394,22 +378,18 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 				return pair{}, err
 			}
 			return pair{cell, fig9}, nil
-		})
-		if err != nil {
-			return pair{}, err
-		}
-		cell := pr.Cell
-		for _, m := range modes {
-			if err := opts.collect(cell.Results[m]); err != nil {
-				return pair{}, fmt.Errorf("fig8 %s/%s %v: %w", cell.Algorithm, cell.Dataset, m, err)
+		},
+		func(_ int, pr pair) (string, error) {
+			cell := pr.Cell
+			for _, m := range modes {
+				if err := opts.collect(cell.Results[m]); err != nil {
+					return "", fmt.Errorf("fig8 %s/%s %v: %w", cell.Algorithm, cell.Dataset, m, err)
+				}
 			}
-		}
-		opts.cellDone()
-		progress.log("fig8 %s/%s: 4K %.2fx PE %.3fx PE+ %.3fx BM %.2fx",
-			cell.Algorithm, cell.Dataset, cell.Normalized[core.ModeConv4K],
-			cell.Normalized[core.ModeDVMPE], cell.Normalized[core.ModeDVMPEPlus], cell.Normalized[core.ModeDVMBM])
-		return pr, nil
-	})
+			return fmt.Sprintf("fig8 %s/%s: 4K %.2fx PE %.3fx PE+ %.3fx BM %.2fx",
+				cell.Algorithm, cell.Dataset, cell.Normalized[core.ModeConv4K],
+				cell.Normalized[core.ModeDVMPE], cell.Normalized[core.ModeDVMPEPlus], cell.Normalized[core.ModeDVMBM]), nil
+		})
 	if err != nil {
 		return err
 	}
@@ -449,38 +429,41 @@ func Figure8And9(prof core.Profile, w io.Writer, opts Options) error {
 	return t9.WriteASCII(w)
 }
 
-// Table4 regenerates the identity-mapping fragmentation table.
-func Table4(w io.Writer, opts Options) error {
+// table4Cell is one Table 4 measurement: an experiment at a memory size.
+type table4Cell struct {
+	exp shbench.Experiment
+	mem uint64
+}
+
+// table4Cells lists Table 4's cells, experiment-major.
+func table4Cells() []table4Cell {
+	var cells []table4Cell
+	for _, exp := range shbench.Experiments {
+		for _, mem := range shbench.MemorySizes {
+			cells = append(cells, table4Cell{exp, mem})
+		}
+	}
+	return cells
+}
+
+// table4 regenerates the identity-mapping fragmentation table.
+func table4(_ core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		"Table 4: % of system memory allocated with identity mapping intact (paper: 95-97%)",
 		"System Memory", "Expt 1", "Expt 2", "Expt 3")
-	type cell struct {
-		exp shbench.Experiment
-		mem uint64
-	}
-	var cellsIn []cell
-	for _, exp := range shbench.Experiments {
-		for _, mem := range shbench.MemorySizes {
-			cellsIn = append(cellsIn, cell{exp, mem})
-		}
-	}
-	progress := opts.progressFor(len(cellsIn))
-	pcts, err := mapCells(opts, len(cellsIn), func(_ context.Context, i int) (float64, error) {
-		c := cellsIn[i]
-		pct, err := checkpointed(opts, fmt.Sprintf("table4/%d/%d", c.exp.ID, c.mem), func() (float64, error) {
-			r, err := shbench.Run(c.exp, c.mem)
+	cellsIn := table4Cells()
+	pcts, err := runCells(opts, opts.progressFor(len(cellsIn)), len(cellsIn),
+		func(i int) string { return fmt.Sprintf("table4/%d/%d", cellsIn[i].exp.ID, cellsIn[i].mem) },
+		func(_ context.Context, i int) (float64, error) {
+			r, err := shbench.Run(cellsIn[i].exp, cellsIn[i].mem)
 			if err != nil {
 				return 0, err
 			}
 			return r.Percent, nil
+		},
+		func(i int, pct float64) (string, error) {
+			return fmt.Sprintf("table4 expt %d %s: %.1f%%", cellsIn[i].exp.ID, results.Bytes(cellsIn[i].mem), pct), nil
 		})
-		if err != nil {
-			return 0, err
-		}
-		opts.cellDone()
-		progress.log("table4 expt %d %s: %.1f%%", c.exp.ID, results.Bytes(c.mem), pct)
-		return pct, nil
-	})
 	if err != nil {
 		return err
 	}
@@ -501,24 +484,21 @@ func Table4(w io.Writer, opts Options) error {
 	return t.WriteASCII(w)
 }
 
-// Figure10 regenerates the CPU (cDVM) overhead figure.
-func Figure10(w io.Writer, opts Options) error {
+// figure10 regenerates the CPU (cDVM) overhead figure.
+func figure10(_ core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		"Figure 10: CPU VM overheads vs ideal (paper avgs: 4K 29%, THP 13%, cDVM ~5%; xsbench 4K 84%)",
 		"Workload", "4K", "THP", "cDVM")
-	progress := opts.progressFor(len(cpu.Workloads))
-	rows, err := mapCells(opts, len(cpu.Workloads), func(_ context.Context, i int) (cpu.Result, error) {
-		r, err := checkpointed(opts, "fig10/"+cpu.Workloads[i].Name, func() (cpu.Result, error) {
-			return cpu.Run(cpu.Workloads[i], cpu.Config{})
+	wls := cpu.Workloads
+	rows, err := runCells(opts, opts.progressFor(len(wls)), len(wls),
+		func(i int) string { return "fig10/" + wls[i].Name },
+		func(_ context.Context, i int) (cpu.Result, error) {
+			return cpu.Run(wls[i], cpu.Config{})
+		},
+		func(_ int, r cpu.Result) (string, error) {
+			return fmt.Sprintf("fig10 %s: 4K %.1f%% THP %.1f%% cDVM %.1f%%",
+				r.Name, 100*r.Overhead[cpu.Scheme4K], 100*r.Overhead[cpu.SchemeTHP], 100*r.Overhead[cpu.SchemeCDVM]), nil
 		})
-		if err != nil {
-			return cpu.Result{}, err
-		}
-		opts.cellDone()
-		progress.log("fig10 %s: 4K %.1f%% THP %.1f%% cDVM %.1f%%",
-			r.Name, 100*r.Overhead[cpu.Scheme4K], 100*r.Overhead[cpu.SchemeTHP], 100*r.Overhead[cpu.SchemeCDVM])
-		return r, nil
-	})
 	if err != nil {
 		return err
 	}
@@ -532,21 +512,21 @@ func Figure10(w io.Writer, opts Options) error {
 			sums[s] += o
 		}
 	}
-	n := float64(len(cpu.Workloads))
+	n := float64(len(wls))
 	t.MustAddRow("Average", results.Pct(sums[cpu.Scheme4K]/n), results.Pct(sums[cpu.SchemeTHP]/n), results.Pct(sums[cpu.SchemeCDVM]/n))
 	return t.WriteASCII(w)
 }
 
-// Table5Entry maps a paper feature to the module implementing it here.
-type Table5Entry struct {
+// table5Entry maps a paper feature to the module implementing it here.
+type table5Entry struct {
 	Feature  string
 	PaperLOC int
 	Module   string
 }
 
-// Table5Entries is the paper's Table 5 (lines of Linux v4.10 changed per
+// table5Entries is the paper's Table 5 (lines of Linux v4.10 changed per
 // feature) with the corresponding module of this reproduction.
-var Table5Entries = []Table5Entry{
+var table5Entries = []table5Entry{
 	{Feature: "Code Segment", PaperLOC: 39, Module: "internal/osmodel/segments.go (LoadProgram)"},
 	{Feature: "Heap Segment", PaperLOC: 1, Module: "internal/osmodel (Mmap identity path)"},
 	{Feature: "Memory-mapped Segments", PaperLOC: 56, Module: "internal/osmodel (mmapSeg, flexible layout)"},
@@ -555,13 +535,14 @@ var Table5Entries = []Table5Entry{
 	{Feature: "Miscellaneous", PaperLOC: 15, Module: "internal/osmodel (policy plumbing)"},
 }
 
-// Table5 renders the OS-change inventory.
-func Table5(w io.Writer) error {
+// table5 renders the OS-change inventory. It is static text and runs
+// no cell.
+func table5(_ core.Profile, w io.Writer, _ Options) error {
 	t := results.NewTable(
 		"Table 5: paper's Linux v4.10 changes and this reproduction's analogs",
 		"Affected Feature", "Paper LOC", "Module here")
 	total := 0
-	for _, e := range Table5Entries {
+	for _, e := range table5Entries {
 		t.MustAddRow(e.Feature, fmt.Sprintf("%d", e.PaperLOC), e.Module)
 		total += e.PaperLOC
 	}
@@ -569,167 +550,48 @@ func Table5(w io.Writer) error {
 	return t.WriteASCII(w)
 }
 
-// Ablations renders the design-choice studies DESIGN.md calls out: PE
-// fan-out sweep, AVC size sweep and AVC-caches-L1 toggle, on one
-// representative workload. The reference Ideal run is measured once; each
-// sweep then fans its configurations out on the worker pool.
-func Ablations(prof core.Profile, w io.Writer, opts Options) error {
-	d, err := graph.DatasetByName("Wiki")
-	if err != nil {
-		return err
-	}
-	wl := core.Workload{Algorithm: "PageRank", Dataset: d, Scale: prof.Scale, PageRankIters: prof.PageRankIters, Seed: 42}
-	p, err := opts.prepare(wl)
-	if err != nil {
-		return err
-	}
-	// The three sweeps' configurations are package-level so CellCount
-	// can report the cell total before any cell runs.
-	fanouts := ablationFanouts
-	capacities := ablationCapacities
-	toggles := ablationToggles
-	progress := opts.progressFor(1 + len(fanouts) + len(capacities) + len(toggles))
-	ideal, err := checkpointed(opts, "ablations/ideal", func() (core.RunResult, error) {
-		return p.Run(core.ModeIdeal, opts.system(prof))
-	})
-	if err != nil {
-		return err
-	}
-	if err := opts.collect(ideal); err != nil {
-		return err
-	}
-	opts.cellDone()
-	progress.log("ablation ideal reference: %d cycles", ideal.Stats.Cycles)
-	norm := func(r core.RunResult) float64 {
-		return float64(r.Stats.Cycles) / float64(ideal.Stats.Cycles)
-	}
-
-	// PE fan-out sweep.
-	tf := results.NewTable(
-		fmt.Sprintf("Ablation A: PE fan-out (PageRank/Wiki, profile %s, DVM-PE)", prof.Name),
-		"PE fields", "Normalized time", "AVC hit rate", "Page table")
-	fanRows, err := mapCells(opts, len(fanouts), func(_ context.Context, i int) (core.RunResult, error) {
-		r, err := checkpointed(opts, fmt.Sprintf("ablations/pe-fields/%d", fanouts[i]), func() (core.RunResult, error) {
-			cfg := opts.system(prof)
-			cfg.PEFields = fanouts[i]
-			return p.Run(core.ModeDVMPE, cfg)
-		})
-		if err != nil {
-			return r, err
-		}
-		if err := opts.collect(r); err != nil {
-			return r, err
-		}
-		opts.cellDone()
-		progress.log("ablation pe-fields %d: %.3fx", fanouts[i], norm(r))
-		return r, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, r := range fanRows {
-		tf.MustAddRow(fmt.Sprintf("%d", fanouts[i]),
-			results.F(norm(r), 3),
-			results.F(r.StructHitRate, 4),
-			results.KB(r.PageTableBytes))
-	}
-	if err := tf.WriteASCII(w); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-
-	// AVC size sweep, down into the degradation region. The paper's 1 KB
-	// AVC is generously sized once PEs shrink the table; only a
-	// few-line cache starts missing. Tiny capacities use a direct-mapped
-	// geometry (a 64 B cache cannot be 4-way).
-	ts := results.NewTable(
-		fmt.Sprintf("Ablation B: AVC capacity (PageRank/Wiki, profile %s, DVM-PE, direct-mapped below 256 B)", prof.Name),
-		"AVC bytes", "Normalized time", "AVC hit rate")
-	capRows, err := mapCells(opts, len(capacities), func(_ context.Context, i int) (core.RunResult, error) {
-		capBytes := capacities[i]
-		r, err := checkpointed(opts, fmt.Sprintf("ablations/avc/%d", capBytes), func() (core.RunResult, error) {
-			cfg := opts.system(prof)
-			cfg.AVC.CapacityBytes = capBytes
-			cfg.AVC.MinLevel = 1
-			if capBytes < 256 {
-				cfg.AVC.Ways = 1
-			}
-			return p.Run(core.ModeDVMPE, cfg)
-		})
-		if err != nil {
-			return r, err
-		}
-		if err := opts.collect(r); err != nil {
-			return r, err
-		}
-		opts.cellDone()
-		progress.log("ablation avc %dB: %.3fx", capBytes, norm(r))
-		return r, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, r := range capRows {
-		ts.MustAddRow(fmt.Sprintf("%d", capacities[i]),
-			results.F(norm(r), 3),
-			results.F(r.StructHitRate, 4))
-	}
-	if err := ts.WriteASCII(w); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(w, "\n"); err != nil {
-		return err
-	}
-
-	// Leaf-line caching toggle, on the *conventional* 4K configuration:
-	// the paper's PWCs refuse to cache L1 PTE lines "to avoid polluting
-	// the PWC". With a GB-scale 4 KB table, letting leaves in displaces
-	// the hot upper-level lines; with a PE table the same policy is what
-	// makes the AVC work. Both sides of the argument, measured.
-	tl := results.NewTable(
-		fmt.Sprintf("Ablation C: caching leaf PTE lines in the 1 KB walker cache (PageRank/Wiki, profile %s)", prof.Name),
-		"Mode", "Leaf lines", "Normalized time", "Walker-cache hit rate")
-	togRows, err := mapCells(opts, len(toggles), func(_ context.Context, i int) (core.RunResult, error) {
-		x := toggles[i]
-		r, err := checkpointed(opts, fmt.Sprintf("ablations/leaf/%v/%d", x.mode, x.minLevel), func() (core.RunResult, error) {
-			cfg := opts.system(prof)
-			if x.mode == core.ModeConv4K {
-				cfg.PWC = mmuPTECacheConfig(x.minLevel)
-			} else {
-				cfg.AVC = mmuPTECacheConfig(x.minLevel)
-			}
-			return p.Run(x.mode, cfg)
-		})
-		if err != nil {
-			return r, err
-		}
-		if err := opts.collect(r); err != nil {
-			return r, err
-		}
-		opts.cellDone()
-		progress.log("ablation leaf-caching %v minlevel %d: %.3fx", x.mode, x.minLevel, norm(r))
-		return r, nil
-	})
-	if err != nil {
-		return err
-	}
-	for i, r := range togRows {
-		tl.MustAddRow(toggles[i].mode.String(), toggles[i].label,
-			results.F(norm(r), 3),
-			results.F(r.StructHitRate, 4))
-	}
-	return tl.WriteASCII(w)
+// ablationCell is one configuration of the design studies: the table it
+// renders into (0, 1, 2 for Ablations A, B, C), its checkpoint key
+// under "ablations/", its progress label, the mode it runs, how it
+// changes the profile's machine, and its row's leading columns.
+type ablationCell struct {
+	table      int
+	key, label string
+	mode       core.Mode
+	set        func(cfg *core.SystemConfig)
+	row        []string
 }
 
-// ablationFanouts, ablationCapacities and ablationToggles declare the
-// Ablations cell matrix at package level (plus one reference Ideal run)
-// so CellCount can size a sweep without running it.
-var (
-	ablationFanouts    = []int{4, 8, 16, 32, 64}
-	ablationCapacities = []int{64, 128, 256, 1024, 4096}
-	ablationToggles    = []struct {
+// ablationCells lists the design studies' cells in rendering order,
+// after which Ablations runs its one Ideal reference cell.
+func ablationCells() []ablationCell {
+	var cells []ablationCell
+	// A: PE fan-out sweep.
+	for _, f := range []int{4, 8, 16, 32, 64} {
+		cells = append(cells, ablationCell{0, fmt.Sprintf("pe-fields/%d", f), fmt.Sprintf("pe-fields %d", f), core.ModeDVMPE,
+			func(cfg *core.SystemConfig) { cfg.PEFields = f }, []string{fmt.Sprintf("%d", f)}})
+	}
+	// B: AVC size sweep, down into the degradation region. The paper's
+	// 1 KB AVC is generously sized once PEs shrink the table; only a
+	// few-line cache starts missing. Tiny capacities use a direct-mapped
+	// geometry (a 64 B cache cannot be 4-way).
+	for _, capBytes := range []int{64, 128, 256, 1024, 4096} {
+		cells = append(cells, ablationCell{1, fmt.Sprintf("avc/%d", capBytes), fmt.Sprintf("avc %dB", capBytes), core.ModeDVMPE,
+			func(cfg *core.SystemConfig) {
+				cfg.AVC.CapacityBytes = capBytes
+				cfg.AVC.MinLevel = 1
+				if capBytes < 256 {
+					cfg.AVC.Ways = 1
+				}
+			}, []string{fmt.Sprintf("%d", capBytes)}})
+	}
+	// C: leaf-line caching toggle, on the *conventional* 4K
+	// configuration too: the paper's PWCs refuse to cache L1 PTE lines
+	// "to avoid polluting the PWC". With a GB-scale 4 KB table, letting
+	// leaves in displaces the hot upper-level lines; with a PE table the
+	// same policy is what makes the AVC work. Both sides of the
+	// argument, measured.
+	for _, x := range []struct {
 		mode     core.Mode
 		minLevel int
 		label    string
@@ -738,11 +600,102 @@ var (
 		{core.ModeConv4K, 1, "cached (polluted PWC)"},
 		{core.ModeDVMPE, 2, "excluded (PWC-style)"},
 		{core.ModeDVMPE, 1, "cached (AVC)"},
+	} {
+		cells = append(cells, ablationCell{2, fmt.Sprintf("leaf/%v/%d", x.mode, x.minLevel),
+			fmt.Sprintf("leaf-caching %v minlevel %d", x.mode, x.minLevel), x.mode,
+			func(cfg *core.SystemConfig) {
+				if x.mode == core.ModeConv4K {
+					cfg.PWC = mmuPTECacheConfig(x.minLevel)
+				} else {
+					cfg.AVC = mmuPTECacheConfig(x.minLevel)
+				}
+			}, []string{x.mode.String(), x.label}})
 	}
-)
+	return cells
+}
 
-// virtSchemes declares the Virtualization cell matrix at package level
-// for the same reason.
+// ablations renders the design-choice studies DESIGN.md calls out: PE
+// fan-out sweep, AVC size sweep and AVC-caches-L1 toggle, on one
+// representative workload. The reference Ideal run is one cell; the
+// studies' cells then fan out on the worker pool together.
+func ablations(prof core.Profile, w io.Writer, opts Options) error {
+	cells := ablationCells()
+	progress := opts.progressFor(1 + len(cells))
+	// The workload is prepared once, by the first cell that computes, so
+	// a cancelled or fully restored run generates no graph.
+	prepare := sync.OnceValues(func() (*core.Prepared, error) {
+		d, err := graph.DatasetByName("Wiki")
+		if err != nil {
+			return nil, err
+		}
+		return opts.prepare(core.Workload{Algorithm: "PageRank", Dataset: d, Scale: prof.Scale, PageRankIters: prof.PageRankIters, Seed: 42})
+	})
+	run := func(mode core.Mode, cfg core.SystemConfig) (core.RunResult, error) {
+		p, err := prepare()
+		if err != nil {
+			return core.RunResult{}, err
+		}
+		return p.Run(mode, cfg)
+	}
+	ideal, err := runCells(opts, progress, 1,
+		func(int) string { return "ablations/ideal" },
+		func(context.Context, int) (core.RunResult, error) { return run(core.ModeIdeal, opts.system(prof)) },
+		func(_ int, r core.RunResult) (string, error) {
+			return fmt.Sprintf("ablation ideal reference: %d cycles", r.Stats.Cycles), opts.collect(r)
+		})
+	if err != nil {
+		return err
+	}
+	norm := func(r core.RunResult) float64 {
+		return float64(r.Stats.Cycles) / float64(ideal[0].Stats.Cycles)
+	}
+	rs, err := runCells(opts, progress, len(cells),
+		func(i int) string { return "ablations/" + cells[i].key },
+		func(_ context.Context, i int) (core.RunResult, error) {
+			cfg := opts.system(prof)
+			cells[i].set(&cfg)
+			return run(cells[i].mode, cfg)
+		},
+		func(i int, r core.RunResult) (string, error) {
+			return fmt.Sprintf("ablation %s: %.3fx", cells[i].label, norm(r)), opts.collect(r)
+		})
+	if err != nil {
+		return err
+	}
+	tables := []*results.Table{
+		results.NewTable(
+			fmt.Sprintf("Ablation A: PE fan-out (PageRank/Wiki, profile %s, DVM-PE)", prof.Name),
+			"PE fields", "Normalized time", "AVC hit rate", "Page table"),
+		results.NewTable(
+			fmt.Sprintf("Ablation B: AVC capacity (PageRank/Wiki, profile %s, DVM-PE, direct-mapped below 256 B)", prof.Name),
+			"AVC bytes", "Normalized time", "AVC hit rate"),
+		results.NewTable(
+			fmt.Sprintf("Ablation C: caching leaf PTE lines in the 1 KB walker cache (PageRank/Wiki, profile %s)", prof.Name),
+			"Mode", "Leaf lines", "Normalized time", "Walker-cache hit rate"),
+	}
+	for i, r := range rs {
+		c := cells[i]
+		row := append(c.row, results.F(norm(r), 3), results.F(r.StructHitRate, 4))
+		if c.table == 0 {
+			// The PE fan-out changes the table itself.
+			row = append(row, results.KB(r.PageTableBytes))
+		}
+		tables[c.table].MustAddRow(row...)
+	}
+	for i, t := range tables {
+		if i > 0 {
+			if _, err := io.WriteString(w, "\n"); err != nil {
+				return err
+			}
+		}
+		if err := t.WriteASCII(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// virtSchemes declares the Virtualization cell matrix.
 var virtSchemes = []struct {
 	scheme      virt.Scheme
 	guest, host string
@@ -753,26 +706,22 @@ var virtSchemes = []struct {
 	{virt.SchemeFullDVM, "DVM", "none (gVA==sPA)"},
 }
 
-// Virtualization renders the Section 5 extension: per-scheme translation
+// virtualization renders the Section 5 extension: per-scheme translation
 // costs under nested virtualization, from conventional two-dimensional
 // walks down to full DVM (gVA==gPA==sPA).
-func Virtualization(w io.Writer, opts Options) error {
+func virtualization(_ core.Profile, w io.Writer, opts Options) error {
 	t := results.NewTable(
 		"Extension (paper §5): virtualized DVM — nested translation cost per access (64 MB guest heap, uniform random)",
 		"Scheme", "Guest dim", "Nested dim", "Cold walk refs", "Avg refs/access", "Avg cycles/access", "TLB miss")
 	rows := virtSchemes
-	progress := opts.progressFor(len(rows))
-	res, err := mapCells(opts, len(rows), func(_ context.Context, i int) (virt.Result, error) {
-		r, err := checkpointed(opts, "virt/"+rows[i].scheme.String(), func() (virt.Result, error) {
+	res, err := runCells(opts, opts.progressFor(len(rows)), len(rows),
+		func(i int) string { return "virt/" + rows[i].scheme.String() },
+		func(_ context.Context, i int) (virt.Result, error) {
 			return virt.Measure(rows[i].scheme, virt.Config{}, 200_000, 7)
+		},
+		func(i int, r virt.Result) (string, error) {
+			return fmt.Sprintf("virt %v: %.2f refs/access %.1f cy", rows[i].scheme, r.AvgMemRefs, r.AvgCycles), nil
 		})
-		if err != nil {
-			return virt.Result{}, err
-		}
-		opts.cellDone()
-		progress.log("virt %v: %.2f refs/access %.1f cy", rows[i].scheme, r.AvgMemRefs, r.AvgCycles)
-		return r, nil
-	})
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package report
 
 import (
 	"io"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -10,11 +9,12 @@ import (
 	"testing"
 
 	"github.com/dvm-sim/dvm/internal/core"
+	"github.com/dvm-sim/dvm/internal/obs"
 )
 
 func TestTable5(t *testing.T) {
 	var b strings.Builder
-	if err := Table5(&b); err != nil {
+	if err := table5(core.ProfileTiny, &b, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -36,7 +36,7 @@ func TestTable5(t *testing.T) {
 // still be absent or empty.
 func TestTable3(t *testing.T) {
 	var b strings.Builder
-	if err := Table3(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
+	if err := table3(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -50,20 +50,18 @@ func TestTable3(t *testing.T) {
 	cache := core.NewPreparedCacheDir(dir)
 	defer cache.Close()
 	opts := Options{Jobs: 2, Prepared: cache}
-	if err := Table1(core.ProfileTiny, io.Discard, opts); err != nil {
+	if err := table1(core.ProfileTiny, io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
 	var warm strings.Builder
-	if err := Table3(core.ProfileTiny, &warm, opts); err != nil {
+	if err := table3(core.ProfileTiny, &warm, opts); err != nil {
 		t.Fatal(err)
 	}
 	if warm.String() != out {
 		t.Errorf("Table 3 after Table 1 differs from a nil-cache run:\n%s\nwant:\n%s", warm.String(), out)
 	}
-	if ents, err := os.ReadDir(dir); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	} else if len(ents) != 0 {
-		t.Errorf("Table 1 and Table 3 generated graphs: the cache dir holds %d files", len(ents))
+	if n := graphFiles(t, dir); n != 0 {
+		t.Errorf("Table 1 and Table 3 generated graphs: the cache dir holds %d files", n)
 	}
 }
 
@@ -77,10 +75,10 @@ func TestTable1Table3SmallAlloc(t *testing.T) {
 	opts := Options{Jobs: 1, Prepared: core.NewPreparedCache()}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := Table1(core.ProfileSmall, io.Discard, opts); err != nil {
+	if err := table1(core.ProfileSmall, io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := Table3(core.ProfileSmall, io.Discard, opts); err != nil {
+	if err := table3(core.ProfileSmall, io.Discard, opts); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -97,7 +95,7 @@ func TestFigure10Render(t *testing.T) {
 		t.Skip("full CPU traces")
 	}
 	var b strings.Builder
-	if err := Figure10(&b, Options{Jobs: 1}); err != nil {
+	if err := figure10(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -117,7 +115,7 @@ func TestTable1Render(t *testing.T) {
 		lines = append(lines, format)
 		mu.Unlock()
 	}
-	if err := Table1(core.ProfileTiny, &b, Options{Jobs: 1, Progress: progress}); err != nil {
+	if err := table1(core.ProfileTiny, &b, Options{Jobs: 1, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
 	// Table 1 covers PageRank (4 inputs) + CF (3 inputs) = 7 rows.
@@ -131,7 +129,7 @@ func TestTable1Render(t *testing.T) {
 
 func TestFigure2Render(t *testing.T) {
 	var b strings.Builder
-	if err := Figure2(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
+	if err := figure2(core.ProfileTiny, &b, Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -153,17 +151,17 @@ func TestRenderDeterministicAcrossJobs(t *testing.T) {
 	}{
 		{"fig2", func(opts Options) (string, error) {
 			var b strings.Builder
-			err := Figure2(core.ProfileTiny, &b, opts)
+			err := figure2(core.ProfileTiny, &b, opts)
 			return b.String(), err
 		}},
 		{"table3", func(opts Options) (string, error) {
 			var b strings.Builder
-			err := Table3(core.ProfileTiny, &b, opts)
+			err := table3(core.ProfileTiny, &b, opts)
 			return b.String(), err
 		}},
 		{"virt", func(opts Options) (string, error) {
 			var b strings.Builder
-			err := Virtualization(&b, opts)
+			err := virtualization(core.ProfileTiny, &b, opts)
 			return b.String(), err
 		}},
 	}
@@ -179,5 +177,24 @@ func TestRenderDeterministicAcrossJobs(t *testing.T) {
 		if seq != par {
 			t.Errorf("%s output differs between -j 1 and -j 8:\n--- j1:\n%s\n--- j8:\n%s", r.name, seq, par)
 		}
+	}
+}
+
+// TestTable1RecordsTableBuildSpans checks that Table 1 hands the
+// options' span recorder to its page-table builds, as the simulating
+// generators do: one 4K and one PE build per input.
+func TestTable1RecordsTableBuildSpans(t *testing.T) {
+	spans := obs.NewSpanRecorder()
+	if err := table1(core.ProfileTiny, io.Discard, Options{Jobs: 1, Spans: spans}); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	for _, s := range spans.Spans() {
+		if strings.HasPrefix(s.Name, "ptbuild:") {
+			builds++
+		}
+	}
+	if want := 2 * len(table1Workloads(core.ProfileTiny)); builds != want {
+		t.Errorf("a Table 1 sweep recorded %d ptbuild: spans, want %d", builds, want)
 	}
 }

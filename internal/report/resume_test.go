@@ -31,10 +31,10 @@ func snapshotJSON(t *testing.T, coll *obs.Collector) []byte {
 func TestChaosCheckpointResumeEquivalence(t *testing.T) {
 	prof := core.ProfileTiny
 	generate := func(out io.Writer, opts Options) error {
-		if err := Figure2(prof, out, opts); err != nil {
+		if err := figure2(prof, out, opts); err != nil {
 			return err
 		}
-		return Table1(prof, out, opts)
+		return table1(prof, out, opts)
 	}
 
 	// Reference: uninterrupted, no checkpoint.
@@ -119,7 +119,7 @@ func TestChaosCheckpointRestoredCellsCrossCheck(t *testing.T) {
 	}
 	var refOut strings.Builder
 	refColl := obs.NewCollector()
-	if err := Figure8And9(prof, &refOut, Options{Jobs: 0, Checkpoint: ck, Metrics: refColl, Prepared: core.NewPreparedCache()}); err != nil {
+	if err := figure8And9(prof, &refOut, Options{Jobs: 0, Checkpoint: ck, Metrics: refColl, Prepared: core.NewPreparedCache()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ck.Close(); err != nil {
@@ -138,7 +138,7 @@ func TestChaosCheckpointRestoredCellsCrossCheck(t *testing.T) {
 	resColl := obs.NewCollector()
 	// Every cell restores from disk; CrossCheck re-runs on each restored
 	// RunResult inside the generator.
-	if err := Figure8And9(prof, &resOut, Options{Jobs: 1, Checkpoint: ck2, Metrics: resColl, Prepared: core.NewPreparedCache()}); err != nil {
+	if err := figure8And9(prof, &resOut, Options{Jobs: 1, Checkpoint: ck2, Metrics: resColl, Prepared: core.NewPreparedCache()}); err != nil {
 		t.Fatalf("fully-restored sweep failed: %v", err)
 	}
 	if resOut.String() != refOut.String() {

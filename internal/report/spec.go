@@ -2,6 +2,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -45,7 +46,7 @@ func (s Spec) Resolve(opts *Options) (core.Profile, map[string]bool, error) {
 		for _, k := range s.Artifacts {
 			switch k = strings.TrimSpace(k); {
 			case k == "":
-			case KnownArtifact(k):
+			case slices.Contains(ArtifactKeys, k):
 				wanted[k] = true
 			default:
 				unknown = append(unknown, k)

@@ -8,23 +8,53 @@ import (
 	"github.com/dvm-sim/dvm/internal/core"
 	"github.com/dvm-sim/dvm/internal/cpu"
 	"github.com/dvm-sim/dvm/internal/graph"
-	"github.com/dvm-sim/dvm/internal/shbench"
 )
+
+// artifact is one entry of the paper's evaluation matrix: the keys that
+// select it, how many cells it runs at a profile, and its generator.
+// An artifact with two keys (fig8, fig9) renders once when either is
+// wanted, under the first wanted key.
+type artifact struct {
+	keys  []string
+	cells func(prof core.Profile) int
+	gen   func(prof core.Profile, w io.Writer, opts Options) error
+}
+
+// artifacts lists the paper's evaluation in rendering order. Each cell
+// count comes from the same helper its generator iterates.
+var artifacts = []artifact{
+	{[]string{"table3"}, func(core.Profile) int { return len(graph.Datasets) }, table3},
+	{[]string{"fig2"}, func(p core.Profile) int { return len(p.Workloads()) }, figure2},
+	{[]string{"table1"}, func(p core.Profile) int { return len(table1Workloads(p)) }, table1},
+	{[]string{"fig8", "fig9"}, func(p core.Profile) int { return len(p.Workloads()) }, figure8And9},
+	{[]string{"table4"}, func(core.Profile) int { return len(table4Cells()) }, table4},
+	{[]string{"fig10"}, func(core.Profile) int { return len(cpu.Workloads) }, figure10},
+	{[]string{"table5"}, func(core.Profile) int { return 0 }, table5},
+	{[]string{"ablations"}, func(core.Profile) int { return 1 + len(ablationCells()) }, ablations},
+	{[]string{"virt"}, func(core.Profile) int { return len(virtSchemes) }, virtualization},
+}
+
+// key returns the key a renders under for the wanted set (nil wants
+// everything): its first wanted key, or "" when none is wanted.
+func (a artifact) key(wanted map[string]bool) string {
+	for _, k := range a.keys {
+		if wanted == nil || wanted[k] {
+			return k
+		}
+	}
+	return ""
+}
 
 // ArtifactKeys is the artifact vocabulary in paper rendering order —
 // the -only flag of dvmrepro and the "artifacts" field of a dvmserved
 // job both validate against it.
-var ArtifactKeys = []string{"table3", "fig2", "table1", "fig8", "fig9", "table4", "fig10", "table5", "ablations", "virt"}
-
-// KnownArtifact reports whether key names a paper artifact.
-func KnownArtifact(key string) bool {
-	for _, k := range ArtifactKeys {
-		if k == key {
-			return true
-		}
+var ArtifactKeys = func() []string {
+	var keys []string
+	for _, a := range artifacts {
+		keys = append(keys, a.keys...)
 	}
-	return false
-}
+	return keys
+}()
 
 // ArtifactError is the failure of one artifact inside a Sweep, naming
 // which artifact broke so callers can report (and resume) precisely.
@@ -62,93 +92,39 @@ func ArtifactKeyOf(err error) string {
 // once. The first failure returns wrapped in *ArtifactError naming the
 // artifact.
 func Sweep(prof core.Profile, w io.Writer, opts Options, wanted map[string]bool, observe func(key string, render func() error) error) error {
-	want := func(key string) bool { return wanted == nil || wanted[key] }
-	run := func(key string, render func() error) error {
-		if !want(key) {
-			return nil
+	for _, a := range artifacts {
+		key := a.key(wanted)
+		if key == "" {
+			continue
 		}
-		fn := render
+		render := func() error { return a.gen(prof, w, opts) }
+		var err error
 		if observe != nil {
-			fn = func() error { return observe(key, render) }
+			err = observe(key, render)
+		} else {
+			err = render()
 		}
-		if err := fn(); err != nil {
+		if err != nil {
 			return &ArtifactError{Key: key, Err: err}
 		}
 		if _, err := fmt.Fprintln(w); err != nil {
 			return &ArtifactError{Key: key, Err: err}
 		}
-		return nil
 	}
-	if err := run("table3", func() error { return Table3(prof, w, opts) }); err != nil {
-		return err
-	}
-	if err := run("fig2", func() error { return Figure2(prof, w, opts) }); err != nil {
-		return err
-	}
-	if err := run("table1", func() error { return Table1(prof, w, opts) }); err != nil {
-		return err
-	}
-	// fig8 and fig9 come from the same runs; requesting either (or both)
-	// renders both tables once, under whichever key was asked for.
-	if want("fig8") || want("fig9") {
-		key := "fig8"
-		if wanted != nil && !wanted["fig8"] {
-			key = "fig9"
-		}
-		if err := run(key, func() error { return Figure8And9(prof, w, opts) }); err != nil {
-			return err
-		}
-	}
-	if err := run("table4", func() error { return Table4(w, opts) }); err != nil {
-		return err
-	}
-	if err := run("fig10", func() error { return Figure10(w, opts) }); err != nil {
-		return err
-	}
-	if err := run("table5", func() error { return Table5(w) }); err != nil {
-		return err
-	}
-	if err := run("ablations", func() error { return Ablations(prof, w, opts) }); err != nil {
-		return err
-	}
-	return run("virt", func() error { return Virtualization(w, opts) })
+	return nil
 }
 
 // CellCount returns how many experiment cells the wanted artifacts of
 // prof comprise — the progress denominator a daemon job reports before
-// any cell has run. It mirrors each generator's cell declaration
-// exactly; table5 is static text and contributes none.
+// any cell has run. It is counted from the artifact list, so it agrees
+// with the generators by construction; table5 is static text and
+// contributes none.
 func CellCount(prof core.Profile, wanted map[string]bool) int {
-	want := func(key string) bool { return wanted == nil || wanted[key] }
-	wls := len(prof.Workloads())
 	n := 0
-	if want("table3") {
-		n += len(graph.Datasets)
-	}
-	if want("fig2") {
-		n += wls
-	}
-	if want("table1") {
-		for _, wl := range prof.Workloads() {
-			if wl.Algorithm == "PageRank" || wl.Algorithm == "CF" {
-				n++
-			}
+	for _, a := range artifacts {
+		if a.key(wanted) != "" {
+			n += a.cells(prof)
 		}
-	}
-	if want("fig8") || want("fig9") {
-		n += wls
-	}
-	if want("table4") {
-		n += len(shbench.Experiments) * len(shbench.MemorySizes)
-	}
-	if want("fig10") {
-		n += len(cpu.Workloads)
-	}
-	if want("ablations") {
-		n += 1 + len(ablationFanouts) + len(ablationCapacities) + len(ablationToggles)
-	}
-	if want("virt") {
-		n += len(virtSchemes)
 	}
 	return n
 }
